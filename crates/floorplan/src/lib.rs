@@ -34,7 +34,7 @@ mod styles;
 
 pub use seqpair::{anneal_floorplan, SaConfig, SeqPair};
 
-use foldic_geom::{Point, Rect, Tier};
+use foldic_geom::{ring_of, spiral_sites, Point, Rect, Tier};
 use foldic_netlist::Design;
 use foldic_tech::Technology;
 
@@ -93,29 +93,64 @@ pub fn floorplan_t2(design: &mut Design, style: FloorplanStyle, tech: &Technolog
 ///
 /// The ideal spot is the midpoint between the two ports; sites are on the
 /// TSV pitch grid, must lie inside the die and outside every block rect on
-/// either tier, and cannot be shared. Returns the chosen positions in
-/// cross-die-net order.
+/// either tier, and cannot be shared. Each net takes the first free legal
+/// site of the [`spiral_sites`] walk around its ideal spot. Returns the
+/// chosen positions in cross-die-net order.
 pub fn plan_chip_tsvs(design: &Design, die: Rect, tech: &Technology) -> Vec<Point> {
+    // Per-site state. Legality depends on the site alone, so each site is
+    // tested against the block rects once, on its first visit by any
+    // search. States only move UNSEEN → BLOCKED | FREE and FREE → TAKEN:
+    // a site that is not free stays so.
+    const UNSEEN: u8 = 0;
+    const BLOCKED: u8 = 1;
+    const FREE: u8 = 2;
+    const TAKEN: u8 = 3;
     let pitch = tech.tsv.pitch_um;
     let blocks: Vec<Rect> = design.blocks().map(|(_, b)| b.chip_rect()).collect();
-    let cols = (die.width() / pitch).floor() as i64;
-    let rows = (die.height() / pitch).floor() as i64;
-    let site = |c: i64, r: i64| {
+    let cols = ((die.width() / pitch).floor() as i64).max(0);
+    let rows = ((die.height() / pitch).floor() as i64).max(0);
+    let site = |(c, r): (i64, i64)| {
         Point::new(
             die.llx + (c as f64 + 0.5) * pitch,
             die.lly + (r as f64 + 0.5) * pitch,
         )
     };
-    let legal = |c: i64, r: i64| {
-        if c < 0 || r < 0 || c >= cols || r >= rows {
-            return false;
-        }
-        let p = site(c, r);
-        !blocks.iter().any(|b| b.contains(p))
-    };
-    let mut occupied = std::collections::HashSet::new();
+    let mut state = vec![UNSEEN; (cols * rows) as usize];
+    // The previous search's centre and the ring its site was on. Every
+    // site nearer to that centre was found not free, and stays so; the
+    // rings of a new centre that lie wholly inside that square are skipped.
+    let mut last: Option<((i64, i64), i64)> = None;
     let mut tsvs = Vec::new();
-    for net in design.chip_nets() {
+    for mid in cross_net_midpoints(design) {
+        let center = (
+            ((mid.x - die.llx) / pitch).floor() as i64,
+            ((mid.y - die.lly) / pitch).floor() as i64,
+        );
+        let first_ring = last.map_or(0, |(prev, ring)| ring - ring_of(prev, center));
+        let free = spiral_sites(center, first_ring, cols, rows).find(|&(c, r)| {
+            let s = &mut state[(r * cols + c) as usize];
+            if *s == UNSEEN {
+                let p = site((c, r));
+                *s = if blocks.iter().any(|b| b.contains(p)) {
+                    BLOCKED
+                } else {
+                    FREE
+                };
+            }
+            *s == FREE
+        });
+        last = free.map(|(c, r)| {
+            state[(r * cols + c) as usize] = TAKEN;
+            tsvs.push(site((c, r)));
+            (center, ring_of(center, (c, r)))
+        });
+    }
+    tsvs
+}
+
+/// Midpoint of the ports of every cross-die chip net, in chip-net order.
+fn cross_net_midpoints(design: &Design) -> impl Iterator<Item = Point> + '_ {
+    design.chip_nets().iter().filter_map(move |net| {
         let mut cross = false;
         let mut mid = Point::ORIGIN;
         let mut n = 0.0;
@@ -134,28 +169,8 @@ pub fn plan_chip_tsvs(design: &Design, die: Rect, tech: &Technology) -> Vec<Poin
                 _ => {}
             }
         }
-        if !cross {
-            continue;
-        }
-        let mid = mid * (1.0 / n);
-        let c0 = ((mid.x - die.llx) / pitch).floor() as i64;
-        let r0 = ((mid.y - die.lly) / pitch).floor() as i64;
-        'search: for ring in 0..cols.max(rows).max(1) {
-            for dc in -ring..=ring {
-                for dr in -ring..=ring {
-                    if dc.abs() != ring && dr.abs() != ring {
-                        continue;
-                    }
-                    let (c, r) = (c0 + dc, r0 + dr);
-                    if legal(c, r) && occupied.insert((c, r)) {
-                        tsvs.push(site(c, r));
-                        break 'search;
-                    }
-                }
-            }
-        }
-    }
-    tsvs
+        cross.then(|| mid * (1.0 / n))
+    })
 }
 
 /// Total inter-block wirelength in µm: for every chip net, the Manhattan
@@ -284,6 +299,58 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &p in &plan.tsvs {
             assert!(seen.insert((p.x.to_bits(), p.y.to_bits())));
+        }
+    }
+
+    /// TSV planning without the legality cache or the ring memo: every
+    /// search walks from ring 0 and tests each site's rects afresh.
+    fn plan_chip_tsvs_uncached(design: &Design, die: Rect, tech: &Technology) -> Vec<Point> {
+        let pitch = tech.tsv.pitch_um;
+        let cols = (die.width() / pitch).floor() as i64;
+        let rows = (die.height() / pitch).floor() as i64;
+        let site = |c: i64, r: i64| {
+            Point::new(
+                die.llx + (c as f64 + 0.5) * pitch,
+                die.lly + (r as f64 + 0.5) * pitch,
+            )
+        };
+        let mut occupied = std::collections::HashSet::new();
+        let mut tsvs = Vec::new();
+        for mid in cross_net_midpoints(design) {
+            let c0 = ((mid.x - die.llx) / pitch).floor() as i64;
+            let r0 = ((mid.y - die.lly) / pitch).floor() as i64;
+            let free = spiral_sites((c0, r0), 0, cols, rows).find(|&(c, r)| {
+                let p = site(c, r);
+                !design.blocks().any(|(_, b)| b.chip_rect().contains(p))
+                    && !occupied.contains(&(c, r))
+            });
+            if let Some((c, r)) = free {
+                occupied.insert((c, r));
+                tsvs.push(site(c, r));
+            }
+        }
+        tsvs
+    }
+
+    #[test]
+    fn cached_tsv_search_matches_the_uncached_walk_bitwise() {
+        let bits = |v: &[Point]| -> Vec<(u64, u64)> {
+            v.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+        };
+        for style in [FloorplanStyle::CoreCache, FloorplanStyle::CoreCore] {
+            let (design, mut tech, plan) = planned(style);
+            let oracle = plan_chip_tsvs_uncached(&design, plan.die, &tech);
+            assert!(bits(&plan.tsvs) == bits(&oracle), "{style:?}: sites differ");
+            // a coarse pitch runs the whitespace out: later searches fail
+            // and the memo must not skip a site an earlier search left
+            tech.tsv.pitch_um = plan.die.width() / 9.0;
+            let coarse = plan_chip_tsvs(&design, plan.die, &tech);
+            let oracle = plan_chip_tsvs_uncached(&design, plan.die, &tech);
+            assert!(coarse.len() < plan.tsvs.len(), "{style:?}: grid must fill");
+            assert!(
+                bits(&coarse) == bits(&oracle),
+                "{style:?} coarse: sites differ"
+            );
         }
     }
 

@@ -5,7 +5,8 @@
 //! provides points, axis-aligned rectangles, tier (die) identifiers for
 //! 2-tier 3D stacks, uniform bin grids, and the supply/demand density map
 //! used by the mixed-size placer (including the "macro hole" mechanism of
-//! the paper's §4.2).
+//! the paper's §4.2), and the outward ring search that TSV and 3D-via
+//! placement share.
 //!
 //! # Examples
 //!
@@ -21,12 +22,14 @@ mod density;
 mod grid;
 mod point;
 mod rect;
+mod spiral;
 mod tier;
 
 pub use density::DensityMap;
 pub use grid::BinGrid;
 pub use point::Point;
 pub use rect::Rect;
+pub use spiral::{ring_of, spiral_sites};
 pub use tier::Tier;
 
 /// Clamps `v` into the inclusive range `[lo, hi]`.

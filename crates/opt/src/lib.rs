@@ -126,8 +126,10 @@ pub fn chip_repeater_spacing_um(tech: &Technology) -> f64 {
 /// Inserts repeaters on long nets; returns the number added.
 ///
 /// Two-terminal segments longer than the repeater spacing get an evenly
-/// spaced BUF X8 chain; nets with a far-away sink cluster get one buffer
-/// at the cluster's centroid driving the moved sinks.
+/// spaced BUF X8 chain. On a multi-fanout net the sinks farther than one
+/// spacing form a far cluster, driven through one buffer placed on the
+/// line toward the cluster's centroid, one spacing from the driver but at
+/// most halfway there.
 ///
 /// # Errors
 ///
@@ -172,7 +174,6 @@ pub fn insert_buffers(
             if k == 0 {
                 continue;
             }
-            let mut prev = driver;
             let mut prev_net = nid;
             for step in 1..=k {
                 let t = step as f64 / (k + 1) as f64;
@@ -195,11 +196,9 @@ pub fn insert_buffers(
                 netlist.move_sinks(prev_net, new_net, |p| p == sink);
                 netlist.connect_sink(prev_net, PinRef::input(b, 0));
                 netlist.connect_driver(new_net, PinRef::output(b));
-                prev = PinRef::output(b);
                 prev_net = new_net;
                 added += 1;
             }
-            let _ = prev;
         } else {
             // multi-fanout: buffer the far cluster once
             let far: Vec<PinRef> = net
@@ -238,26 +237,6 @@ pub fn insert_buffers(
         }
     }
     Ok(added)
-}
-
-fn sta(
-    netlist: &Netlist,
-    tech: &Technology,
-    budgets: &TimingBudgets,
-    cfg: &OptConfig,
-    vias: Option<&ViaPlacement>,
-) -> Result<TimingReport, FlowError> {
-    let wiring = BlockWiring::analyze(netlist, tech, cfg.detour, vias)?;
-    analyze(
-        netlist,
-        tech,
-        &wiring,
-        budgets,
-        &StaConfig {
-            max_layer: cfg.max_layer,
-            via_kind: cfg.via_kind,
-        },
-    )
 }
 
 /// Upsizes drivers on violated paths; returns moves applied.
@@ -438,6 +417,15 @@ pub fn optimize_block_with_vias(
         buffers_added: insert_buffers(netlist, tech, cfg, vias)?,
         ..Default::default()
     };
+    // Every later pass only rewrites masters, and the wiring analysis reads
+    // connectivity, pin positions and tiers — none of which depend on the
+    // master — so one analysis serves every STA round and sizing pass.
+    let wiring = BlockWiring::analyze(netlist, tech, cfg.detour, vias)?;
+    let sta_cfg = StaConfig {
+        max_layer: cfg.max_layer,
+        via_kind: cfg.via_kind,
+    };
+    let sta = |netlist: &Netlist| analyze(netlist, tech, &wiring, budgets, &sta_cfg);
 
     // Per-round WNS trajectory, accumulated locally and flushed once at
     // the end (sampled observability — no hook inside the fix loops).
@@ -455,7 +443,7 @@ pub fn optimize_block_with_vias(
     };
 
     // 2. timing recovery rounds
-    let mut report = sta(netlist, tech, budgets, cfg, vias)?;
+    let mut report = sta(netlist)?;
     stats.rounds += 1;
     note(stats.rounds, report.wns_ps);
     for _ in 0..cfg.rounds {
@@ -466,7 +454,7 @@ pub fn optimize_block_with_vias(
         }
         let up = upsize_critical(netlist, tech, &report);
         stats.upsized += up;
-        report = sta(netlist, tech, budgets, cfg, vias)?;
+        report = sta(netlist)?;
         stats.rounds += 1;
         note(stats.rounds, report.wns_ps);
         if up == 0 {
@@ -477,10 +465,9 @@ pub fn optimize_block_with_vias(
     // 3. power recovery: downsizing
     for _ in 0..cfg.rounds.min(2) {
         foldic_fault::deadline::poll()?;
-        let wiring = BlockWiring::analyze(netlist, tech, cfg.detour, vias)?;
         let down = downsize_with_slack(netlist, tech, &report, cfg, &wiring);
         stats.downsized += down;
-        report = sta(netlist, tech, budgets, cfg, vias)?;
+        report = sta(netlist)?;
         stats.rounds += 1;
         note(stats.rounds, report.wns_ps);
         if down == 0 {
@@ -492,7 +479,7 @@ pub fn optimize_block_with_vias(
     //    STA proves critical (two refinement rounds)
     if cfg.dual_vth {
         stats.hvt_swapped = swap_to_hvt(netlist, tech, &report, cfg);
-        report = sta(netlist, tech, budgets, cfg, vias)?;
+        report = sta(netlist)?;
         stats.rounds += 1;
         note(stats.rounds, report.wns_ps);
         for _ in 0..2 {
@@ -501,7 +488,7 @@ pub fn optimize_block_with_vias(
             }
             let reverted = revert_hvt_on_violations(netlist, tech, &report);
             stats.hvt_swapped = stats.hvt_swapped.saturating_sub(reverted);
-            report = sta(netlist, tech, budgets, cfg, vias)?;
+            report = sta(netlist)?;
             stats.rounds += 1;
             note(stats.rounds, report.wns_ps);
             if reverted == 0 {
@@ -535,6 +522,20 @@ mod tests {
         (b.netlist.clone(), tech)
     }
 
+    fn sta_2d(
+        nl: &Netlist,
+        tech: &Technology,
+        budgets: &TimingBudgets,
+        cfg: &OptConfig,
+    ) -> TimingReport {
+        let wiring = BlockWiring::analyze(nl, tech, cfg.detour, None).unwrap();
+        let sta_cfg = StaConfig {
+            max_layer: cfg.max_layer,
+            via_kind: cfg.via_kind,
+        };
+        analyze(nl, tech, &wiring, budgets, &sta_cfg).unwrap()
+    }
+
     #[test]
     fn repeater_spacing_is_physical() {
         let tech = Technology::cmos28();
@@ -549,11 +550,11 @@ mod tests {
         let (mut nl, tech) = block("rtx");
         let budgets = TimingBudgets::relaxed(&nl, &tech);
         let cfg = OptConfig::default();
-        let before = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let before = sta_2d(&nl, &tech, &budgets, &cfg);
         let added = insert_buffers(&mut nl, &tech, &cfg, None).unwrap();
         assert!(added > 0, "RTX has long nets to buffer");
         nl.check().expect("buffering must keep the netlist sound");
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = sta_2d(&nl, &tech, &budgets, &cfg);
         assert!(
             after.max_arrival_ps < before.max_arrival_ps,
             "{} -> {}",
@@ -567,10 +568,10 @@ mod tests {
         let (mut nl, tech) = block("l2t0");
         let budgets = TimingBudgets::relaxed(&nl, &tech);
         let cfg = OptConfig::default();
-        let before = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let before = sta_2d(&nl, &tech, &budgets, &cfg);
         let stats = optimize_block(&mut nl, &tech, &budgets, &cfg).unwrap();
         assert!(stats.rounds >= 1);
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = sta_2d(&nl, &tech, &budgets, &cfg);
         assert!(after.tns_ps <= before.tns_ps);
         nl.check().expect("netlist stays sound");
     }
@@ -595,11 +596,11 @@ mod tests {
         cfg.dual_vth = false;
         optimize_block(&mut nl, &tech, &budgets, &cfg).unwrap();
         let leak_before = leak(&nl);
-        let report = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let report = sta_2d(&nl, &tech, &budgets, &cfg);
         let swapped = swap_to_hvt(&mut nl, &tech, &report, &cfg);
         assert!(swapped > 0);
         assert!(leak(&nl) < leak_before);
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = sta_2d(&nl, &tech, &budgets, &cfg);
         assert!(
             after.violations <= report.violations,
             "wns {}",
@@ -612,11 +613,11 @@ mod tests {
         let (mut nl, tech) = block("ccu");
         let budgets = TimingBudgets::relaxed(&nl, &tech);
         let cfg = OptConfig::default();
-        let report = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let report = sta_2d(&nl, &tech, &budgets, &cfg);
         let wiring = BlockWiring::analyze(&nl, &tech, cfg.detour, None).unwrap();
         let down = downsize_with_slack(&mut nl, &tech, &report, &cfg, &wiring);
         // after downsizing the block must still meet timing
-        let after = sta(&nl, &tech, &budgets, &cfg, None).unwrap();
+        let after = sta_2d(&nl, &tech, &budgets, &cfg);
         assert!(
             after.violations <= report.violations,
             "downsize moves {down}"

@@ -1,10 +1,14 @@
 //! Buffer-insertion topology and sizing-pass invariants.
 
-use foldic_geom::Point;
-use foldic_netlist::{InstMaster, Netlist, PinRef};
-use foldic_opt::{insert_buffers, optimize_block, repeater_spacing_um, upsize_critical, OptConfig};
-use foldic_route::BlockWiring;
-use foldic_tech::{CellKind, Drive, Technology, VthClass};
+use foldic_geom::{Point, Tier};
+use foldic_netlist::{InstId, InstMaster, Netlist, PinRef};
+use foldic_opt::{
+    downsize_with_slack, insert_buffers, optimize_block, repeater_spacing_um,
+    revert_hvt_on_violations, swap_to_hvt, upsize_critical, OptConfig,
+};
+use foldic_place::{place_block, place_folded, PlacerConfig};
+use foldic_route::{place_vias, BlockWiring};
+use foldic_tech::{BondingStyle, CellKind, Drive, Technology, VthClass};
 use foldic_timing::{analyze, StaConfig, TimingBudgets};
 
 fn two_point_net(len: f64) -> (Netlist, Technology) {
@@ -141,4 +145,91 @@ fn second_optimization_pass_is_nearly_idempotent() {
         "second pass added {} buffers on {cells_after_first} cells",
         stats.buffers_added
     );
+}
+
+/// One `NetLength` as exact bits: net index, length, sink paths, 3D flag.
+type NetLengthBits = (usize, u64, Vec<u64>, bool);
+
+/// A wiring analysis as exact bits: every `NetLength`, then the total.
+fn wiring_bits(w: &BlockWiring) -> (Vec<NetLengthBits>, u64) {
+    let nets = w
+        .nets
+        .iter()
+        .map(|n| {
+            let paths = n.sink_paths.iter().map(|p| p.to_bits()).collect();
+            (n.net.index(), n.length_um.to_bits(), paths, n.is_3d)
+        })
+        .collect();
+    (nets, w.total_um.to_bits())
+}
+
+/// The optimizer analyses a block's wiring once, after buffering, and
+/// reuses it through every sizing round. That is sound only while sizing
+/// moves (which rewrite masters) leave the analysis untouched: pin
+/// positions and tiers must not depend on the master.
+#[test]
+fn sizing_moves_leave_the_wiring_analysis_bit_identical() {
+    let (design, tech) = foldic_t2::T2Config::tiny().generate();
+    let block = design.block(design.find_block("rtx").unwrap());
+    let outline = block.outline;
+    let cfg = OptConfig {
+        dual_vth: true,
+        ..Default::default()
+    };
+    for folded in [false, true] {
+        let mut nl = block.netlist.clone();
+        let vias = if folded {
+            // fold by geometry: the right half of the block goes on top
+            let mid = outline.center().x;
+            let ids: Vec<InstId> = nl.inst_ids().collect();
+            for id in ids {
+                if nl.inst(id).pos.x > mid {
+                    nl.inst_mut(id).tier = Tier::Top;
+                }
+            }
+            place_folded(&mut nl, &tech, outline, &PlacerConfig::fast(), &[]).unwrap();
+            Some(place_vias(&nl, &tech, outline, BondingStyle::FaceToBack).unwrap())
+        } else {
+            place_block(&mut nl, &tech, outline, &PlacerConfig::fast()).unwrap();
+            None
+        };
+        let vias = vias.as_ref();
+        assert!(insert_buffers(&mut nl, &tech, &cfg, vias).unwrap() > 0);
+        let before = BlockWiring::analyze(&nl, &tech, cfg.detour, vias).unwrap();
+        if folded {
+            assert!(before.num_3d > 0, "the fold must cut nets");
+        }
+
+        // tight budgets, so the upsizer has violations to fix
+        let mut budgets = TimingBudgets::relaxed(&nl, &tech);
+        for r in &mut budgets.output_required_ps {
+            *r *= 0.2;
+        }
+        let sta_cfg = StaConfig {
+            max_layer: cfg.max_layer,
+            via_kind: vias.map(|v| v.kind()),
+        };
+        let sta = |nl: &Netlist| analyze(nl, &tech, &before, &budgets, &sta_cfg).unwrap();
+        let report = sta(&nl);
+        let up = upsize_critical(&mut nl, &tech, &report);
+        let report = sta(&nl);
+        let down = downsize_with_slack(&mut nl, &tech, &report, &cfg, &before);
+        let report = sta(&nl);
+        let hvt = swap_to_hvt(&mut nl, &tech, &report, &cfg);
+        let report = sta(&nl);
+        revert_hvt_on_violations(&mut nl, &tech, &report);
+        assert!(
+            up > 0 && down > 0 && hvt > 0,
+            "folded {folded}: every kind of sizing move must fire \
+             (up {up}, down {down}, hvt {hvt})"
+        );
+
+        let after = BlockWiring::analyze(&nl, &tech, cfg.detour, vias).unwrap();
+        assert!(
+            wiring_bits(&before) == wiring_bits(&after),
+            "folded {folded}: sizing moved the wiring analysis"
+        );
+        assert_eq!(before.long_wires, after.long_wires);
+        assert_eq!(before.num_3d, after.num_3d);
+    }
 }

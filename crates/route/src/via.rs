@@ -13,7 +13,7 @@
 //!   from its ideal location and stretches the net (Fig. 6).
 
 use foldic_fault::{FlowError, FlowStage};
-use foldic_geom::{Point, Rect};
+use foldic_geom::{spiral_sites, Point, Rect};
 use foldic_netlist::{NetId, Netlist};
 use foldic_tech::{BondingStyle, Technology, Via3dKind};
 use std::collections::HashSet;
@@ -128,7 +128,7 @@ impl ViaPlacement {
 /// Nets are processed in ascending id order (deterministic). Each via
 /// requests the Manhattan median of its net's pins, snapped to the
 /// element's pitch grid; occupied or illegal sites trigger an outward
-/// spiral search.
+/// [`spiral_sites`] search.
 ///
 /// # Errors
 ///
@@ -168,9 +168,6 @@ pub fn place_vias(
         )
     };
     let legal = |c: i64, r: i64| {
-        if c < 0 || r < 0 || c >= cols || r >= rows {
-            return false;
-        }
         let p = site_center(c, r);
         !macro_rects.iter().any(|m| m.contains(p))
     };
@@ -206,21 +203,8 @@ pub fn place_vias(
         let c0 = ((ideal.x - outline.llx) / pitch).floor() as i64;
         let r0 = ((ideal.y - outline.lly) / pitch).floor() as i64;
         // spiral outward for a free legal site
-        let mut placed = None;
-        'search: for ring in 0..cols.max(rows).max(1) {
-            for dc in -ring..=ring {
-                for dr in -ring..=ring {
-                    if dc.abs() != ring && dr.abs() != ring {
-                        continue;
-                    }
-                    let (c, r) = (c0 + dc, r0 + dr);
-                    if legal(c, r) && !occupied.contains(&(c, r)) {
-                        placed = Some((c, r));
-                        break 'search;
-                    }
-                }
-            }
-        }
+        let placed = spiral_sites((c0, r0), 0, cols, rows)
+            .find(|&(c, r)| legal(c, r) && !occupied.contains(&(c, r)));
         let Some((c, r)) = placed else {
             // no site at all (degenerate outline): drop the via, the net
             // is measured with the ideal interconnect instead

@@ -306,13 +306,10 @@ pub fn analyze(
             if a > arrival[e.to as usize] {
                 arrival[e.to as usize] = a;
             }
-            indeg[e.to as usize] += 1;
-            adj_push_resolved(&mut indeg, e.to);
         }
     }
-    // NOTE: adj holds edge indices only for comb-driven edges; the
-    // in-degree of each node counts *all* incoming edges, and
-    // source-driven ones were resolved above.
+    // adj and the in-degrees cover comb-driven edges only; source-driven
+    // edges were resolved above and never hold a node back.
     let mut queue: Vec<u32> = (0..n_insts as u32)
         .filter(|&i| indeg[i as usize] == 0)
         .collect();
@@ -406,13 +403,6 @@ pub fn analyze(
         endpoints: endpoints.len(),
         max_arrival_ps: max_arrival,
     })
-}
-
-/// Helper kept for readability of the source-edge resolution above: a
-/// source-driven edge contributes to in-degree and is immediately
-/// satisfied, so the count drops right back.
-fn adj_push_resolved(indeg: &mut [u32], to: u32) {
-    indeg[to as usize] -= 1;
 }
 
 /// Convenience: analyze a folded block with its via placement.

@@ -1,8 +1,10 @@
 //! Heavier regression checks of the headline reproduction numbers at
-//! `small` scale. Ignored by default (≈1–2 min in release); run with
+//! `small` scale. Ignored by default (each runs small-size chips; the
+//! three take under 10 s together in release on a 2-vCPU host); CI runs
+//! them with
 //!
 //! ```text
-//! cargo test --release -- --ignored
+//! cargo test --release --offline --test headline_regression -- --ignored
 //! ```
 
 use foldic::prelude::*;
