@@ -145,7 +145,9 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
     }
 
     // One quadratic-system solve on the tiny T2's l2t0 block (the solve
-    // the placer repeats `iterations` times per block).
+    // the placer repeats `iterations` times per block), always from the
+    // generator's positions: re-solving at the previous solution would
+    // stop CG after a few iterations and time almost nothing of it.
     {
         let (design, _tech) = T2Config::tiny().generate();
         let l2t = design
@@ -157,8 +159,12 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
             });
         let outline = l2t.outline;
         let mut nl = l2t.netlist.clone();
+        let start: Vec<_> = nl.insts().map(|(id, inst)| (id, inst.pos)).collect();
         let mut sys = QuadraticSystem::build(&nl, outline);
         push(time_kernel(filter, "quadratic_solve_l2t", 10, || {
+            for &(id, pos) in &start {
+                nl.inst_mut(id).pos = pos;
+            }
             sys.solve(&mut nl, outline, 60, 0.1);
             black_box(sys.num_movable());
         }));

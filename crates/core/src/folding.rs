@@ -389,29 +389,26 @@ pub fn recluster_clock_leaves(netlist: &mut Netlist) {
     // leaf clock nets: is_clock, driven by an instance, sinking into flops
     let mut leaf_nets: Vec<foldic_netlist::NetId> = Vec::new();
     let mut all_sinks: Vec<PinRef> = Vec::new();
+    // a leaf net's sinks are not clock buffers themselves: detect by
+    // checking whether any sink drives another clock net
+    let drives_clock: std::collections::HashSet<InstId> = netlist
+        .nets()
+        .filter(|(_, n)| n.is_clock)
+        .filter_map(|(_, n)| match n.driver {
+            Some(PinRef::InstOut(i)) => Some(i),
+            _ => None,
+        })
+        .collect();
     for (nid, net) in netlist.nets() {
-        if !net.is_clock {
+        if !net.is_clock || !matches!(net.driver, Some(PinRef::InstOut(_))) {
             continue;
         }
-        if let Some(PinRef::InstOut(driver)) = net.driver {
-            // a leaf net's sinks are not clock buffers themselves: detect
-            // by checking whether any sink drives another clock net
-            let drives_clock: std::collections::HashSet<InstId> = netlist
-                .nets()
-                .filter(|(_, n)| n.is_clock)
-                .filter_map(|(_, n)| match n.driver {
-                    Some(PinRef::InstOut(i)) => Some(i),
-                    _ => None,
-                })
-                .collect();
-            let is_leaf = net
-                .sinks()
-                .all(|s| s.inst().is_none_or(|i| !drives_clock.contains(&i)));
-            if is_leaf && net.fanout() > 0 {
-                leaf_nets.push(nid);
-                all_sinks.extend(net.sinks());
-            }
-            let _ = driver;
+        let is_leaf = net
+            .sinks()
+            .all(|s| s.inst().is_none_or(|i| !drives_clock.contains(&i)));
+        if is_leaf && net.fanout() > 0 {
+            leaf_nets.push(nid);
+            all_sinks.extend(net.sinks());
         }
     }
     if leaf_nets.is_empty() {

@@ -372,12 +372,24 @@ pub fn next_job_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Serializes this crate's tests that run the pool or switch profiling
+/// on: the profile report is process-global, so a pool run in one test
+/// would feed another test's recording window.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // a test that failed while holding the lock leaves no state to repair
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn maps_in_submission_order() {
+        let _serial = test_lock();
         let out = par_map(4, (0..64).collect::<Vec<i64>>(), |i, x| {
             assert_eq!(i as i64, x);
             x * 2
@@ -387,6 +399,7 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
+        let _serial = test_lock();
         let items: Vec<u64> = (0..200).collect();
         let f = |_: usize, x: u64| x.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
         let serial = par_map(1, items.clone(), f);
@@ -396,6 +409,7 @@ mod tests {
 
     #[test]
     fn stats_count_jobs() {
+        let _serial = test_lock();
         let (_, stats) = par_map_stats(4, (0..40).collect::<Vec<usize>>(), |_, x| x);
         assert_eq!(stats.jobs, 40);
         assert_eq!(stats.threads, 4);
@@ -404,6 +418,7 @@ mod tests {
 
     #[test]
     fn par_map_mut_mutates_in_place() {
+        let _serial = test_lock();
         let mut v: Vec<usize> = (0..32).collect();
         let doubled = par_map_mut(4, &mut v, |_, x| {
             *x *= 2;
@@ -415,6 +430,7 @@ mod tests {
 
     #[test]
     fn caught_map_records_every_outcome() {
+        let _serial = test_lock();
         for threads in [1, 4] {
             let out = par_map_caught(threads, (0..16).collect::<Vec<usize>>(), |_, x| {
                 if x % 5 == 3 {
@@ -437,6 +453,7 @@ mod tests {
 
     #[test]
     fn par_map_reraises_lowest_index_panic() {
+        let _serial = test_lock();
         for threads in [1, 4] {
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 par_map(threads, (0..32).collect::<Vec<usize>>(), |_, x| {
@@ -465,6 +482,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
+        let _serial = test_lock();
         let out: Vec<u8> = par_map(4, Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
     }
@@ -472,6 +490,7 @@ mod tests {
     #[test]
     fn pre_cancelled_run_skips_every_job_in_order() {
         use std::sync::atomic::AtomicBool;
+        let _serial = test_lock();
         for threads in [1, 4] {
             let cancel = AtomicBool::new(true);
             let out = run_cancellable(threads, (0..12).collect::<Vec<usize>>(), &cancel, |_, x| {
@@ -487,6 +506,7 @@ mod tests {
     #[test]
     fn cancellation_mid_run_skips_the_remaining_jobs() {
         use std::sync::atomic::AtomicBool;
+        let _serial = test_lock();
         // inline (threads=1) runs jobs strictly in order, so cancelling
         // inside job 2 deterministically skips jobs 3 and up
         let cancel = AtomicBool::new(false);
@@ -510,6 +530,7 @@ mod tests {
     #[test]
     fn uncancelled_run_matches_par_map() {
         use std::sync::atomic::AtomicBool;
+        let _serial = test_lock();
         let cancel = AtomicBool::new(false);
         let out = run_cancellable(4, (0..32).collect::<Vec<u64>>(), &cancel, |_, x| x + 1);
         let expect: Vec<JobOutcome<u64, u64>> = (0..32).map(|x| JobOutcome::Done(x + 1)).collect();
@@ -519,6 +540,7 @@ mod tests {
     #[test]
     fn pool_jobs_attribute_to_the_submitting_span() {
         use foldic_obs::trace;
+        let _serial = test_lock();
         trace::set_enabled(true);
         let submit_id = {
             let submit = foldic_obs::span!("fanout_test");

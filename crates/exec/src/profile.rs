@@ -213,10 +213,11 @@ impl Drop for StageTimer {
 mod tests {
     use super::*;
 
-    // The profile registry is global; run the scenarios in one test so
-    // parallel test execution cannot interleave enable/take windows.
+    // The profile registry is global: tests that enable it hold the
+    // crate's test lock, which every pool-running test also takes.
     #[test]
     fn records_stages_iters_and_nesting() {
+        let _serial = crate::test_lock();
         set_enabled(true);
         stage("outer", || {
             add_iters(3);
@@ -266,6 +267,7 @@ mod tests {
 
     #[test]
     fn pool_stats_feed_the_report() {
+        let _serial = crate::test_lock();
         set_enabled(true);
         let _ = crate::par_map(4, (0..32).collect::<Vec<usize>>(), |_, x| x + 1);
         let report = take();

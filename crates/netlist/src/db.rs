@@ -943,10 +943,14 @@ mod tests {
         d
     }
 
+    /// Saves through a file of its own (tests run in parallel, and each
+    /// deletes its file after reading it back).
     fn save_to_vec(d: &Design) -> Vec<u8> {
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!("foldic-db-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.fdb");
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!("t{call}.fdb"));
         save_design(d, &[("generator", "test"), ("seed", "7")], &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();

@@ -216,18 +216,12 @@ fn cluster_pos(c: &Cluster, seg: &Segment) -> f64 {
     (c.q / c.n as f64).clamp(seg.x0, (seg.x1 - c.w).max(seg.x0))
 }
 
-fn row_candidates(center: usize, radius: usize, num_rows: usize) -> Vec<usize> {
-    if radius == 0 {
-        return vec![center];
-    }
-    let mut v = Vec::new();
-    if center >= radius {
-        v.push(center - radius);
-    }
-    if center + radius < num_rows {
-        v.push(center + radius);
-    }
-    v
+/// The rows `radius` away from `center`: below first, then above, each
+/// only if it exists (the centre row alone at radius 0).
+fn row_candidates(center: usize, radius: usize, num_rows: usize) -> impl Iterator<Item = usize> {
+    let below = center.checked_sub(radius);
+    let above = (radius > 0 && center + radius < num_rows).then_some(center + radius);
+    below.into_iter().chain(above)
 }
 
 #[cfg(test)]

@@ -46,7 +46,6 @@ mod spread;
 
 pub use legalize::legalize_tier;
 pub use solver::QuadraticSystem;
-pub use spread::equalize_tier;
 
 use foldic_fault::{FlowError, FlowStage};
 use foldic_geom::{Rect, Tier};
@@ -180,14 +179,18 @@ pub fn place_with_obstacles(
     if system.num_movable() == 0 {
         return Ok(());
     }
+    let spreaders: Vec<spread::TierSpreader> = tiers
+        .iter()
+        .map(|&tier| spread::TierSpreader::new(netlist, tech, outline, cfg, obstacles, tier))
+        .collect();
 
     for iter in 0..cfg.iterations {
         // cooperative deadline checkpoint, once per solver iteration
         foldic_fault::deadline::poll()?;
         let anchor_w = cfg.anchor_growth * (iter as f64 + 0.3);
         system.solve(netlist, outline, cfg.cg_iterations, anchor_w);
-        for &tier in tiers {
-            spread::equalize_tier(netlist, tech, outline, cfg, obstacles, tier);
+        for spreader in &spreaders {
+            spreader.equalize(netlist);
         }
     }
     for &tier in tiers {

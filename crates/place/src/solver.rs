@@ -8,7 +8,8 @@
 //! pre-resolved to variable indices. Each `solve` then only copies the
 //! bases, layers the position-dependent star/anchor contributions on top,
 //! and runs CG entirely in scratch buffers owned by the system — zero
-//! allocations after the first solve.
+//! allocations after the first solve. The x and y systems share the
+//! matrix, so one CG kernel solves both as interleaved `[x, y]` lanes.
 
 use foldic_geom::{Point, Rect};
 use foldic_netlist::{InstId, Netlist, PinRef};
@@ -21,20 +22,19 @@ const CLIQUE_LIMIT: usize = 8;
 const FIXED_PIN: u32 = u32::MAX;
 
 /// Reusable per-solve buffers. Held by the system so repeated solves (the
-/// placer runs `iterations` of them per block) never reallocate.
+/// placer runs `iterations` of them per block) never reallocate. Every
+/// `[f64; 2]` holds one variable's `[x, y]` lanes.
 #[derive(Debug, Default)]
 struct SolveScratch {
     diag: Vec<f64>,
-    bx: Vec<f64>,
-    by: Vec<f64>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
+    b: Vec<[f64; 2]>,
+    v: Vec<[f64; 2]>,
     anchors: Vec<Point>,
     // CG work vectors
-    r: Vec<f64>,
-    z: Vec<f64>,
-    dir: Vec<f64>,
-    ap: Vec<f64>,
+    r: Vec<[f64; 2]>,
+    z: Vec<[f64; 2]>,
+    dir: Vec<[f64; 2]>,
+    ap: Vec<[f64; 2]>,
 }
 
 /// The quadratic placement system: static clique edges plus per-solve
@@ -52,9 +52,9 @@ pub struct QuadraticSystem {
     /// Position-independent diagonal: `1e-6` + clique edges + fixed
     /// springs, accumulated at build time in the retired per-solve order.
     base_diag: Vec<f64>,
-    /// Position-independent right-hand sides (fixed-spring pulls).
-    base_bx: Vec<f64>,
-    base_by: Vec<f64>,
+    /// Position-independent `[x, y]` right-hand sides (fixed-spring
+    /// pulls).
+    base_b: Vec<[f64; 2]>,
     /// Star nets flattened: pins of net `k` are
     /// `star_pins[star_off[k]..star_off[k+1]]`.
     star_off: Vec<u32>,
@@ -163,19 +163,17 @@ impl QuadraticSystem {
         for &(a, _, w) in &fixed_springs {
             base_diag[a as usize] += w;
         }
-        let mut base_bx = vec![0.0; nv];
-        let mut base_by = vec![0.0; nv];
+        let mut base_b = vec![[0.0; 2]; nv];
         for &(a, p, w) in &fixed_springs {
-            base_bx[a as usize] += w * p.x;
-            base_by[a as usize] += w * p.y;
+            base_b[a as usize][0] += w * p.x;
+            base_b[a as usize][1] += w * p.y;
         }
         Self {
             movable,
             nbr_off,
             nbr,
             base_diag,
-            base_bx,
-            base_by,
+            base_b,
             star_off,
             star_pins,
             star_var,
@@ -205,8 +203,7 @@ impl QuadraticSystem {
             nbr_off,
             nbr,
             base_diag,
-            base_bx,
-            base_by,
+            base_b,
             star_off,
             star_pins,
             star_var,
@@ -217,13 +214,10 @@ impl QuadraticSystem {
         // Copy the precomputed bases (clique + fixed-spring terms).
         scratch.diag.clear();
         scratch.diag.extend_from_slice(base_diag);
-        scratch.bx.clear();
-        scratch.bx.extend_from_slice(base_bx);
-        scratch.by.clear();
-        scratch.by.extend_from_slice(base_by);
+        scratch.b.clear();
+        scratch.b.extend_from_slice(base_b);
         let diag = &mut scratch.diag;
-        let bx = &mut scratch.bx;
-        let by = &mut scratch.by;
+        let b = &mut scratch.b;
         // Star springs at the current net centroids.
         for k in 0..star_w.len() {
             let lo = star_off[k] as usize;
@@ -237,8 +231,8 @@ impl QuadraticSystem {
             for &a in &star_var[lo..hi] {
                 if a != FIXED_PIN {
                     diag[a as usize] += w;
-                    bx[a as usize] += w * c.x;
-                    by[a as usize] += w * c.y;
+                    b[a as usize][0] += w * c.x;
+                    b[a as usize][1] += w * c.y;
                 }
             }
         }
@@ -249,32 +243,18 @@ impl QuadraticSystem {
             .extend(movable.iter().map(|&id| netlist.inst(id).pos));
         for (i, p) in scratch.anchors.iter().enumerate() {
             diag[i] += anchor_w;
-            bx[i] += anchor_w * p.x;
-            by[i] += anchor_w * p.y;
+            b[i][0] += anchor_w * p.x;
+            b[i][1] += anchor_w * p.y;
         }
 
-        scratch.xs.clear();
-        scratch.xs.extend(scratch.anchors.iter().map(|p| p.x));
-        scratch.ys.clear();
-        scratch.ys.extend(scratch.anchors.iter().map(|p| p.y));
-        cg(
+        scratch.v.clear();
+        scratch.v.extend(scratch.anchors.iter().map(|p| [p.x, p.y]));
+        cg_xy(
             nbr_off,
             nbr,
             diag,
-            bx,
-            &mut scratch.xs,
-            cg_iters,
-            &mut scratch.r,
-            &mut scratch.z,
-            &mut scratch.dir,
-            &mut scratch.ap,
-        );
-        cg(
-            nbr_off,
-            nbr,
-            diag,
-            by,
-            &mut scratch.ys,
+            b,
+            &mut scratch.v,
             cg_iters,
             &mut scratch.r,
             &mut scratch.z,
@@ -282,7 +262,8 @@ impl QuadraticSystem {
             &mut scratch.ap,
         );
         for (i, &id) in movable.iter().enumerate() {
-            let p = Point::new(scratch.xs[i], scratch.ys[i]).clamped(outline);
+            let [x, y] = scratch.v[i];
+            let p = Point::new(x, y).clamped(outline);
             netlist.inst_mut(id).pos = if p.is_finite() { p } else { scratch.anchors[i] };
         }
         *solves += 1;
@@ -294,68 +275,135 @@ impl QuadraticSystem {
     }
 }
 
-/// Jacobi-preconditioned conjugate gradient for `A v = b` where
-/// `A = diag − offdiag(nbr)` (a weighted Laplacian plus anchors). `v`
-/// holds the initial guess and receives the solution; `r`/`z`/`dir`/`ap`
-/// are caller-owned work vectors resized here.
+/// Jacobi-preconditioned conjugate gradient for `A v = b` on two
+/// right-hand sides at once, where `A = diag − offdiag(nbr)` (a weighted
+/// Laplacian plus anchors). Lane `l` of every `[f64; 2]` is one solve:
+/// `v` holds the initial guesses and receives the solutions;
+/// `r`/`z`/`dir`/`ap` are caller-owned work vectors resized here.
+///
+/// Each lane runs exactly the operations a single-lane solve would, in
+/// the same order: per-element arithmetic is unchanged, every reduction
+/// (`r·z`, `p·Ap`) accumulates left to right from `-0.0` as `f64`'s
+/// `Iterator::sum` does, and each lane stops on its own `r·z` / `p·Ap`
+/// test. A stopped lane is never written again, so both lanes are bit
+/// for bit the two separate solves — the fused sweeps only share the
+/// CSR traversal and the memory passes.
 #[allow(clippy::too_many_arguments)]
-fn cg(
+fn cg_xy(
     nbr_off: &[u32],
     nbr: &[(u32, f64)],
     diag: &[f64],
-    b: &[f64],
-    v: &mut [f64],
+    b: &[[f64; 2]],
+    v: &mut [[f64; 2]],
     iters: usize,
-    r: &mut Vec<f64>,
-    z: &mut Vec<f64>,
-    dir: &mut Vec<f64>,
-    ap: &mut Vec<f64>,
+    r: &mut Vec<[f64; 2]>,
+    z: &mut Vec<[f64; 2]>,
+    dir: &mut Vec<[f64; 2]>,
+    ap: &mut Vec<[f64; 2]>,
 ) {
     let n = v.len();
-    let mat_vec = |v: &[f64], out: &mut [f64]| {
-        for i in 0..n {
-            let mut s = diag[i] * v[i];
-            for &(j, w) in &nbr[nbr_off[i] as usize..nbr_off[i + 1] as usize] {
-                s -= w * v[j as usize];
-            }
-            out[i] = s;
+    // `(A·p)_i` for both lanes: diagonal term first, then the neighbours
+    // in CSR order.
+    let row = |p: &[[f64; 2]], i: usize| {
+        let d = diag[i];
+        let mut s = [d * p[i][0], d * p[i][1]];
+        for &(j, w) in &nbr[nbr_off[i] as usize..nbr_off[i + 1] as usize] {
+            let q = p[j as usize];
+            s[0] -= w * q[0];
+            s[1] -= w * q[1];
         }
+        s
     };
-    r.clear();
-    r.resize(n, 0.0);
-    mat_vec(v, r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
+    for w in [&mut *r, &mut *z, &mut *dir, &mut *ap] {
+        w.clear();
+        w.resize(n, [0.0; 2]);
     }
-    z.clear();
-    z.extend(r.iter().zip(diag).map(|(ri, di)| ri / di));
-    dir.clear();
-    dir.extend_from_slice(z);
-    let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-    ap.clear();
-    ap.resize(n, 0.0);
+    let mut rz = [-0.0f64; 2];
+    for i in 0..n {
+        let s = row(v, i);
+        r[i] = [b[i][0] - s[0], b[i][1] - s[1]];
+        z[i] = [r[i][0] / diag[i], r[i][1] / diag[i]];
+        dir[i] = z[i];
+        rz[0] += r[i][0] * z[i][0];
+        rz[1] += r[i][1] * z[i][1];
+    }
+    // The stop tests are `<` comparisons, which a NaN never passes: a
+    // lane with a NaN residual runs to the cap.
+    let mut live = [true; 2];
     for _ in 0..iters {
-        if rz.abs() < 1e-12 {
+        for l in 0..2 {
+            if rz[l].abs() < 1e-12 {
+                live[l] = false;
+            }
+        }
+        if live == [false; 2] {
             break;
         }
-        mat_vec(dir, ap);
-        let pap: f64 = dir.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
-        if pap.abs() < 1e-18 {
+        // One CSR sweep: A·p and p·Ap for both lanes (a stopped lane's
+        // values are computed but never read).
+        let mut pap = [-0.0f64; 2];
+        for i in 0..n {
+            let s = row(dir, i);
+            ap[i] = s;
+            pap[0] += dir[i][0] * s[0];
+            pap[1] += dir[i][1] * s[1];
+        }
+        for l in 0..2 {
+            if pap[l].abs() < 1e-18 {
+                live[l] = false;
+            }
+        }
+        if live == [false; 2] {
             break;
         }
-        let alpha = rz / pap;
-        for i in 0..n {
-            v[i] += alpha * dir[i];
-            r[i] -= alpha * ap[i];
+        let alpha = [rz[0] / pap[0], rz[1] / pap[1]];
+        match live {
+            [true, true] => step::<true, true>(diag, v, r, z, dir, ap, alpha, &mut rz),
+            [true, false] => step::<true, false>(diag, v, r, z, dir, ap, alpha, &mut rz),
+            _ => step::<false, true>(diag, v, r, z, dir, ap, alpha, &mut rz),
         }
-        for i in 0..n {
-            z[i] = r[i] / diag[i];
+    }
+}
+
+/// One CG update of the lanes selected by `X`/`Y`: `v += α·p`,
+/// `r −= α·Ap`, `z = r / diag` and `r·z` in one pass, then
+/// `p = z + β·p` in a second (β needs the whole `r·z`).
+#[allow(clippy::too_many_arguments)]
+fn step<const X: bool, const Y: bool>(
+    diag: &[f64],
+    v: &mut [[f64; 2]],
+    r: &mut [[f64; 2]],
+    z: &mut [[f64; 2]],
+    dir: &mut [[f64; 2]],
+    ap: &[[f64; 2]],
+    alpha: [f64; 2],
+    rz: &mut [f64; 2],
+) {
+    let lanes = [X, Y];
+    let n = v.len();
+    let mut rz_new = [-0.0f64; 2];
+    for i in 0..n {
+        for l in 0..2 {
+            if lanes[l] {
+                v[i][l] += alpha[l] * dir[i][l];
+                r[i][l] -= alpha[l] * ap[i][l];
+                z[i][l] = r[i][l] / diag[i];
+                rz_new[l] += r[i][l] * z[i][l];
+            }
         }
-        let rz_new: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            dir[i] = z[i] + beta * dir[i];
+    }
+    let mut beta = [0.0; 2];
+    for l in 0..2 {
+        if lanes[l] {
+            beta[l] = rz_new[l] / rz[l];
+            rz[l] = rz_new[l];
+        }
+    }
+    for i in 0..n {
+        for l in 0..2 {
+            if lanes[l] {
+                dir[i][l] = z[i][l] + beta[l] * dir[i][l];
+            }
         }
     }
 }
@@ -380,6 +428,85 @@ mod tests {
     use super::*;
     use foldic_netlist::{InstMaster, PortDir};
     use foldic_tech::{CellKind, CellLibrary, Drive, VthClass};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Why a reference solve stopped.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Exit {
+        /// `|r·z| < 1e-12` at the top of an iteration.
+        Residual,
+        /// `|p·Ap| < 1e-18` after the mat-vec.
+        Curvature,
+        /// The iteration cap.
+        Cap,
+    }
+
+    /// The single-lane Jacobi-PCG that `cg_xy` fuses: `A v = b` with
+    /// `A = diag − offdiag(nbr)`, in the operation order the fused lanes
+    /// must reproduce. Returns the iterations run and why it stopped.
+    #[allow(clippy::too_many_arguments)]
+    fn cg(
+        nbr_off: &[u32],
+        nbr: &[(u32, f64)],
+        diag: &[f64],
+        b: &[f64],
+        v: &mut [f64],
+        iters: usize,
+        r: &mut Vec<f64>,
+        z: &mut Vec<f64>,
+        dir: &mut Vec<f64>,
+        ap: &mut Vec<f64>,
+    ) -> (usize, Exit) {
+        let n = v.len();
+        let mat_vec = |v: &[f64], out: &mut [f64]| {
+            for i in 0..n {
+                let mut s = diag[i] * v[i];
+                for &(j, w) in &nbr[nbr_off[i] as usize..nbr_off[i + 1] as usize] {
+                    s -= w * v[j as usize];
+                }
+                out[i] = s;
+            }
+        };
+        r.clear();
+        r.resize(n, 0.0);
+        mat_vec(v, r);
+        for i in 0..n {
+            r[i] = b[i] - r[i];
+        }
+        z.clear();
+        z.extend(r.iter().zip(diag).map(|(ri, di)| ri / di));
+        dir.clear();
+        dir.extend_from_slice(z);
+        let mut rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
+        ap.clear();
+        ap.resize(n, 0.0);
+        for it in 0..iters {
+            if rz.abs() < 1e-12 {
+                return (it, Exit::Residual);
+            }
+            mat_vec(dir, ap);
+            let pap: f64 = dir.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
+            if pap.abs() < 1e-18 {
+                return (it, Exit::Curvature);
+            }
+            let alpha = rz / pap;
+            for i in 0..n {
+                v[i] += alpha * dir[i];
+                r[i] -= alpha * ap[i];
+            }
+            for i in 0..n {
+                z[i] = r[i] / diag[i];
+            }
+            let rz_new: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for i in 0..n {
+                dir[i] = z[i] + beta * dir[i];
+            }
+        }
+        (iters, Exit::Cap)
+    }
 
     /// A chain of movable cells between two fixed ports must spread evenly
     /// along the line between the ports (the classic quadratic solution).
@@ -491,5 +618,229 @@ mod tests {
                 warm_nl.name_of(warm_nl.inst(c).name)
             );
         }
+    }
+
+    // ---- fused-lane kernel vs single-lane oracle ------------------------
+
+    fn fuzz_seed() -> u64 {
+        std::env::var("FOLDIC_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xDAC1_4C62)
+    }
+
+    /// `A = diag − offdiag(nbr)` in the system's CSR layout, two
+    /// right-hand sides and two starting guesses.
+    struct Problem {
+        nbr_off: Vec<u32>,
+        nbr: Vec<(u32, f64)>,
+        diag: Vec<f64>,
+        b: Vec<[f64; 2]>,
+        v: Vec<[f64; 2]>,
+    }
+
+    impl Problem {
+        /// Fills the CSR in edge order, as [`QuadraticSystem::build`]
+        /// does, with the given diagonal.
+        fn new(n: usize, edges: &[(usize, usize, f64)], diag: Vec<f64>) -> Self {
+            let mut nbr_off = vec![0u32; n + 1];
+            for &(a, b, _) in edges {
+                nbr_off[a + 1] += 1;
+                nbr_off[b + 1] += 1;
+            }
+            for i in 0..n {
+                nbr_off[i + 1] += nbr_off[i];
+            }
+            let mut cursor = nbr_off.clone();
+            let mut nbr = vec![(0u32, 0.0); nbr_off[n] as usize];
+            for &(a, b, w) in edges {
+                nbr[cursor[a] as usize] = (b as u32, w);
+                cursor[a] += 1;
+                nbr[cursor[b] as usize] = (a as u32, w);
+                cursor[b] += 1;
+            }
+            Self {
+                nbr_off,
+                nbr,
+                diag,
+                b: vec![[0.0; 2]; n],
+                v: vec![[0.0; 2]; n],
+            }
+        }
+
+        /// A random weighted Laplacian plus anchors: sparse edges, about
+        /// a fifth of the rows with no neighbours, and most rows anchored.
+        fn random(rng: &mut StdRng, n: usize) -> Self {
+            let isolated: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+            let mut edges = Vec::new();
+            for a in 0..n {
+                for _ in 0..rng.gen_range(0..5usize) {
+                    let b = rng.gen_range(0..n);
+                    if a != b && !isolated[a] && !isolated[b] {
+                        edges.push((a, b, rng.gen::<f64>() * 2.0 + 0.01));
+                    }
+                }
+            }
+            let mut diag = vec![1e-6; n];
+            for &(a, b, w) in &edges {
+                diag[a] += w;
+                diag[b] += w;
+            }
+            for d in &mut diag {
+                if rng.gen_bool(0.7) {
+                    *d += rng.gen::<f64>() * 0.5;
+                }
+            }
+            let mut p = Self::new(n, &edges, diag);
+            let coord = |rng: &mut StdRng| rng.gen::<f64>() * 200.0 - 100.0;
+            for i in 0..n {
+                p.b[i] = [coord(rng), coord(rng)];
+                p.v[i] = [coord(rng), coord(rng)];
+            }
+            p
+        }
+
+        /// An unanchored ring with equal weights `w` (`diag = 2w`,
+        /// exactly). x starts at 0 against a constant pull, so its first
+        /// search direction is constant and `A·p` is exactly zero
+        /// (`(2w)·z = 2·(w·z)`): x stops on the `p·Ap` test with `r·z`
+        /// far from zero. y gets a random pull and start.
+        fn flat_ring(rng: &mut StdRng, n: usize) -> Self {
+            let w = rng.gen::<f64>() + 0.1;
+            let ring: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, (i + 1) % n, w)).collect();
+            let mut p = Self::new(n, &ring, vec![2.0 * w; n]);
+            let pull = rng.gen::<f64>() * 10.0 + 1.0;
+            for i in 0..n {
+                p.b[i] = [pull, rng.gen::<f64>() * 4.0 - 2.0];
+                p.v[i] = [0.0, rng.gen::<f64>() * 10.0];
+            }
+            p
+        }
+    }
+
+    /// Fused work vectors, reused across cases as the system reuses its
+    /// scratch.
+    #[derive(Default)]
+    struct Work {
+        r: Vec<[f64; 2]>,
+        z: Vec<[f64; 2]>,
+        dir: Vec<[f64; 2]>,
+        ap: Vec<[f64; 2]>,
+    }
+
+    /// Solves `p` with the fused kernel and with one oracle solve per
+    /// lane, asserts every coordinate bit-equal, and returns each lane's
+    /// oracle outcome.
+    fn fused_vs_oracle(p: &Problem, iters: usize, work: &mut Work) -> [(usize, Exit); 2] {
+        let mut v = p.v.clone();
+        cg_xy(
+            &p.nbr_off,
+            &p.nbr,
+            &p.diag,
+            &p.b,
+            &mut v,
+            iters,
+            &mut work.r,
+            &mut work.z,
+            &mut work.dir,
+            &mut work.ap,
+        );
+        let mut out = [(0, Exit::Cap); 2];
+        for (l, exit) in out.iter_mut().enumerate() {
+            let b: Vec<f64> = p.b.iter().map(|b| b[l]).collect();
+            let mut x: Vec<f64> = p.v.iter().map(|v| v[l]).collect();
+            let (mut r, mut z, mut dir, mut ap) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            *exit = cg(
+                &p.nbr_off, &p.nbr, &p.diag, &b, &mut x, iters, &mut r, &mut z, &mut dir, &mut ap,
+            );
+            for (i, (fused, single)) in v.iter().zip(&x).enumerate() {
+                assert_eq!(
+                    fused[l].to_bits(),
+                    single.to_bits(),
+                    "lane {l}, variable {i} of {}: {} vs {single} ({exit:?})",
+                    v.len(),
+                    fused[l]
+                );
+            }
+        }
+        out
+    }
+
+    /// The fused kernel's `x` and `y` lanes equal two single-lane solves
+    /// bit for bit on random systems, including n = 0 and 1, rows with
+    /// no neighbours, a lane that starts converged while the other runs
+    /// on, the `p·Ap` exit and the iteration cap. Seeded via
+    /// `FOLDIC_FUZZ_SEED` like the other property suites.
+    #[test]
+    fn fused_lanes_match_two_reference_solves_bitwise() {
+        let mut rng = StdRng::seed_from_u64(fuzz_seed());
+        let mut work = Work::default();
+
+        // n = 0: both lanes stop at once on the empty residual
+        let empty = Problem::new(0, &[], Vec::new());
+        assert_eq!(
+            fused_vs_oracle(&empty, 120, &mut work),
+            [(0, Exit::Residual); 2]
+        );
+        // n = 1, no neighbours: Jacobi solves it in one step
+        let mut one = Problem::new(1, &[], vec![0.75]);
+        one.b[0] = [3.0, -1.5];
+        one.v[0] = [10.0, 2.0];
+        assert_eq!(
+            fused_vs_oracle(&one, 120, &mut work),
+            [(1, Exit::Residual); 2]
+        );
+
+        // y starts converged (b = 0 at v = 0: exactly zero residual) and
+        // stops at iteration 0 while x runs on
+        let mut half = Problem::random(&mut rng, 40);
+        for i in 0..40 {
+            half.b[i][1] = 0.0;
+            half.v[i][1] = 0.0;
+        }
+        let [x, y] = fused_vs_oracle(&half, 120, &mut work);
+        assert_eq!(y, (0, Exit::Residual));
+        assert!(x.0 > 0, "x lane did not run: {x:?}");
+
+        // the `p·Ap` exit: on an unanchored ring with equal weights a
+        // constant search direction is in the null space, so A·p is
+        // exactly zero while x's r·z is not; y runs on from a random
+        // start
+        let flat = Problem::flat_ring(&mut rng, 12);
+        let [x, y] = fused_vs_oracle(&flat, 120, &mut work);
+        assert_eq!(x, (0, Exit::Curvature));
+        assert!(y.0 > 0, "y lane did not run: {y:?}");
+
+        // a NaN pull never passes a stop test: x runs to the cap as the
+        // single-lane loop does, while y converges
+        let mut poisoned = Problem::random(&mut rng, 20);
+        poisoned.b[7][0] = f64::NAN;
+        let [x, y] = fused_vs_oracle(&poisoned, 120, &mut work);
+        assert_eq!(x, (120, Exit::Cap));
+        assert_eq!(y.1, Exit::Residual);
+
+        // the iteration cap
+        let capped = Problem::random(&mut rng, 30);
+        let [x, y] = fused_vs_oracle(&capped, 2, &mut work);
+        assert_eq!((x.1, y.1), (Exit::Cap, Exit::Cap));
+
+        // random systems of every size up to 48, under several caps
+        let mut seen = [0usize; 3];
+        for case in 0..2000 {
+            let n = rng.gen_range(0..49usize);
+            let p = if case % 50 == 0 {
+                Problem::flat_ring(&mut rng, n.max(3))
+            } else {
+                Problem::random(&mut rng, n)
+            };
+            let iters = [0, 1, 3, 8, 30, 120][case % 6];
+            for (_, exit) in fused_vs_oracle(&p, iters, &mut work) {
+                seen[exit as usize] += 1;
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "random cases missed an exit (residual, curvature, cap): {seen:?}"
+        );
     }
 }
