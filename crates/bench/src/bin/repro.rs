@@ -79,9 +79,8 @@
 
 use foldic::prelude::*;
 use foldic::{
-    clear_deadline, clear_resource, install_deadline, install_fault_plan, install_resource,
-    parse_bytes, parse_stage_mem, take_fault_log, take_peaks, CheckpointStore, Deadline,
-    DeadlinePolicy, FaultPlan, FaultRecord, FlowStage, ResourcePolicy, RetryPolicy, Watchdog,
+    parse_bytes, parse_stage_mem, CheckpointStore, DeadlinePolicy, FaultPlan, FlowStage,
+    ResourcePolicy, RetryPolicy, RunCtx,
 };
 use foldic_bench::{experiments, Ctx};
 use foldic_obs::json::Json;
@@ -349,11 +348,12 @@ fn main() {
     manifest
         .config
         .insert("cluster_size".into(), cfg.cluster_size.to_string());
+    let mut run = RunCtx::new();
     if let Some(spec) = &faults_spec {
         let plan = FaultPlan::parse(spec).unwrap_or_else(|e| usage_err(&format!("--faults: {e}")));
         // canonical spec: the plan participates in manifest comparison
         manifest.config.insert("faults".into(), plan.to_spec());
-        install_fault_plan(plan);
+        run = run.with_faults(plan);
     }
     if let Some(n) = retries {
         manifest.config.insert("retries".into(), n.to_string());
@@ -374,13 +374,7 @@ fn main() {
             .config
             .insert("stage_timeouts".into(), canonical.join(","));
     }
-    let mut watchdog = None;
-    if !deadline_policy.is_empty() {
-        let token = install_deadline(&deadline_policy);
-        if let Some(overall) = deadline_policy.overall {
-            watchdog = Some(Watchdog::spawn(Deadline::new(overall), token, Some("run")));
-        }
-    }
+    run = run.with_deadline(&deadline_policy, "run");
     let mut resource_policy = ResourcePolicy::default();
     if let Some(bytes) = mem_budget {
         resource_policy.overall = Some(bytes);
@@ -397,8 +391,9 @@ fn main() {
             .insert("stage_mem".into(), resource_policy.stage_spec());
     }
     if !resource_policy.is_empty() {
-        install_resource(&resource_policy);
+        run = run.with_resource(resource_policy);
     }
+    let entered = run.enter();
     // per-experiment wall clocks and pool stats go here — everything in
     // this object may vary across thread counts and is stripped before
     // determinism comparisons
@@ -503,34 +498,27 @@ fn main() {
         std::process::exit(2);
     }
     println!("total wall time {:?}", t0.elapsed());
-    let deadline_tripped = watchdog.is_some_and(Watchdog::disarm);
-    clear_deadline();
-    if !resource_policy.is_empty() {
-        clear_resource();
-    }
-    let (timeout_log, rest): (Vec<FaultRecord>, Vec<FaultRecord>) =
-        take_fault_log().into_iter().partition(|r| r.timed_out);
-    let (mem_log, fault_log): (Vec<FaultRecord>, Vec<FaultRecord>) =
-        rest.into_iter().partition(|r| r.mem_exceeded);
-    if !fault_log.is_empty() {
+    drop(entered);
+    let outcome = run.finish();
+    if !outcome.faults.is_empty() {
         println!(
             "faults: {} block run(s) recovered or degraded (see report footers)",
-            fault_log.len()
+            outcome.faults.len()
         );
     }
-    if !timeout_log.is_empty() {
+    if !outcome.timeouts.is_empty() {
         println!(
             "timeouts: {} run(s) hit a wall-clock budget and degraded (see report footers)",
-            timeout_log.len()
+            outcome.timeouts.len()
         );
     }
-    if !mem_log.is_empty() {
+    if !outcome.mem_exceeded.is_empty() {
         println!(
             "memory: {} run(s) hit a memory budget and recovered or degraded (see report footers)",
-            mem_log.len()
+            outcome.mem_exceeded.len()
         );
     }
-    if deadline_tripped {
+    if outcome.deadline_tripped {
         println!("deadline: overall budget expired before the run finished");
     }
     if let Some(store) = &ctx.checkpoint {
@@ -555,23 +543,7 @@ fn main() {
     }
     if let Some(path) = manifest_path {
         manifest.config.insert("experiments".into(), ran.join("+"));
-        manifest.faults = fault_log
-            .iter()
-            .map(FaultRecord::to_manifest_entry)
-            .collect();
-        manifest.timeouts = timeout_log
-            .iter()
-            .map(FaultRecord::to_manifest_entry)
-            .collect();
-        manifest.mem_exceeded = mem_log.iter().map(FaultRecord::to_manifest_entry).collect();
-        if !resource_policy.is_empty() {
-            // pay-for-use: peaks are recorded only while a policy is
-            // installed, so flagless manifests stay byte-identical
-            manifest.resources = take_peaks()
-                .into_iter()
-                .map(|(stage, bytes)| (stage.to_string(), bytes))
-                .collect();
-        }
+        outcome.record_in(&mut manifest);
         // Design-database provenance: a snapshot-backed run records the
         // file's digest directly; a generated run streams the pristine
         // design into a temp snapshot with the same canonical meta

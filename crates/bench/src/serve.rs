@@ -13,18 +13,13 @@
 //! Serve jobs keep the manifest's `timing` section `Null` and its
 //! `metrics` snapshot empty: both are process-global observations that
 //! would race between concurrent jobs, and both are excluded from
-//! comparison anyway. Deadline-bounded and memory-budgeted jobs ride
-//! process-global layers (`foldic-fault`'s deadline and resource
-//! machinery), so the scheduler dispatches them exclusively; this
-//! runner additionally serializes the install → run → drain → clear
-//! window behind a static mutex so even direct (non-scheduler) use
-//! cannot interleave two installations.
+//! comparison anyway. Every job runs under its own `foldic-fault`
+//! [`RunCtx`] — its deadline, memory budget and fault log — so jobs on
+//! concurrent workers never see each other's policies or records.
 
 use crate::{experiments, Ctx};
-use foldic::{
-    clear_deadline, clear_resource, install_deadline, install_resource, take_fault_log, take_peaks,
-    Deadline, DeadlinePolicy, FaultRecord, ResourcePolicy, Watchdog,
-};
+use foldic::{DeadlinePolicy, FaultRecord, ResourcePolicy, RunCtx, RunOutcome};
+use foldic_exec::JobPanic;
 use foldic_obs::flight;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
@@ -32,7 +27,6 @@ use foldic_serve::queue::StudyRunner;
 use foldic_serve::JobSpec;
 use foldic_t2::T2Config;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Experiments the daemon serves, in the fixed `repro` run order.
@@ -53,9 +47,6 @@ pub const SERVABLE: &[&str] = &[
     "thermal",
     "ablations",
 ];
-
-/// Guards the process-global deadline window (see module docs).
-static DEADLINE_WINDOW: Mutex<()> = Mutex::new(());
 
 /// Executes `foldic-bench` experiments for the serve scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -145,130 +136,115 @@ impl StudyRunner for BenchRunner {
         };
         let mut ctx = Ctx::with_threads(resolved.cfg, spec.threads.max(1));
 
-        if spec.deadline_secs.is_none() && mem_budget.is_none() {
-            run_experiments(&mut ctx, &resolved.names, &mut manifest);
-            return Ok(manifest.to_json_text());
+        // Bounded jobs leave flight records: this thread is the scheduler
+        // worker, so they land in the worker's flight ring and a degraded
+        // job's status payload carries them as provenance. Unbounded jobs
+        // keep their status payloads free of them.
+        let bounded = spec.deadline_secs.is_some() || mem_budget.is_some();
+        if bounded {
+            let mut start_fields = vec![
+                (
+                    "experiments".to_owned(),
+                    Json::Str(resolved.names.join("+")),
+                ),
+                ("size".to_owned(), Json::Str(spec.size.clone())),
+            ];
+            if let Some(secs) = spec.deadline_secs {
+                start_fields.push(("deadline_secs".to_owned(), Json::Num(secs)));
+            }
+            if let Some(bytes) = mem_budget {
+                start_fields.push(("mem_budget_bytes".to_owned(), Json::Num(bytes as f64)));
+            }
+            flight::record("job.start", start_fields);
         }
-
-        // Deadline- and budget-bounded jobs both ride process-global
-        // layers, so the scheduler dispatches them exclusively; this
-        // runner additionally serializes the whole install → run →
-        // drain → clear window so even direct (non-scheduler) use
-        // cannot interleave two installations.
-        let window = DEADLINE_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
-        // Drop fault-log residue so this job's fault provenance is its
-        // own (clean unbounded runs never drain the log).
-        let _ = take_fault_log();
-        // This thread is the scheduler worker, so records land in the
-        // worker's flight ring and a degraded job's status payload
-        // carries them as provenance.
-        let mut start_fields = vec![
-            (
-                "experiments".to_owned(),
-                Json::Str(resolved.names.join("+")),
-            ),
-            ("size".to_owned(), Json::Str(spec.size.clone())),
-        ];
+        let mut run = RunCtx::new();
         if let Some(secs) = spec.deadline_secs {
-            start_fields.push(("deadline_secs".to_owned(), Json::Num(secs)));
-        }
-        if let Some(bytes) = mem_budget {
-            start_fields.push(("mem_budget_bytes".to_owned(), Json::Num(bytes as f64)));
-        }
-        flight::record("job.start", start_fields);
-        let watchdog = spec.deadline_secs.map(|secs| {
-            let overall = Duration::from_secs_f64(secs);
             let policy = DeadlinePolicy {
-                overall: Some(overall),
-                ..Default::default()
+                overall: Some(Duration::from_secs_f64(secs)),
+                ..DeadlinePolicy::default()
             };
-            let token = install_deadline(&policy);
-            Watchdog::spawn(Deadline::new(overall), token, Some("serve"))
-        });
+            run = run.with_deadline(&policy, "serve");
+        }
         if let Some(bytes) = mem_budget {
-            install_resource(&ResourcePolicy {
+            run = run.with_resource(ResourcePolicy {
                 overall: Some(bytes),
                 stage_budgets: Vec::new(),
             });
         }
-        let caught = foldic_exec::run_caught(std::panic::AssertUnwindSafe(|| {
-            run_experiments(&mut ctx, &resolved.names, &mut manifest);
-        }));
-        if let Some(watchdog) = watchdog {
-            watchdog.disarm();
-            clear_deadline();
-        }
-        let peaks = if mem_budget.is_some() {
-            clear_resource();
-            take_peaks()
-        } else {
-            Vec::new()
+        let caught = {
+            let _entered = run.enter();
+            foldic_exec::run_caught(std::panic::AssertUnwindSafe(|| {
+                run_experiments(&mut ctx, &resolved.names, &mut manifest);
+            }))
         };
-        let (timeouts, rest): (Vec<FaultRecord>, Vec<FaultRecord>) =
-            take_fault_log().into_iter().partition(|r| r.timed_out);
-        let (mem_log, faults): (Vec<FaultRecord>, Vec<FaultRecord>) =
-            rest.into_iter().partition(|r| r.mem_exceeded);
-        drop(window);
-        let flight_fields = |record: &FaultRecord| {
-            [
-                ("block".to_owned(), Json::Str(record.block.clone())),
-                (
-                    "disposition".to_owned(),
-                    Json::Str(record.disposition.as_str().to_owned()),
-                ),
-                ("scope".to_owned(), Json::Str(record.scope.clone())),
-                (
-                    "stage".to_owned(),
-                    Json::Str(record.stage.as_str().to_owned()),
-                ),
-            ]
-        };
-        for record in &timeouts {
-            flight::record("stage.timeout", flight_fields(record));
+        let outcome = run.finish();
+        if bounded {
+            record_flight(&outcome, caught.as_ref().err(), mem_budget.is_some());
         }
-        for record in &mem_log {
-            flight::record("stage.mem_exceeded", flight_fields(record));
+        match caught {
+            Ok(()) => {}
+            Err(panic) if bounded => return Err(format!("job panicked: {}", panic.message())),
+            // an unbounded job's panic stays the scheduler's to handle
+            Err(panic) => std::panic::resume_unwind(panic.payload),
         }
-        for record in &faults {
-            flight::record("stage.fault", flight_fields(record));
-        }
-        if let Err(panic) = &caught {
-            flight::record(
-                "job.panic",
-                [("message".to_owned(), Json::Str(panic.message().to_owned()))],
-            );
-        }
-        let mut end_fields = vec![
-            ("faults".to_owned(), Json::Num(faults.len() as f64)),
-            (
-                "outcome".to_owned(),
-                Json::Str(if caught.is_ok() { "ok" } else { "panicked" }.to_owned()),
-            ),
-            ("timeouts".to_owned(), Json::Num(timeouts.len() as f64)),
-        ];
-        if mem_budget.is_some() {
-            // pay-for-use: deadline-only jobs keep their pre-budget
-            // flight shape byte-for-byte
-            end_fields.push(("mem_exceeded".to_owned(), Json::Num(mem_log.len() as f64)));
-        }
-        flight::record("job.end", end_fields);
-        caught.map_err(|p| format!("job panicked: {}", p.message()))?;
-        manifest.faults = faults.iter().map(FaultRecord::to_manifest_entry).collect();
-        manifest.timeouts = timeouts
-            .iter()
-            .map(FaultRecord::to_manifest_entry)
-            .collect();
-        manifest.mem_exceeded = mem_log.iter().map(FaultRecord::to_manifest_entry).collect();
-        if mem_budget.is_some() {
-            // pay-for-use: peaks are recorded only while a policy is
-            // installed, so unbudgeted bodies stay byte-identical
-            manifest.resources = peaks
-                .into_iter()
-                .map(|(stage, bytes)| (stage.to_string(), bytes))
-                .collect();
-        }
+        outcome.record_in(&mut manifest);
         Ok(manifest.to_json_text())
     }
+}
+
+/// Leaves a bounded job's provenance in the worker's flight ring: one
+/// record per timed-out, budget-breached or faulted block, the panic if
+/// the run panicked, and an end summary.
+fn record_flight(outcome: &RunOutcome, panic: Option<&JobPanic>, budgeted: bool) {
+    let flight_fields = |record: &FaultRecord| {
+        [
+            ("block".to_owned(), Json::Str(record.block.clone())),
+            (
+                "disposition".to_owned(),
+                Json::Str(record.disposition.as_str().to_owned()),
+            ),
+            ("scope".to_owned(), Json::Str(record.scope.clone())),
+            (
+                "stage".to_owned(),
+                Json::Str(record.stage.as_str().to_owned()),
+            ),
+        ]
+    };
+    for (name, records) in [
+        ("stage.timeout", &outcome.timeouts),
+        ("stage.mem_exceeded", &outcome.mem_exceeded),
+        ("stage.fault", &outcome.faults),
+    ] {
+        for record in records {
+            flight::record(name, flight_fields(record));
+        }
+    }
+    if let Some(panic) = panic {
+        flight::record(
+            "job.panic",
+            [("message".to_owned(), Json::Str(panic.message().to_owned()))],
+        );
+    }
+    let mut end_fields = vec![
+        ("faults".to_owned(), Json::Num(outcome.faults.len() as f64)),
+        (
+            "outcome".to_owned(),
+            Json::Str(if panic.is_none() { "ok" } else { "panicked" }.to_owned()),
+        ),
+        (
+            "timeouts".to_owned(),
+            Json::Num(outcome.timeouts.len() as f64),
+        ),
+    ];
+    if budgeted {
+        // pay-for-use: deadline-only jobs keep their pre-budget flight
+        // shape byte-for-byte
+        end_fields.push((
+            "mem_exceeded".to_owned(),
+            Json::Num(outcome.mem_exceeded.len() as f64),
+        ));
+    }
+    flight::record("job.end", end_fields);
 }
 
 #[cfg(test)]
@@ -327,10 +303,9 @@ mod tests {
 
     #[test]
     fn unbudgeted_run_budgeted_is_plain_run() {
-        // With no budget the instrumented path is bypassed entirely, so
-        // the body is byte-identical to `run` (pay-for-use). The
-        // budgeted path itself is exercised by the resource gate, where
-        // its process-global layer cannot race sibling unit tests.
+        // With no budget the body is byte-identical to `run`
+        // (pay-for-use). The budgeted path itself is exercised end to
+        // end by the resource gate.
         let runner = BenchRunner;
         let s = spec(&["table1"], "tiny");
         assert_eq!(

@@ -144,7 +144,7 @@ pub fn collect_metrics(
 /// Returns [`FlowError`] when the block fails validation at entry
 /// ([`FaultCause::Invalid`](foldic_fault::FaultCause::Invalid), not
 /// retryable) or when a stage fails — organically or through an
-/// installed [`foldic_fault::FaultPlan`]. On error the block may be
+/// the entered run's [`foldic_fault::FaultPlan`]. On error the block may be
 /// partially mutated; the caller restores it before retrying.
 pub fn run_block_flow(
     block: &mut Block,

@@ -171,7 +171,7 @@ pub fn fold_block(
 ///
 /// Returns [`FlowError`] when the block fails validation at entry (not
 /// retryable) or when a fold stage fails — organically or through an
-/// installed [`foldic_fault::FaultPlan`]. On error the block may be
+/// the entered run's [`foldic_fault::FaultPlan`]. On error the block may be
 /// partially mutated; the caller restores it before retrying.
 pub fn fold_block_with_budgets(
     block: &mut Block,
@@ -231,7 +231,7 @@ fn make_partition(netlist: &Netlist, tech: &Technology, cfg: &FoldConfig) -> Par
 /// # Errors
 ///
 /// Returns [`FlowError`] when a fold stage fails — organically or
-/// through an installed [`foldic_fault::FaultPlan`].
+/// through the entered run's [`foldic_fault::FaultPlan`].
 pub fn fold_with_partition(
     block: &mut Block,
     tech: &Technology,

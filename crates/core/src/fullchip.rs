@@ -19,10 +19,10 @@ use crate::folding::{
     fold_block_with_budgets, fold_spc_second_level, FoldAspect, FoldConfig, FoldStrategy,
 };
 use crate::metrics::DesignMetrics;
-use foldic_fault::deadline::{backoff_wait, has_stage_override, run_token, stage_scope};
+use foldic_fault::deadline::{backoff_wait, chip_stage_scope};
 use foldic_fault::{
-    fault_point, isolate, job_scope, log_fault, CheckpointStore, Disposition, FaultRecord,
-    FlowError, FlowStage, RetryPolicy,
+    fault_point, isolate, job_scope, log_fault, CancelToken, CheckpointStore, Disposition,
+    FaultRecord, FlowError, FlowStage, RetryPolicy,
 };
 use foldic_floorplan::{floorplan_t2, plan_chip_tsvs, ChipPlan, FloorplanStyle};
 use foldic_geom::{Point, Rect, Tier};
@@ -197,8 +197,8 @@ fn run_scope(style: DesignStyle, dual_vth: bool) -> String {
 /// retries with the attempt counter bumped (callers perturb seeds and
 /// relax configs off it); when every attempt fails — or immediately on a
 /// non-recoverable validation error — the block degrades to analytical
-/// estimates. Fault provenance is pushed to the global fault log and
-/// returned for the run's own `faults` table.
+/// estimates. Fault provenance is pushed to the entered run's fault log
+/// and returned for the run's own `faults` table.
 fn run_block_isolated(
     scope: &str,
     block: &mut Block,
@@ -207,7 +207,7 @@ fn run_block_isolated(
     degrade_fn: impl FnOnce(&Block) -> DesignMetrics,
 ) -> (DesignMetrics, Option<FaultRecord>) {
     let pristine = block.clone();
-    let token = run_token();
+    let token = CancelToken::current();
     let mut last_stage = FlowStage::Job;
     let mut last_timed_out = false;
     let mut last_mem_exceeded = false;
@@ -421,10 +421,10 @@ pub fn run_fullchip(
     let bonding = style.bonding();
     let scope = run_scope(style, cfg.dual_vth);
     let mut faults: Vec<FaultRecord> = Vec::new();
-    // the run's cancel token (never cancelled when no deadline policy is
-    // installed): fan-outs stop handing out jobs once it trips, and each
-    // skipped block degrades to analytical estimates
-    let token = run_token();
+    // the entered run's cancel token (never cancelled when no run with a
+    // deadline is entered): fan-outs stop handing out jobs once it trips,
+    // and each skipped block degrades to analytical estimates
+    let token = CancelToken::current();
     let degrade_skipped = |(id, block): (BlockId, &mut Block), faults: &mut Vec<FaultRecord>| {
         let metrics = degraded_estimate(block, tech, bonding, &cfg.flow.policy);
         let record = FaultRecord {
@@ -538,11 +538,7 @@ pub fn run_fullchip(
         DesignStyle::CoreCore => FloorplanStyle::CoreCore,
     };
     let mut plan: ChipPlan = isolate(|| {
-        let _scope = if has_stage_override(FlowStage::Floorplan) {
-            Some(stage_scope(FlowStage::Floorplan, "chip", 0)?)
-        } else {
-            None
-        };
+        let _scope = chip_stage_scope(FlowStage::Floorplan)?;
         fault_point(FlowStage::Floorplan, "chip", 0)?;
         Ok(foldic_exec::profile::stage("floorplan", || {
             floorplan_t2(design, fp_style, tech)

@@ -254,11 +254,13 @@ where
         return (results, stats);
     }
 
-    // Capture the submitting span so jobs on pool workers (whose span
-    // stacks start empty) still attribute to it, and the fan-out
-    // timestamp so each job span carries its queue wait (`wait_us`) —
-    // scheduling delay stays distinguishable from execution time.
+    // Capture the submitting span and run context so jobs on pool
+    // workers (whose thread state starts empty) still attribute to and
+    // run under them, and the fan-out timestamp so each job span carries
+    // its queue wait (`wait_us`) — scheduling delay stays
+    // distinguishable from execution time.
     let parent_span = foldic_obs::trace::current_span();
+    let parent_run = foldic_obs::trace::current_run();
     let fanout_ns = foldic_obs::trace::now_ns();
 
     // Per-worker deques, filled round-robin so early jobs start early on
@@ -281,6 +283,7 @@ where
             let results = &results;
             let steals = &steals;
             let peak_depth = &peak_depth;
+            let parent_run = &parent_run;
             let f = &f;
             scope.spawn(move || loop {
                 // own queue first
@@ -320,6 +323,7 @@ where
                 };
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     foldic_obs::trace::run_with_parent(parent_span, || {
+                        let _run = foldic_obs::trace::enter_run(parent_run.clone());
                         let _span = foldic_obs::span!(
                             "job",
                             idx = idx,
@@ -567,5 +571,31 @@ mod tests {
             .map(|e| e.tid)
             .unwrap();
         assert!(mine.iter().all(|e| e.tid != submit_tid));
+    }
+
+    #[test]
+    fn pool_jobs_inherit_the_submitting_run_context() {
+        use foldic_obs::trace::{current_run, enter_run};
+        use std::sync::Arc;
+        let run_tag = |_: usize, _: u32| {
+            let tid = std::thread::current().id();
+            let tag = current_run().and_then(|r| r.downcast_ref::<u32>().copied());
+            (tid, tag)
+        };
+        let outer = std::thread::current().id();
+        let seen = {
+            let _run = enter_run(Some(Arc::new(7u32)));
+            par_map(4, vec![0u32; 16], run_tag)
+        };
+        assert!(seen.iter().all(|(_, tag)| *tag == Some(7)), "{seen:?}");
+        assert!(
+            seen.iter().all(|(tid, _)| *tid != outer),
+            "jobs ran on workers"
+        );
+        // the guard restored the empty slot, and workers leave nothing behind
+        assert!(current_run().is_none());
+        assert!(par_map(2, vec![0u32; 4], run_tag)
+            .iter()
+            .all(|(_, t)| t.is_none()));
     }
 }

@@ -13,10 +13,12 @@
 //!   per net, per solver iteration — never per move);
 //! * a [`Deadline`] is a monotonic-clock budget; stage budgets derive
 //!   from the run's remaining budget via a configurable [`BudgetSplit`]
-//!   unless an explicit per-stage override is installed;
-//! * a [`Watchdog`] thread trips the run token when the overall deadline
-//!   expires (and records a timed-out [`FaultRecord`]), so even a kernel
-//!   between poll points is cancelled at its next checkpoint;
+//!   unless the run's [`DeadlinePolicy`] has an explicit per-stage
+//!   override;
+//! * a watchdog thread owned by the run's [`RunCtx`](crate::RunCtx)
+//!   trips the run token when the overall deadline expires (and the run
+//!   records a timed-out trip), so even a kernel between poll points is
+//!   cancelled at its next checkpoint;
 //! * a timed-out stage surfaces as a recoverable
 //!   [`FaultCause::TimedOut`] [`FlowError`], so the existing retry →
 //!   degrade machinery applies unchanged. A retry gets a *larger* share
@@ -27,14 +29,13 @@
 //! cancelled stage discards its partial work entirely (the full-chip
 //! loop restores the pristine block before degrading), so reports stay
 //! byte-identical across thread counts whenever the same set of blocks
-//! times out. Everything is pay-for-use: with no policy installed,
-//! [`poll`] is a single relaxed atomic load.
+//! times out. Everything is pay-for-use: outside a stage scope of a run
+//! with a policy, [`poll`] reads one empty thread-local stack.
 
-use crate::retry::{Disposition, FaultRecord};
+use crate::ctx::{self, Scope, StageGuard, SCOPES};
 use crate::{FaultCause, FlowError, FlowStage};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A shared cancellation flag. Clones observe the same flag; checking it
@@ -64,6 +65,13 @@ impl CancelToken {
     /// (which takes a plain `&AtomicBool` to avoid a dependency cycle).
     pub fn flag(&self) -> &AtomicBool {
         &self.flag
+    }
+
+    /// The token of the run entered on the calling thread, or a token
+    /// nobody cancels when no run is entered — so fan-outs and retry
+    /// loops need no branching.
+    pub fn current() -> CancelToken {
+        ctx::current().map_or_else(CancelToken::new, |run| run.token.clone())
     }
 }
 
@@ -157,123 +165,17 @@ pub struct DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// `true` when the policy enforces nothing (nothing to install).
+    /// `true` when the policy enforces nothing.
     pub fn is_empty(&self) -> bool {
         self.overall.is_none() && self.stage_budgets.is_empty()
     }
-}
 
-/// Installed (process-global) deadline state.
-struct Active {
-    overall: Option<Deadline>,
-    token: CancelToken,
-    stage_budgets: Vec<(FlowStage, Duration)>,
-    split: BudgetSplit,
-}
-
-static ACTIVE: RwLock<Option<Arc<Active>>> = RwLock::new(None);
-/// `true` while a deadline policy is installed.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Fast-path switch: lets [`poll`] bail with one atomic load when
-/// neither the deadline nor the resource layer is installed (the
-/// pay-for-use contract for hot loops).
-static POLL_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Recomputes the shared poll switch after either layer's
-/// install/clear.
-pub(crate) fn rearm_poll() {
-    POLL_ARMED.store(
-        ENABLED.load(Ordering::Relaxed) || crate::resource::resource_active(),
-        Ordering::Relaxed,
-    );
-}
-
-fn active() -> Option<Arc<Active>> {
-    ACTIVE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-}
-
-/// Installs a deadline policy for the process, anchoring the overall
-/// budget now. Returns the run's [`CancelToken`] (for the watchdog and
-/// for `foldic-exec` fan-outs). Replaces any previous policy.
-pub fn install_deadline(policy: &DeadlinePolicy) -> CancelToken {
-    let token = CancelToken::new();
-    let state = Active {
-        overall: policy.overall.map(Deadline::new),
-        token: token.clone(),
-        stage_budgets: policy.stage_budgets.clone(),
-        split: policy.split.unwrap_or_default(),
-    };
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(state));
-    ENABLED.store(true, Ordering::Relaxed);
-    rearm_poll();
-    token
-}
-
-/// Removes the installed policy; subsequent polls are no-ops.
-pub fn clear_deadline() {
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
-    ENABLED.store(false, Ordering::Relaxed);
-    rearm_poll();
-}
-
-/// `true` while a policy is installed.
-pub fn deadline_active() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-fn never_token() -> &'static CancelToken {
-    static NEVER: OnceLock<CancelToken> = OnceLock::new();
-    NEVER.get_or_init(CancelToken::new)
-}
-
-/// The run's cancel token — the installed one, or a shared token that is
-/// never cancelled, so fan-out call sites need no branching.
-pub fn run_token() -> CancelToken {
-    active().map_or_else(|| never_token().clone(), |a| a.token.clone())
-}
-
-/// `true` when the installed policy carries an *explicit* budget for
-/// `stage`. Chip-level serial stages only opt into a wall-clock scope on
-/// an explicit `--stage-timeout` (a derived share would turn the one
-/// non-retryable stage into a timing-dependent chip failure).
-pub fn has_stage_override(stage: FlowStage) -> bool {
-    active().is_some_and(|a| a.stage_budgets.iter().any(|(s, _)| *s == stage))
-}
-
-/// One entry on the calling thread's stage-scope stack.
-struct Scope {
-    stage: FlowStage,
-    block: String,
-    /// `None` means no wall-clock bound for this stage (token-only).
-    expires_at: Option<Instant>,
-}
-
-thread_local! {
-    static SCOPES: RefCell<Vec<Scope>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Pops its scope(s) when dropped; returned by [`stage_scope`].
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately ends the stage scope"]
-pub struct StageGuard {
-    pushed: bool,
-    mem_pushed: bool,
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        if self.mem_pushed {
-            crate::resource::pop_stage();
-        }
-        if self.pushed {
-            SCOPES.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
+    /// The explicit budget for `stage`, if the policy has one.
+    pub fn stage_budget(&self, stage: FlowStage) -> Option<Duration> {
+        self.stage_budgets
+            .iter()
+            .find(|(s, _)| *s == stage)
+            .map(|(_, d)| *d)
     }
 }
 
@@ -285,17 +187,19 @@ fn timed_out(stage: FlowStage, block: &str, msg: impl Into<String>) -> FlowError
     }
 }
 
-/// Enters a wall-clock scope for one stage of one block's flow, on the
-/// calling thread. Inside the scope, [`poll`] (and [`poll_unwind`])
-/// check the stage's budget and the run token at the kernel's
-/// coarse-grained checkpoints.
+/// Enters a scope for one stage of one block's flow, on the calling
+/// thread, under the run entered there. Inside the scope, [`poll`] (and
+/// [`poll_unwind`]) check the stage's wall-clock budget and the run
+/// token at the kernel's coarse-grained checkpoints, and its memory
+/// budget when the run has a memory policy.
 ///
-/// The effective budget is the explicit per-stage override when one is
-/// installed, otherwise the [`BudgetSplit`] share of the run's remaining
-/// budget; either way it is scaled by `attempt + 1` — a retry gets a
-/// larger share of what is left, not a fresh budget — and clamped to the
-/// overall remaining budget. With no policy installed this is free and
-/// always succeeds.
+/// The effective wall-clock budget is the run's explicit per-stage
+/// override when it has one, otherwise the [`BudgetSplit`] share of the
+/// run's remaining budget; either way it is scaled by `attempt + 1` — a
+/// retry gets a larger share of what is left, not a fresh budget — and
+/// clamped to the overall remaining budget. With no run entered, or a
+/// run without deadline and memory policies, this is free and always
+/// succeeds.
 ///
 /// # Errors
 ///
@@ -304,91 +208,105 @@ fn timed_out(stage: FlowStage, block: &str, msg: impl Into<String>) -> FlowError
 /// overall deadline has already expired at stage entry, or the stage's
 /// budget works out to zero.
 pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageGuard, FlowError> {
-    let pushed = match active() {
-        None => false,
-        Some(active) => {
-            if active.token.is_cancelled() {
-                return Err(timed_out(stage, block, "run cancelled before stage entry"));
-            }
-            let overall_end = active.overall.map(|d| d.expires_at());
-            let now = Instant::now();
-            if overall_end.is_some_and(|end| end <= now) {
-                return Err(timed_out(
-                    stage,
-                    block,
-                    "run deadline expired before stage entry",
-                ));
-            }
-            let scale = attempt.saturating_add(1);
-            let base = active
-                .stage_budgets
-                .iter()
-                .find(|(s, _)| *s == stage)
-                .map(|(_, d)| *d)
-                .or_else(|| {
-                    active
-                        .overall
-                        .map(|d| d.remaining().mul_f64(active.split.fraction(stage)))
-                });
-            let expires_at = match base {
-                Some(budget) => {
-                    let scaled = budget.saturating_mul(scale);
-                    if scaled.is_zero() {
-                        return Err(timed_out(stage, block, "stage budget is zero"));
-                    }
-                    let end = now + scaled;
-                    Some(overall_end.map_or(end, |o| end.min(o)))
-                }
-                None => overall_end,
-            };
-            SCOPES.with(|s| {
-                s.borrow_mut().push(Scope {
-                    stage,
-                    block: block.to_owned(),
-                    expires_at,
-                })
-            });
-            true
-        }
+    let Some(run) = ctx::current() else {
+        return Ok(StageGuard::none());
     };
-    // The memory layer scopes the same stage entries: pushed only after
-    // the deadline checks pass, so an entry error leaks no scope.
-    let mem_pushed = crate::resource::push_stage(stage, block, attempt);
-    Ok(StageGuard { pushed, mem_pushed })
+    let mut expires_at = None;
+    if let Some(policy) = &run.deadline {
+        if run.token.is_cancelled() {
+            return Err(timed_out(stage, block, "run cancelled before stage entry"));
+        }
+        let overall_end = run.overall.map(|d| d.expires_at());
+        let now = Instant::now();
+        if overall_end.is_some_and(|end| end <= now) {
+            return Err(timed_out(
+                stage,
+                block,
+                "run deadline expired before stage entry",
+            ));
+        }
+        let scale = attempt.saturating_add(1);
+        let split = policy.split.unwrap_or_default();
+        let base = policy.stage_budget(stage).or_else(|| {
+            run.overall
+                .map(|d| d.remaining().mul_f64(split.fraction(stage)))
+        });
+        expires_at = match base {
+            Some(budget) => {
+                let scaled = budget.saturating_mul(scale);
+                if scaled.is_zero() {
+                    return Err(timed_out(stage, block, "stage budget is zero"));
+                }
+                let end = now + scaled;
+                Some(overall_end.map_or(end, |o| end.min(o)))
+            }
+            None => overall_end,
+        };
+    }
+    // The memory part is built only after the deadline checks pass, so
+    // an entry error leaks no scope.
+    let mem = crate::resource::mem_part(&run, attempt, |policy| {
+        policy
+            .stage_budgets
+            .iter()
+            .find(|(s, _)| *s == stage)
+            .map(|(_, bytes)| *bytes)
+    });
+    if run.deadline.is_none() && mem.is_none() {
+        return Ok(StageGuard::none());
+    }
+    Ok(StageGuard::push(Scope {
+        stage,
+        block: block.to_owned(),
+        timed: run.deadline.is_some(),
+        expires_at,
+        mem,
+        run,
+    }))
+}
+
+/// [`stage_scope`] for a chip-level serial stage, entered only under an
+/// *explicit* budget: a derived share would turn the one non-retryable
+/// stage into a timing-dependent chip failure.
+///
+/// # Errors
+///
+/// As [`stage_scope`].
+pub fn chip_stage_scope(stage: FlowStage) -> Result<Option<StageGuard>, FlowError> {
+    let explicit = ctx::current().and_then(|run| run.deadline.as_ref()?.stage_budget(stage));
+    match explicit {
+        Some(_) => stage_scope(stage, "chip", 0).map(Some),
+        None => Ok(None),
+    }
 }
 
 /// The cooperative checkpoint kernels call at coarse-grained intervals
 /// (per temperature step, per net, per solver iteration). Outside any
-/// stage scope — or with no policy installed — this is a no-op costing
-/// one relaxed atomic load.
+/// scope this is a no-op that reads one empty thread-local stack.
 ///
 /// # Errors
 ///
 /// Returns a [`FaultCause::TimedOut`] error attributed to the innermost
-/// scope's stage and block when the run token is cancelled or the
+/// stage scope's stage and block when the run token is cancelled or the
 /// stage's budget is spent, or a
 /// [`FaultCause::MemExceeded`](crate::FaultCause::MemExceeded) error
 /// when a scope on this thread breached its memory budget.
 pub fn poll() -> Result<(), FlowError> {
-    if !POLL_ARMED.load(Ordering::Relaxed) {
-        return Ok(());
-    }
     SCOPES.with(|s| {
-        let scopes = s.borrow();
-        let Some(top) = scopes.last() else {
+        let mut scopes = s.borrow_mut();
+        if scopes.is_empty() {
             return Ok(());
-        };
-        if let Some(active) = active() {
-            if active.token.is_cancelled() {
+        }
+        if let Some(top) = scopes.iter().rev().find(|sc| sc.timed) {
+            if top.run.token.is_cancelled() {
                 return Err(timed_out(top.stage, &top.block, "run cancelled"));
             }
+            if top.expires_at.is_some_and(|end| end <= Instant::now()) {
+                return Err(timed_out(top.stage, &top.block, "stage budget exhausted"));
+            }
         }
-        if top.expires_at.is_some_and(|end| end <= Instant::now()) {
-            return Err(timed_out(top.stage, &top.block, "stage budget exhausted"));
-        }
-        Ok(())
-    })?;
-    crate::resource::check()
+        crate::resource::check(&mut scopes)
+    })
 }
 
 /// [`poll`] for infallible kernels (floorplan SA, CTS): a trip unwinds
@@ -407,9 +325,9 @@ pub fn poll_unwind() {
     }
 }
 
-/// How an injected `slow` fault stalls. Under an active *bounded* stage
-/// scope it models a hung kernel: it sleeps in coarse slices until the
-/// deadline layer cancels it, so the stall deterministically becomes a
+/// How an injected `slow` fault stalls. Under a *bounded* stage scope it
+/// models a hung kernel: it sleeps in coarse slices until the deadline
+/// layer cancels it, so the stall deterministically becomes a
 /// `TimedOut` failure regardless of the budget's value. Without a
 /// bounded scope it is the legacy fixed short stall.
 ///
@@ -417,8 +335,13 @@ pub fn poll_unwind() {
 ///
 /// Returns the [`poll`] error that ended the stall.
 pub(crate) fn injected_slow_stall() -> Result<(), FlowError> {
-    let bounded = ENABLED.load(Ordering::Relaxed)
-        && SCOPES.with(|s| s.borrow().last().is_some_and(|sc| sc.expires_at.is_some()));
+    let bounded = SCOPES.with(|s| {
+        s.borrow()
+            .iter()
+            .rev()
+            .find(|sc| sc.timed)
+            .is_some_and(|sc| sc.expires_at.is_some())
+    });
     if !bounded {
         std::thread::sleep(Duration::from_millis(25));
         return Ok(());
@@ -446,74 +369,37 @@ pub fn backoff_wait(backoff: Duration, token: &CancelToken) -> bool {
     }
 }
 
-struct WatchShared {
-    disarmed: Mutex<bool>,
-    wake: Condvar,
-    tripped: AtomicBool,
-}
-
-/// A thread that trips a [`CancelToken`] when a [`Deadline`] expires.
+/// A thread that trips a [`CancelToken`] when a [`Deadline`] expires;
+/// owned by the [`RunCtx`](crate::RunCtx) whose deadline it enforces.
 ///
-/// The thread parks on a condvar so a clean run end wakes and joins it
+/// The thread blocks on a channel, so a clean run end wakes and joins it
 /// immediately — [`Watchdog::disarm`] returns as soon as the thread has
 /// exited, regardless of how much budget was left; no thread leaks past
-/// it. On a trip it cancels the token and (when a scope label was given)
-/// records a timed-out [`FaultRecord`] in the process fault log.
-pub struct Watchdog {
-    shared: Arc<WatchShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// it.
+pub(crate) struct Watchdog {
+    stop: Option<mpsc::Sender<()>>,
+    handle: Option<std::thread::JoinHandle<bool>>,
 }
 
 impl Watchdog {
     /// Spawns the watchdog for `deadline`, tripping `token` on expiry.
-    /// `scope` labels the fault record logged on a trip (`None` logs
-    /// nothing — unit tests and embedded uses).
-    pub fn spawn(deadline: Deadline, token: CancelToken, scope: Option<&str>) -> Self {
-        let shared = Arc::new(WatchShared {
-            disarmed: Mutex::new(false),
-            wake: Condvar::new(),
-            tripped: AtomicBool::new(false),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let scope = scope.map(str::to_owned);
+    pub(crate) fn spawn(deadline: Deadline, token: CancelToken) -> Self {
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("foldic-watchdog".to_owned())
             .spawn(move || {
-                let mut disarmed = thread_shared
-                    .disarmed
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if *disarmed {
-                        return;
-                    }
-                    let left = deadline.remaining();
-                    if left.is_zero() {
-                        break;
-                    }
-                    disarmed = thread_shared
-                        .wake
-                        .wait_timeout(disarmed, left)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
+                // the sender hangs up on disarm; only a timeout trips
+                let expired = matches!(
+                    stopped.recv_timeout(deadline.remaining()),
+                    Err(mpsc::RecvTimeoutError::Timeout)
+                );
+                if expired {
+                    token.cancel();
                 }
-                drop(disarmed);
-                thread_shared.tripped.store(true, Ordering::Relaxed);
-                token.cancel();
-                if let Some(scope) = scope {
-                    crate::retry::log_fault(FaultRecord {
-                        scope,
-                        block: "*".to_owned(),
-                        stage: FlowStage::Job,
-                        attempts: 0,
-                        disposition: Disposition::Degraded,
-                        timed_out: true,
-                        mem_exceeded: false,
-                    });
-                }
+                expired
             });
         Self {
-            shared,
+            stop: Some(stop),
             // A failed spawn leaves a watchdog that never trips; the
             // deadline is then only enforced at stage entries. That is a
             // graceful degradation, not a correctness problem.
@@ -521,52 +407,30 @@ impl Watchdog {
         }
     }
 
-    /// `true` once the deadline expired and the token was tripped.
-    pub fn tripped(&self) -> bool {
-        self.shared.tripped.load(Ordering::Relaxed)
-    }
-
-    fn shut_down(&mut self) {
-        *self
-            .shared
-            .disarmed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = true;
-        self.shared.wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-
     /// Stops the watchdog and joins its thread (returns only after the
     /// thread has exited). Returns whether the deadline tripped first.
-    pub fn disarm(mut self) -> bool {
-        self.shut_down();
-        self.tripped()
+    pub(crate) fn disarm(&mut self) -> bool {
+        drop(self.stop.take());
+        self.handle
+            .take()
+            .is_some_and(|handle| handle.join().unwrap_or(false))
     }
 }
 
 impl Drop for Watchdog {
     fn drop(&mut self) {
-        self.shut_down();
+        self.disarm();
     }
-}
-
-/// Tests anywhere in this crate that install a process-global policy
-/// (deadline or resource) serialize on this.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static GLOBAL: Mutex<()> = Mutex::new(());
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::take_fault_log;
+    use crate::RunCtx;
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        test_lock()
+    /// A context carrying only `policy`.
+    fn deadline_run(policy: DeadlinePolicy) -> RunCtx {
+        RunCtx::new().with_deadline(&policy, "test")
     }
 
     #[test]
@@ -590,71 +454,72 @@ mod tests {
 
     #[test]
     fn poll_is_a_no_op_without_policy_or_scope() {
-        let _g = lock();
-        clear_deadline();
         assert!(poll().is_ok());
-        assert!(!deadline_active());
         let guard = stage_scope(FlowStage::Place, "b", 0).unwrap();
         assert!(poll().is_ok());
         drop(guard);
+        // a context without a deadline enforces nothing either
+        let run = RunCtx::new();
+        let _entered = run.enter();
+        let guard = stage_scope(FlowStage::Place, "b", 0).unwrap();
+        assert!(poll().is_ok());
+        drop(guard);
+        assert!(!CancelToken::current().is_cancelled());
     }
 
     #[test]
     fn stage_scope_errs_when_deadline_already_expired_at_entry() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
+        let run = deadline_run(DeadlinePolicy {
             overall: Some(Duration::ZERO),
             ..DeadlinePolicy::default()
         });
+        let _entered = run.enter();
         let err = stage_scope(FlowStage::Route, "ccx", 0).unwrap_err();
         assert!(matches!(err.cause, FaultCause::TimedOut(_)), "{err}");
         assert_eq!(err.stage, FlowStage::Route);
         assert_eq!(err.block.as_deref(), Some("ccx"));
         assert!(err.recoverable(), "timeouts must take the retry path");
-        clear_deadline();
     }
 
     #[test]
     fn zero_budget_stage_times_out_at_entry() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
+        let run = deadline_run(DeadlinePolicy {
             stage_budgets: vec![(FlowStage::Sta, Duration::ZERO)],
             ..DeadlinePolicy::default()
         });
+        let _entered = run.enter();
         let err = stage_scope(FlowStage::Sta, "dec", 2).unwrap_err();
         assert!(matches!(err.cause, FaultCause::TimedOut(_)), "{err}");
         // a stage with no budget of its own is unscoped but still fine
         let guard = stage_scope(FlowStage::Place, "dec", 0).unwrap();
         assert!(poll().is_ok());
         drop(guard);
-        clear_deadline();
     }
 
     #[test]
     fn cancelled_token_fails_scope_entry_and_poll() {
-        let _g = lock();
-        let token = install_deadline(&DeadlinePolicy {
+        let run = deadline_run(DeadlinePolicy {
             stage_budgets: vec![(FlowStage::Opt, Duration::from_secs(3600))],
             ..DeadlinePolicy::default()
         });
+        let _entered = run.enter();
         let guard = stage_scope(FlowStage::Opt, "fpu", 0).unwrap();
         assert!(poll().is_ok());
-        token.cancel();
+        CancelToken::current().cancel();
         let err = poll().unwrap_err();
         assert!(matches!(err.cause, FaultCause::TimedOut(_)), "{err}");
         drop(guard);
         assert!(stage_scope(FlowStage::Opt, "fpu", 1).is_err());
-        clear_deadline();
     }
 
     #[test]
     fn retry_scales_the_stage_budget_but_not_past_the_overall() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
+        let run = deadline_run(DeadlinePolicy {
             overall: Some(Duration::from_secs(3600)),
             stage_budgets: vec![(FlowStage::Route, Duration::from_millis(40))],
             ..DeadlinePolicy::default()
         });
+        let _entered = run.enter();
         // attempt 2 gets 3 × 40 ms: a 50 ms wait outlives attempt 0's
         // budget but not attempt 2's.
         let g0 = stage_scope(FlowStage::Route, "b", 0).unwrap();
@@ -665,16 +530,15 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert!(poll().is_ok(), "retry budget is scaled up");
         drop(g2);
-        clear_deadline();
     }
 
     #[test]
     fn poll_unwind_carries_a_typed_payload() {
-        let _g = lock();
-        install_deadline(&DeadlinePolicy {
+        let run = deadline_run(DeadlinePolicy {
             stage_budgets: vec![(FlowStage::Place, Duration::from_millis(1))],
             ..DeadlinePolicy::default()
         });
+        let _entered = run.enter();
         let caught = crate::isolate(|| {
             let _scope = stage_scope(FlowStage::Place, "mcu", 0)?;
             std::thread::sleep(Duration::from_millis(5));
@@ -684,20 +548,18 @@ mod tests {
         let err = caught.unwrap_err();
         assert_eq!(err.stage, FlowStage::Place);
         assert!(matches!(err.cause, FaultCause::TimedOut(_)));
-        clear_deadline();
     }
 
     #[test]
     fn injected_slow_stall_times_out_under_a_bounded_scope() {
-        let _g = lock();
         // no scope: the legacy fixed stall succeeds
-        clear_deadline();
         assert!(injected_slow_stall().is_ok());
         // bounded scope: the stall models a hang and is cancelled
-        install_deadline(&DeadlinePolicy {
+        let run = deadline_run(DeadlinePolicy {
             stage_budgets: vec![(FlowStage::Route, Duration::from_millis(30))],
             ..DeadlinePolicy::default()
         });
+        let _entered = run.enter();
         let scope = stage_scope(FlowStage::Route, "ccx", 0).unwrap();
         let t0 = Instant::now();
         let err = injected_slow_stall().unwrap_err();
@@ -705,7 +567,25 @@ mod tests {
         assert_eq!(err.block.as_deref(), Some("ccx"));
         assert!(t0.elapsed() < Duration::from_secs(5));
         drop(scope);
-        clear_deadline();
+    }
+
+    #[test]
+    fn chip_stages_are_scoped_only_under_an_explicit_budget() {
+        assert!(chip_stage_scope(FlowStage::Floorplan).unwrap().is_none());
+        let derived = deadline_run(DeadlinePolicy {
+            overall: Some(Duration::from_secs(3600)),
+            ..DeadlinePolicy::default()
+        });
+        let entered = derived.enter();
+        assert!(chip_stage_scope(FlowStage::Floorplan).unwrap().is_none());
+        drop(entered);
+        let explicit = deadline_run(DeadlinePolicy {
+            stage_budgets: vec![(FlowStage::Floorplan, Duration::ZERO)],
+            ..DeadlinePolicy::default()
+        });
+        let _entered = explicit.enter();
+        let err = chip_stage_scope(FlowStage::Floorplan).unwrap_err();
+        assert_eq!(err.block.as_deref(), Some("chip"));
     }
 
     #[test]
@@ -726,37 +606,33 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_trips_token_and_logs_on_expiry() {
-        let token = CancelToken::new();
-        let dog = Watchdog::spawn(
-            Deadline::new(Duration::from_millis(10)),
-            token.clone(),
-            Some("wd-test"),
-        );
+    fn watchdog_trips_the_token_and_the_outcome_records_it() {
+        let run = deadline_run(DeadlinePolicy {
+            overall: Some(Duration::from_millis(10)),
+            ..DeadlinePolicy::default()
+        });
+        let token = {
+            let _entered = run.enter();
+            CancelToken::current()
+        };
         let t0 = Instant::now();
         while !token.is_cancelled() && t0.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(token.is_cancelled(), "watchdog trips the token");
-        assert!(dog.disarm(), "disarm reports the trip");
-        // the trip logged a timed-out record (other tests share the log)
-        let mine: Vec<FaultRecord> = take_fault_log()
-            .into_iter()
-            .filter(|r| r.scope == "wd-test")
-            .collect();
-        assert_eq!(mine.len(), 1);
-        assert!(mine[0].timed_out);
-        assert_eq!(mine[0].stage, FlowStage::Job);
+        assert!(token.is_cancelled(), "watchdog trips the run's token");
+        let outcome = run.finish();
+        assert!(outcome.deadline_tripped, "finish reports the trip");
+        assert_eq!(outcome.timeouts.len(), 1);
+        let trip = &outcome.timeouts[0];
+        assert_eq!((trip.scope.as_str(), trip.block.as_str()), ("test", "*"));
+        assert_eq!(trip.stage, FlowStage::Job);
+        assert!(outcome.faults.is_empty());
     }
 
     #[test]
     fn clean_shutdown_joins_without_waiting_out_the_deadline() {
         let token = CancelToken::new();
-        let dog = Watchdog::spawn(
-            Deadline::new(Duration::from_secs(3600)),
-            token.clone(),
-            None,
-        );
+        let mut dog = Watchdog::spawn(Deadline::new(Duration::from_secs(3600)), token.clone());
         let t0 = Instant::now();
         assert!(!dog.disarm(), "clean end: no trip");
         assert!(
@@ -764,13 +640,18 @@ mod tests {
             "disarm joins promptly, not after the 1 h deadline"
         );
         assert!(!token.is_cancelled());
-        // drop-path shutdown also joins promptly
+        // drop-path shutdown also joins promptly, and so does a run
+        // finished with its deadline far away
         let t0 = Instant::now();
         drop(Watchdog::spawn(
             Deadline::new(Duration::from_secs(3600)),
             CancelToken::new(),
-            None,
         ));
+        let run = deadline_run(DeadlinePolicy {
+            overall: Some(Duration::from_secs(3600)),
+            ..DeadlinePolicy::default()
+        });
+        assert!(!run.finish().deadline_tripped);
         assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

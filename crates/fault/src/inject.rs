@@ -9,14 +9,13 @@
 //!
 //! Plans come from an explicit spec string (`repro --faults
 //! "route:dec:panic"`) or from a seed ([`FaultPlan::seeded`]) for
-//! randomized-but-reproducible harness sweeps. The active plan is
-//! process-global ([`install_fault_plan`]); flows consult it through
-//! [`fault_point`] at every stage boundary.
+//! randomized-but-reproducible harness sweeps. A run carries its plan
+//! in its [`RunCtx`](crate::RunCtx); flows consult the entered run's plan
+//! through [`fault_point`] at every stage boundary.
 
 use crate::{FaultCause, FlowError, FlowStage};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::RwLock;
 
 /// Why a fault spec was rejected. Typed (rather than a bare message) so
 /// callers can distinguish operator typos from structural problems and
@@ -302,13 +301,11 @@ impl FaultPlan {
     }
 }
 
-static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
-
 /// Silences the panic hook for panics carrying a typed [`FlowError`]
 /// payload: injected panics unwind through [`crate::isolate`] by design,
 /// so the default hook's backtrace is pure noise (once per attempt).
 /// Every other panic still reaches the previously installed hook.
-fn silence_injected_panics() {
+pub(crate) fn silence_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
@@ -320,25 +317,10 @@ fn silence_injected_panics() {
     });
 }
 
-/// Installs `plan` as the process-global fault plan.
-pub fn install_fault_plan(plan: FaultPlan) {
-    silence_injected_panics();
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-}
-
-/// Removes the active fault plan.
-pub fn clear_fault_plan() {
-    *PLAN.write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// `true` when a fault plan is installed.
-pub fn fault_plan_active() -> bool {
-    PLAN.read().unwrap_or_else(|e| e.into_inner()).is_some()
-}
-
-/// The stage-boundary hook: consults the active plan and, when a site
-/// fires, panics, returns an error, or sleeps according to the injected
-/// kind. A no-op (one relaxed read) when no plan is installed.
+/// The stage-boundary hook: consults the entered run's plan and, when a
+/// site fires, panics, returns an error, or sleeps according to the
+/// injected kind. A no-op (one thread-local read) when no run with a
+/// plan is entered.
 ///
 /// # Errors
 ///
@@ -352,23 +334,17 @@ pub fn fault_plan_active() -> bool {
 /// Panics with a [`FlowError`] payload when a `panic`-kind fault fires —
 /// by design; the payload is recovered intact by [`crate::isolate`].
 pub fn fault_point(stage: FlowStage, block: &str, attempt: u32) -> Result<(), FlowError> {
-    let guard = PLAN.read().unwrap_or_else(|e| e.into_inner());
-    let Some(plan) = guard.as_ref() else {
-        return Ok(());
-    };
-    match plan.should_fire(stage, block, attempt) {
+    let fired =
+        crate::ctx::current().and_then(|run| run.plan.as_ref()?.should_fire(stage, block, attempt));
+    match fired {
         None => Ok(()),
-        Some(FaultKind::Slow) => {
-            drop(guard);
-            crate::deadline::injected_slow_stall()
-        }
+        Some(FaultKind::Slow) => crate::deadline::injected_slow_stall(),
         Some(FaultKind::Error) => Err(FlowError {
             stage,
             block: Some(block.to_owned()),
             cause: FaultCause::Injected(format!("injected error (attempt {attempt})")),
         }),
         Some(FaultKind::Panic) => {
-            drop(guard);
             std::panic::panic_any(FlowError {
                 stage,
                 block: Some(block.to_owned()),

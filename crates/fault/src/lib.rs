@@ -6,8 +6,8 @@
 //! partition → 3D place → route → STA → power) over dozens of blocks and
 //! many fold/bonding configurations. A full-chip sweep must survive a
 //! per-block failure and finish with partial results and provenance
-//! instead of aborting wholesale. This crate supplies the four pieces the
-//! rest of the workspace builds that on:
+//! instead of aborting wholesale. This crate supplies the pieces the rest
+//! of the workspace builds that on:
 //!
 //! * a typed error hierarchy — [`FlowError`] carries the failing
 //!   [`FlowStage`], the block, a [`FaultCause`] and recoverability, so the
@@ -18,7 +18,8 @@
 //!   determinism and resume correctness without real failures;
 //! * retry/degradation provenance — [`FaultRecord`]s describe what
 //!   happened at each faulted site (attempts, final disposition) and land
-//!   in run manifests via a process-global [`take_fault_log`];
+//!   in the fault log of the run's [`RunCtx`], which also carries its
+//!   deadline, memory budget and fault plan;
 //! * checkpoint/resume — [`CheckpointStore`] persists completed per-block
 //!   results as append-only JSONL so an interrupted full-chip run can be
 //!   resumed byte-identically;
@@ -32,6 +33,7 @@
 //! before they reach any comparison.
 
 pub mod checkpoint;
+pub mod ctx;
 pub mod deadline;
 pub mod inject;
 pub mod resource;
@@ -39,18 +41,14 @@ pub mod retry;
 pub mod supervise;
 
 pub use checkpoint::{CheckpointError, CheckpointStore};
-pub use deadline::{
-    clear_deadline, deadline_active, install_deadline, BudgetSplit, CancelToken, Deadline,
-    DeadlinePolicy, Watchdog,
-};
-pub use inject::{
-    clear_fault_plan, fault_point, install_fault_plan, FaultKind, FaultPlan, PlanError,
-};
+pub use ctx::{RunCtx, RunOutcome, StageGuard};
+pub use deadline::{BudgetSplit, CancelToken, Deadline, DeadlinePolicy};
+pub use inject::{fault_point, FaultKind, FaultPlan, PlanError};
 pub use resource::{
     clear_resource, format_bytes, install_resource, job_scope, parse_bytes, parse_stage_mem,
-    resource_active, take_peaks, MemGuard, ResourcePolicy, TrackingAlloc,
+    take_peaks, ResourcePolicy, TrackingAlloc,
 };
-pub use retry::{isolate, log_fault, take_fault_log, Disposition, FaultRecord, RetryPolicy};
+pub use retry::{isolate, log_fault, Disposition, FaultRecord, RetryPolicy};
 pub use supervise::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, PoisonLedger, DEFAULT_POISON_THRESHOLD,
 };

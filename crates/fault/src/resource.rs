@@ -7,23 +7,24 @@
 //! deterministically, and pay-for-use:
 //!
 //! * a [`TrackingAlloc`] global allocator keeps a per-thread net
-//!   allocation counter. With no [`ResourcePolicy`] installed the
-//!   counter is off and every allocation pays exactly one relaxed
-//!   atomic load — the same disabled-cost contract as
+//!   allocation counter. While no [`RunCtx`] with a [`ResourcePolicy`]
+//!   is alive the counter is off and every allocation pays exactly one
+//!   relaxed atomic load — the same disabled-cost contract as
 //!   [`deadline::poll`](crate::deadline::poll);
 //! * a [`ResourcePolicy`] carries an overall per-block-job budget
 //!   (`--mem-budget BYTES`) and explicit per-stage budgets
-//!   (`--stage-mem STAGE=BYTES,…`). Budgets are checked at the existing
-//!   cooperative poll points — no new instrumentation in kernels;
+//!   (`--stage-mem STAGE=BYTES,…`). A run's context carries it; budgets
+//!   are checked at the existing cooperative poll points — no new
+//!   instrumentation in kernels;
 //! * a breach surfaces as a recoverable
 //!   [`FaultCause::MemExceeded`](crate::FaultCause::MemExceeded)
 //!   [`FlowError`], so the existing retry → degrade machinery applies
 //!   unchanged. A retry gets a *larger* budget (the base budget scaled
 //!   by the attempt number), mirroring how deadline retries get a
 //!   larger share of the remaining time;
-//! * while a policy is installed, every popped scope folds its peak
-//!   into a per-stage registry drained by [`take_peaks`] — the
-//!   manifest's `resources` section.
+//! * every memory scope folds its peak into its run's per-stage peak
+//!   table, which [`RunCtx::finish`] drains — the manifest's
+//!   `resources` section.
 //!
 //! # Accounting model and determinism boundary
 //!
@@ -41,17 +42,18 @@
 //! sampled at poll granularity, so budgets need margin and peak metrics
 //! are compared with a relative tolerance, never byte-exactly.
 
-use crate::{FaultCause, FlowError, FlowStage};
+use crate::ctx::{Active, MemScope, Scope, StageGuard};
+use crate::{FaultCause, FlowError, FlowStage, RunCtx};
+use foldic_obs::trace::RunGuard;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A [`GlobalAlloc`] wrapper over the system allocator that maintains a
-/// per-thread net-allocation counter while a [`ResourcePolicy`] is
-/// installed. Declared as the workspace's `#[global_allocator]` by this
-/// crate; when no policy is installed each allocation pays one relaxed
-/// atomic load and nothing else.
+/// per-thread net-allocation counter while a run context with a
+/// [`ResourcePolicy`] is alive. Declared as the workspace's
+/// `#[global_allocator]` by this crate; otherwise each allocation pays
+/// one relaxed atomic load and nothing else.
 pub struct TrackingAlloc;
 
 #[global_allocator]
@@ -64,9 +66,31 @@ thread_local! {
     static NET: Cell<i64> = const { Cell::new(0) };
 }
 
+/// The allocator's enable switch: the number of live run contexts with
+/// a memory policy. Counting is per-thread, so one budgeted run turning
+/// it on costs other threads a counter update and nothing else.
+static TRACKING: AtomicUsize = AtomicUsize::new(0);
+
+/// Keeps allocation tracking on while it lives; held by a [`RunCtx`]
+/// with a memory policy.
+pub(crate) struct Tracking;
+
+impl Tracking {
+    pub(crate) fn start() -> Self {
+        TRACKING.fetch_add(1, Ordering::Relaxed);
+        Tracking
+    }
+}
+
+impl Drop for Tracking {
+    fn drop(&mut self) {
+        TRACKING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 #[inline]
 fn count(delta: i64) {
-    if !MEM_ENABLED.load(Ordering::Relaxed) {
+    if TRACKING.load(Ordering::Relaxed) == 0 {
         return;
     }
     // try_with: the allocator runs during TLS teardown too.
@@ -119,7 +143,7 @@ pub struct ResourcePolicy {
 }
 
 impl ResourcePolicy {
-    /// `true` when the policy enforces nothing (nothing to install).
+    /// `true` when the policy enforces nothing.
     pub fn is_empty(&self) -> bool {
         self.overall.is_none() && self.stage_budgets.is_empty()
     }
@@ -136,206 +160,121 @@ impl ResourcePolicy {
     }
 }
 
-static MEM_ACTIVE: RwLock<Option<Arc<ResourcePolicy>>> = RwLock::new(None);
-/// Fast-path switch for the allocator and [`check`]: one relaxed load
-/// when no policy is installed.
-static MEM_ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn mem_active() -> Option<Arc<ResourcePolicy>> {
-    MEM_ACTIVE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-}
-
-/// Installs a resource policy for the process, enabling allocation
-/// tracking and resetting the per-stage peak registry. Replaces any
-/// previous policy. Installing an empty policy still enables tracking
-/// (peaks are then observational only).
-pub fn install_resource(policy: &ResourcePolicy) {
-    {
-        let mut peaks = PEAKS.lock().unwrap_or_else(|e| e.into_inner());
-        *peaks = [0; FlowStage::ALL.len()];
-    }
-    *MEM_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(policy.clone()));
-    MEM_ENABLED.store(true, Ordering::Relaxed);
-    crate::deadline::rearm_poll();
-}
-
-/// Removes the installed policy; allocation tracking stops and
-/// subsequent polls skip the memory check. The peak registry is left in
-/// place for [`take_peaks`].
-pub fn clear_resource() {
-    *MEM_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
-    MEM_ENABLED.store(false, Ordering::Relaxed);
-    crate::deadline::rearm_poll();
-}
-
-/// `true` while a resource policy is installed.
-pub fn resource_active() -> bool {
-    MEM_ENABLED.load(Ordering::Relaxed)
-}
-
-/// One entry on the calling thread's memory-scope stack.
-struct MemScope {
-    stage: FlowStage,
-    block: String,
-    /// `None` means observational only (peak tracking, no budget).
-    budget: Option<u64>,
-    /// Thread net counter at scope entry.
-    start: i64,
-    /// Largest delta observed at a poll point (or at pop).
-    peak: i64,
-}
-
-thread_local! {
-    static MEM_SCOPES: RefCell<Vec<MemScope>> = const { RefCell::new(Vec::new()) };
-}
-
-fn thread_net() -> i64 {
+pub(crate) fn thread_net() -> i64 {
     NET.try_with(Cell::get).unwrap_or(0)
 }
 
-fn stage_index(stage: FlowStage) -> usize {
-    FlowStage::ALL
-        .iter()
-        .position(|s| *s == stage)
-        .unwrap_or(FlowStage::ALL.len() - 1)
-}
-
-/// Per-stage peak net bytes, max-merged as scopes pop. Guards nothing
-/// hot: touched once per scope exit and by [`take_peaks`].
-static PEAKS: Mutex<[i64; FlowStage::ALL.len()]> = Mutex::new([0; FlowStage::ALL.len()]);
-
-fn push_scope(stage: FlowStage, block: &str, budget: Option<u64>) {
-    let start = thread_net();
-    MEM_SCOPES.with(|s| {
-        s.borrow_mut().push(MemScope {
-            stage,
-            block: block.to_owned(),
-            budget,
-            start,
-            peak: 0,
-        })
-    });
-}
-
-fn pop_scope() {
-    let net = thread_net();
-    let Some(mut scope) = MEM_SCOPES.with(|s| s.borrow_mut().pop()) else {
-        return;
-    };
-    scope.peak = scope.peak.max(net - scope.start);
-    let mut peaks = PEAKS.lock().unwrap_or_else(|e| e.into_inner());
-    let slot = &mut peaks[stage_index(scope.stage)];
-    *slot = (*slot).max(scope.peak);
-}
-
-/// Enters a stage memory scope on the calling thread when a policy is
-/// installed; returns whether a scope was pushed (the caller's guard
-/// must pop it). The budget is the explicit per-stage override scaled
-/// by `attempt + 1` — a retry gets a larger budget, mirroring deadline
-/// retries — or observational when the stage has no override. Called by
-/// [`stage_scope`](crate::deadline::stage_scope); never fails.
-pub(crate) fn push_stage(stage: FlowStage, block: &str, attempt: u32) -> bool {
-    let Some(policy) = mem_active() else {
-        return false;
-    };
-    let budget = policy
-        .stage_budgets
-        .iter()
-        .find(|(s, _)| *s == stage)
-        .map(|(_, bytes)| bytes.saturating_mul(u64::from(attempt) + 1));
-    push_scope(stage, block, budget);
-    true
-}
-
-/// Pops the scope pushed by [`push_stage`] (deadline guard drop path).
-pub(crate) fn pop_stage() {
-    pop_scope();
-}
-
-/// Pops its scope when dropped; returned by [`job_scope`].
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately ends the memory scope"]
-pub struct MemGuard {
-    pushed: bool,
-}
-
-impl Drop for MemGuard {
-    fn drop(&mut self) {
-        if self.pushed {
-            pop_scope();
-        }
-    }
-}
-
-/// Enters the whole-block-job memory scope on the calling thread: the
-/// overall `--mem-budget` (scaled by `attempt + 1`) applies to the net
-/// allocation of everything the block's flow does, across all stages.
-/// With no policy installed this is free and pushes nothing.
-pub fn job_scope(block: &str, attempt: u32) -> MemGuard {
-    let Some(policy) = mem_active() else {
-        return MemGuard { pushed: false };
-    };
-    let budget = policy
-        .overall
-        .map(|bytes| bytes.saturating_mul(u64::from(attempt) + 1));
-    push_scope(FlowStage::Job, block, budget);
-    MemGuard { pushed: true }
-}
-
-/// The memory half of [`poll`](crate::deadline::poll): updates every
-/// scope's peak on this thread and reports the first breached budget,
-/// attributed to the innermost scope's stage and block (the stage that
-/// was running when the budget ran out, which is what the retry →
-/// degrade provenance wants).
-pub(crate) fn check() -> Result<(), FlowError> {
-    if !MEM_ENABLED.load(Ordering::Relaxed) {
-        return Ok(());
-    }
-    let net = thread_net();
-    MEM_SCOPES.with(|s| {
-        let mut scopes = s.borrow_mut();
-        let mut breach: Option<(FlowStage, u64, i64)> = None;
-        for scope in scopes.iter_mut() {
-            let delta = net - scope.start;
-            scope.peak = scope.peak.max(delta);
-            if breach.is_none() {
-                if let Some(budget) = scope.budget {
-                    if delta > 0 && delta as u64 > budget {
-                        breach = Some((scope.stage, budget, delta));
-                    }
-                }
-            }
-        }
-        let (Some((scoped, budget, delta)), Some(top)) = (breach, scopes.last()) else {
-            return Ok(());
-        };
-        Err(FlowError {
-            stage: top.stage,
-            block: Some(top.block.clone()),
-            cause: FaultCause::MemExceeded(format!(
-                "{scoped} memory budget exhausted: {delta} net bytes > {budget} budget"
-            )),
-        })
+/// The memory part of a scope of `run` whose policy budgets it with
+/// `budget`: `None` without a memory policy. The budget is scaled by
+/// `attempt + 1` — a retry gets a larger budget, mirroring deadline
+/// retries — and is observational when `budget` finds none.
+pub(crate) fn mem_part(
+    run: &Active,
+    attempt: u32,
+    budget: impl FnOnce(&ResourcePolicy) -> Option<u64>,
+) -> Option<MemScope> {
+    let budget = budget(run.resource.as_ref()?);
+    Some(MemScope {
+        budget: budget.map(|bytes| bytes.saturating_mul(u64::from(attempt) + 1)),
+        start: thread_net(),
+        peak: 0,
     })
 }
 
-/// Drains the per-stage peak registry (resetting it to zero), returning
-/// `(stage, peak_bytes)` for every stage that recorded a positive peak,
-/// in flow order. This is the manifest's `resources` section.
+/// Enters the whole-block-job memory scope on the calling thread: the
+/// entered run's overall `--mem-budget` (scaled by `attempt + 1`)
+/// applies to the net allocation of everything the block's flow does,
+/// across all stages. Free, and pushes nothing, when no run with a
+/// memory policy is entered.
+pub fn job_scope(block: &str, attempt: u32) -> StageGuard {
+    let Some(run) = crate::ctx::current() else {
+        return StageGuard::none();
+    };
+    let Some(mem) = mem_part(&run, attempt, |policy| policy.overall) else {
+        return StageGuard::none();
+    };
+    StageGuard::push(Scope {
+        stage: FlowStage::Job,
+        block: block.to_owned(),
+        timed: false,
+        expires_at: None,
+        mem: Some(mem),
+        run,
+    })
+}
+
+/// The memory half of [`poll`](crate::deadline::poll): updates every
+/// memory scope's peak on this thread and reports the first breached
+/// budget, attributed to the innermost memory scope's stage and block
+/// (the stage that was running when the budget ran out, which is what
+/// the retry → degrade provenance wants).
+pub(crate) fn check(scopes: &mut [Scope]) -> Result<(), FlowError> {
+    let net = thread_net();
+    let mut breach: Option<(FlowStage, u64, i64)> = None;
+    for scope in scopes.iter_mut() {
+        let Some(mem) = &mut scope.mem else { continue };
+        let delta = net - mem.start;
+        mem.peak = mem.peak.max(delta);
+        if breach.is_none() {
+            if let Some(budget) = mem.budget {
+                if delta > 0 && delta as u64 > budget {
+                    breach = Some((scope.stage, budget, delta));
+                }
+            }
+        }
+    }
+    let (Some((scoped, budget, delta)), Some(top)) =
+        (breach, scopes.iter().rev().find(|s| s.mem.is_some()))
+    else {
+        return Ok(());
+    };
+    Err(FlowError {
+        stage: top.stage,
+        block: Some(top.block.clone()),
+        cause: FaultCause::MemExceeded(format!(
+            "{scoped} memory budget exhausted: {delta} net bytes > {budget} budget"
+        )),
+    })
+}
+
+thread_local! {
+    /// The context [`install_resource`] made on this thread, and the
+    /// guard that keeps it entered until [`clear_resource`].
+    static INSTALLED: RefCell<Option<(RunCtx, Option<RunGuard>)>> = const { RefCell::new(None) };
+}
+
+/// Enters a fresh context carrying `policy` on the calling thread, for
+/// code that measures a stretch of flow rather than owning a run. A
+/// wrapper over [`RunCtx::with_resource`] and [`RunCtx::enter`].
+pub fn install_resource(policy: &ResourcePolicy) {
+    INSTALLED.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        *slot = None;
+        let run = RunCtx::new().with_resource(policy.clone());
+        let guard = run.enter();
+        *slot = Some((run, Some(guard)));
+    });
+}
+
+/// Leaves the context [`install_resource`] entered on the calling
+/// thread. Its peak table stays readable through [`take_peaks`].
+pub fn clear_resource() {
+    INSTALLED.with(|slot| {
+        if let Some((_, guard)) = slot.borrow_mut().as_mut() {
+            guard.take();
+        }
+    });
+}
+
+/// Drains the peak table of the context [`install_resource`] made on
+/// the calling thread: `(stage, peak_bytes)` per stage with a positive
+/// peak, in flow order.
 pub fn take_peaks() -> Vec<(FlowStage, u64)> {
-    let mut peaks = PEAKS.lock().unwrap_or_else(|e| e.into_inner());
-    let taken = std::mem::replace(&mut *peaks, [0; FlowStage::ALL.len()]);
-    drop(peaks);
-    FlowStage::ALL
-        .into_iter()
-        .zip(taken)
-        .filter(|(_, peak)| *peak > 0)
-        .map(|(stage, peak)| (stage, peak as u64))
-        .collect()
+    INSTALLED.with(|slot| {
+        slot.borrow()
+            .as_ref()
+            .map_or_else(Vec::new, |(run, _)| run.take_peaks())
+    })
 }
 
 /// Parses a byte count with an optional binary suffix: `123` (bytes),
@@ -419,7 +358,7 @@ pub fn parse_stage_mem(spec: &str) -> Result<Vec<(FlowStage, u64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deadline::{poll, stage_scope, test_lock};
+    use crate::deadline::{poll, stage_scope};
 
     #[test]
     fn parse_bytes_reads_suffixes_and_rejects_junk() {
@@ -483,23 +422,32 @@ mod tests {
         assert_eq!(policy.stage_spec(), format!("place={}", 64 << 20));
     }
 
+    /// A context carrying only `policy`.
+    fn mem_run(overall: Option<u64>, stage_budgets: Vec<(FlowStage, u64)>) -> RunCtx {
+        RunCtx::new().with_resource(ResourcePolicy {
+            overall,
+            stage_budgets,
+        })
+    }
+
     #[test]
     fn no_policy_means_free_scopes_and_clean_polls() {
-        let _g = test_lock();
-        clear_resource();
-        assert!(!resource_active());
         let guard = job_scope("b", 0);
         assert!(poll().is_ok());
         drop(guard);
+        let run = RunCtx::new();
+        let _entered = run.enter();
+        let guard = job_scope("b", 0);
+        let hog: Vec<u8> = vec![0; 4 << 20];
+        assert!(poll().is_ok());
+        drop((hog, guard));
+        assert!(run.take_peaks().is_empty(), "no policy, no peaks");
     }
 
     #[test]
     fn job_budget_breach_surfaces_as_recoverable_mem_exceeded() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy {
-            overall: Some(64 << 10),
-            stage_budgets: Vec::new(),
-        });
+        let run = mem_run(Some(64 << 10), Vec::new());
+        let entered = run.enter();
         let guard = job_scope("spc0", 0);
         let hog: Vec<u8> = vec![0; 4 << 20];
         let err = poll().unwrap_err();
@@ -509,17 +457,14 @@ mod tests {
         assert!(err.recoverable(), "mem breaches must take the retry path");
         drop(hog);
         drop(guard);
-        clear_resource();
+        drop(entered);
         assert!(poll().is_ok());
     }
 
     #[test]
     fn retry_scales_the_budget_up() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy {
-            overall: Some(64 << 10),
-            stage_budgets: Vec::new(),
-        });
+        let run = mem_run(Some(64 << 10), Vec::new());
+        let _entered = run.enter();
         // attempt 255 gets 256 x 64 KiB = 16 MiB: a 4 MiB allocation
         // breaches attempt 0's budget but not attempt 255's.
         let guard = job_scope("spc0", 255);
@@ -527,16 +472,12 @@ mod tests {
         assert!(poll().is_ok(), "retry budget is scaled up");
         drop(hog);
         drop(guard);
-        clear_resource();
     }
 
     #[test]
     fn stage_budget_breach_is_attributed_to_the_stage() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy {
-            overall: None,
-            stage_budgets: vec![(FlowStage::Place, 64 << 10)],
-        });
+        let run = mem_run(None, vec![(FlowStage::Place, 64 << 10)]);
+        let _entered = run.enter();
         let outer = job_scope("dec", 0);
         let scope = stage_scope(FlowStage::Place, "dec", 0).unwrap();
         let hog: Vec<u8> = vec![0; 4 << 20];
@@ -552,15 +493,13 @@ mod tests {
         drop(hog);
         drop(scope);
         drop(outer);
-        clear_resource();
     }
 
     #[test]
     fn peaks_record_per_stage_and_drain_once() {
-        let _g = test_lock();
-        install_resource(&ResourcePolicy::default());
-        let _ = take_peaks();
+        let run = mem_run(None, Vec::new());
         {
+            let _entered = run.enter();
             let _job = job_scope("fpu", 0);
             let scope = stage_scope(FlowStage::Sta, "fpu", 0).unwrap();
             let hog: Vec<u8> = vec![0; 2 << 20];
@@ -568,8 +507,7 @@ mod tests {
             drop(hog);
             drop(scope);
         }
-        clear_resource();
-        let peaks = take_peaks();
+        let peaks = run.take_peaks();
         let sta = peaks.iter().find(|(s, _)| *s == FlowStage::Sta);
         assert!(
             sta.is_some_and(|(_, peak)| *peak >= (2 << 20)),
@@ -577,6 +515,37 @@ mod tests {
         );
         let job = peaks.iter().find(|(s, _)| *s == FlowStage::Job);
         assert!(job.is_some_and(|(_, peak)| *peak >= (2 << 20)), "{peaks:?}");
+        assert!(run.take_peaks().is_empty(), "take_peaks drains");
+        assert!(run.finish().peaks.is_empty());
+    }
+
+    #[test]
+    fn install_wrappers_measure_the_calling_thread_only() {
+        install_resource(&ResourcePolicy::default());
+        let measured = std::thread::spawn(|| {
+            // another thread's scopes see no installed context
+            let scope = stage_scope(FlowStage::Opt, "x", 0).unwrap();
+            let hog: Vec<u8> = vec![0; 1 << 20];
+            poll().unwrap();
+            drop((hog, scope));
+            take_peaks()
+        });
+        assert!(measured.join().unwrap().is_empty());
+        {
+            let scope = stage_scope(FlowStage::Place, "b", 0).unwrap();
+            let hog: Vec<u8> = vec![0; 1 << 20];
+            poll().unwrap();
+            drop((hog, scope));
+        }
+        clear_resource();
+        assert!(crate::ctx::current().is_none(), "clear leaves the context");
+        let peaks = take_peaks();
+        assert!(
+            peaks
+                .iter()
+                .any(|(s, p)| *s == FlowStage::Place && *p >= 1 << 20),
+            "{peaks:?}"
+        );
         assert!(take_peaks().is_empty(), "take_peaks drains");
     }
 }

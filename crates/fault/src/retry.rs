@@ -4,7 +4,6 @@ use crate::{FlowError, FlowStage};
 use foldic_obs::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// How often a failing block is retried before it degrades.
@@ -236,19 +235,14 @@ pub fn isolate<R>(f: impl FnOnce() -> Result<R, FlowError>) -> Result<R, FlowErr
     }
 }
 
-static LOG: Mutex<Vec<FaultRecord>> = Mutex::new(Vec::new());
-
-/// Appends a record to the process-global fault log.
+/// Appends a record to the fault log of the run entered on the calling
+/// thread; [`RunCtx::finish`](crate::RunCtx::finish) drains it, sorted.
+/// Dropped when no run is entered (the record still reaches the caller's
+/// own result, e.g. `FullChipResult::faults`).
 pub fn log_fault(record: FaultRecord) {
-    LOG.lock().unwrap_or_else(|e| e.into_inner()).push(record);
-}
-
-/// Drains the fault log, sorted into a stable order (scope, block,
-/// stage) so manifests are byte-identical across thread counts.
-pub fn take_fault_log() -> Vec<FaultRecord> {
-    let mut records = std::mem::take(&mut *LOG.lock().unwrap_or_else(|e| e.into_inner()));
-    records.sort();
-    records
+    if let Some(run) = crate::ctx::current() {
+        crate::ctx::lock(&run.log).push(record);
+    }
 }
 
 #[cfg(test)]
@@ -283,22 +277,22 @@ mod tests {
         assert_eq!(back, r);
         assert!(r.to_string().contains("degraded after 3 attempts"));
 
-        log_fault(FaultRecord {
+        // logged outside any run: dropped
+        log_fault(r.clone());
+        let run = crate::RunCtx::new();
+        {
+            let _entered = run.enter();
+            log_fault(FaultRecord {
+                scope: "z".into(),
+                ..r.clone()
+            });
+            log_fault(r.clone());
+        }
+        let z = FaultRecord {
             scope: "z".into(),
             ..r.clone()
-        });
-        log_fault(r.clone());
-        let drained = take_fault_log();
-        // other tests may have logged concurrently; ours are ordered
-        let mine: Vec<&FaultRecord> = drained
-            .iter()
-            .filter(|x| x.block == "dec" && (x.scope == "core_cache" || x.scope == "z"))
-            .collect();
-        assert_eq!(mine.len(), 2);
-        assert!(mine[0].scope <= mine[1].scope);
-        assert!(take_fault_log()
-            .iter()
-            .all(|x| !(x.block == "dec" && x.scope == "core_cache")));
+        };
+        assert_eq!(run.finish().faults, [r, z], "drained sorted");
     }
 
     #[test]

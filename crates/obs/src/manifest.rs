@@ -83,8 +83,8 @@ pub struct RunManifest {
     /// Memory-budget breach events (stages stopped by a resource
     /// policy), sorted. Same shape and pay-for-use rule as `timeouts`.
     pub mem_exceeded: Vec<FaultEntry>,
-    /// Peak net-allocated bytes per flow stage, recorded only while a
-    /// resource policy was installed (pay-for-use: the key is omitted
+    /// Peak net-allocated bytes per flow stage, recorded only for a run
+    /// with a resource policy (pay-for-use: the key is omitted
     /// when empty). Peaks are sampled at poll granularity on the worker
     /// thread, so they are compared with a relative tolerance
     /// ([`CompareConfig::mem_tol_pct`]), never byte-exactly.

@@ -19,12 +19,16 @@
 //! workers whose stacks start empty. The pool captures
 //! [`current_span`] at the fan-out site and wraps each job in
 //! [`run_with_parent`], so spans opened inside a job still attribute to
-//! the span that submitted the work.
+//! the span that submitted the work. The run context entered on the
+//! submitting thread ([`current_run`]) rides the same hand-off: each
+//! worker [`enter_run`]s it, so a job sees its own run's policies.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::Json;
@@ -143,6 +147,7 @@ thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static STACK: RefCell<Vec<SpanId>> = const { RefCell::new(Vec::new()) };
     static INHERITED: Cell<Option<SpanId>> = const { Cell::new(None) };
+    static RUN: RefCell<Option<RunSlot>> = const { RefCell::new(None) };
 }
 
 /// Turns trace recording on or off. Turning it on clears the buffers.
@@ -224,6 +229,34 @@ pub fn run_with_parent<R>(parent: Option<SpanId>, f: impl FnOnce() -> R) -> R {
     let result = f();
     INHERITED.with(|c| c.set(prev));
     result
+}
+
+/// A run context, opaque here (`foldic-fault` owns the type).
+pub type RunSlot = Arc<dyn Any + Send + Sync>;
+
+/// The run context entered on this thread (see [`enter_run`]).
+pub fn current_run() -> Option<RunSlot> {
+    RUN.with(|r| r.borrow().clone())
+}
+
+/// Enters `run` on this thread until the returned guard drops, which
+/// restores the previous context (also on unwind).
+pub fn enter_run(run: Option<RunSlot>) -> RunGuard {
+    RunGuard(RUN.with(|r| r.replace(run)), PhantomData)
+}
+
+/// Returned by [`enter_run`]. Not `Send`: it restores the thread it
+/// entered.
+#[must_use = "dropping the guard immediately leaves the run context"]
+pub struct RunGuard(Option<RunSlot>, PhantomData<*const ()>);
+
+impl Drop for RunGuard {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        // try_with: a guard kept in another thread-local may drop during
+        // thread teardown, after this slot is gone
+        let _ = RUN.try_with(|r| *r.borrow_mut() = prev);
+    }
 }
 
 /// Records a point event with attributes (no-op while disabled).

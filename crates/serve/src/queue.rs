@@ -14,13 +14,15 @@
 //!    Cancelling a running job does not interrupt it (runs are the
 //!    expensive thing being served; interruption is the deadline layer's
 //!    job) — the cancel call just reports the current state.
-//! 4. **Deadline jobs run exclusively**: the `foldic-fault` deadline
-//!    layer is process-global, so a deadline-bounded job must not share
-//!    the process with other running jobs (they would observe its stage
-//!    budgets). FIFO order is kept: when a deadline job reaches the head
-//!    of the queue, dispatch waits for running jobs to drain, runs it
-//!    alone, then resumes normal concurrency. No starvation in either
-//!    direction, because the head of the queue always dispatches next.
+//! 4. **Oversized jobs run alone**: under a memory limit, a job whose
+//!    estimate exceeds the whole limit reserves all of it, so it cannot
+//!    share the worker pool (a capacity rule). FIFO order is kept: when
+//!    an oversized job reaches the head of the queue, dispatch waits for
+//!    running jobs to drain, runs it alone, then resumes normal
+//!    concurrency. No starvation in either direction, because the head
+//!    of the queue always dispatches next. Every other job — deadline
+//!    jobs included — runs beside its peers: each run carries its own
+//!    `foldic-fault` context, so no policy leaks between jobs.
 //!
 //! Shutdown drains: in-flight jobs run to completion, still-queued jobs
 //! are cancelled, workers are joined. The property tests in
@@ -110,10 +112,11 @@ pub trait StudyRunner: Send + Sync {
 
     /// [`StudyRunner::run`] under a per-job memory budget, for jobs the
     /// cost-aware admission layer classified oversized. Implementations
-    /// that honor the budget install a `foldic-fault` resource policy
-    /// around the run so breaches degrade gracefully instead of taking
-    /// the worker's address space; the default ignores the budget, which
-    /// keeps budget-less runners byte-identical to their old behavior.
+    /// that honor the budget run under a `foldic-fault` context carrying
+    /// a resource policy, so breaches degrade gracefully instead of
+    /// taking the worker's address space; the default ignores the
+    /// budget, which keeps budget-less runners byte-identical to their
+    /// old behavior.
     ///
     /// # Errors
     ///
@@ -280,12 +283,12 @@ pub struct SubmitCtx {
 struct Job {
     spec: JobSpec,
     status: JobStatus,
-    exclusive: bool,
     /// Bytes this job holds in the reservation ledger; zero once
     /// released (release is idempotent via `State::release_reservation`).
     reservation: u64,
     /// Per-job memory budget for oversized admissions, handed to
-    /// [`StudyRunner::run_budgeted`].
+    /// [`StudyRunner::run_budgeted`]. A job with one reserved the whole
+    /// limit, so it runs alone (rule 4).
     mem_budget: Option<u64>,
     /// Spec digest ([`cache_key`] of the canonical config) — computed
     /// for every job, cacheable or not; addresses the poison ledger and
@@ -675,7 +678,6 @@ impl Scheduler {
                             body: Some(body),
                             flight: None,
                         },
-                        exclusive: false,
                         reservation: 0,
                         mem_budget: None,
                         digest: key.clone(),
@@ -813,10 +815,6 @@ impl Scheduler {
         if let Some(idem) = &idempotency_key {
             state.idempotency.insert(idem.clone(), id);
         }
-        // Budgeted jobs ride the process-global resource layer, so —
-        // exactly like deadline jobs on the deadline layer — they must
-        // not share the process with other running jobs.
-        let exclusive = spec.deadline_secs.is_some() || oversized;
         let parent_span = ctx.as_ref().and_then(|c| c.parent_span);
         state.jobs.insert(
             id,
@@ -833,7 +831,6 @@ impl Scheduler {
                     body: None,
                     flight: None,
                 },
-                exclusive,
                 reservation,
                 mem_budget,
                 digest: key,
@@ -1518,7 +1515,6 @@ fn seed_from_replay(state: &mut State, cache: &ResultCache, replay: &Replay) -> 
                     body,
                     flight: None,
                 },
-                exclusive: rjob.spec.deadline_secs.is_some(),
                 reservation: 0,
                 mem_budget: None,
                 digest: rjob.digest.clone(),
@@ -1568,7 +1564,6 @@ fn reprice_replayed(state: &mut State, limit: u64) {
         }
         let estimate = crate::cost::estimate_cost(&job.spec).unwrap_or(limit);
         let reservation = if estimate > limit {
-            job.exclusive = true;
             job.mem_budget = Some(limit);
             limit
         } else {
@@ -1585,7 +1580,6 @@ struct Picked {
     spec: JobSpec,
     cacheable_key: Option<String>,
     config: BTreeMap<String, String>,
-    exclusive: bool,
     mem_budget: Option<u64>,
     digest: String,
     attempt: u32,
@@ -1602,7 +1596,7 @@ struct Picked {
 fn supervise_worker(shared: &Arc<Shared>) {
     // The job this worker currently holds, maintained under the state
     // lock at dispatch/completion. Only this thread touches it.
-    let current: Mutex<Option<(u64, bool, u32)>> = Mutex::new(None);
+    let current: Mutex<Option<(u64, u32)>> = Mutex::new(None);
     loop {
         if catch_unwind(AssertUnwindSafe(|| worker_loop(shared, &current))).is_ok() {
             return;
@@ -1612,9 +1606,9 @@ fn supervise_worker(shared: &Arc<Shared>) {
             let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             state.worker_restarts += 1;
             let mut terminal = None;
-            if let Some((id, exclusive, attempt)) = orphan {
+            if let Some((id, attempt)) = orphan {
                 state.running = state.running.saturating_sub(1);
-                if exclusive {
+                if state.jobs.get(&id).is_some_and(|j| j.mem_budget.is_some()) {
                     state.exclusive_active = false;
                 }
                 if state.probe_job == Some(id) {
@@ -1653,10 +1647,7 @@ fn supervise_worker(shared: &Arc<Shared>) {
         shared.telemetry.log(
             Level::Warn,
             "worker.restarted",
-            vec![field_num(
-                "job",
-                orphan.map_or(-1.0, |(id, _, _)| id as f64),
-            )],
+            vec![field_num("job", orphan.map_or(-1.0, |(id, _)| id as f64))],
         );
         shared.changed.notify_all();
         shared.work.notify_all();
@@ -1665,7 +1656,7 @@ fn supervise_worker(shared: &Arc<Shared>) {
 
 /// One worker: strict-FIFO dispatch honoring the exclusivity and poison
 /// rules, then execution outside the lock, then completion bookkeeping.
-fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
+fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, u32)>>) {
     let tele = &shared.telemetry;
     loop {
         let picked = {
@@ -1751,7 +1742,7 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
                 }
                 let dispatchable = state.queue.front().and_then(|&head| {
                     let job = state.jobs.get(&head)?;
-                    let ok = if job.exclusive {
+                    let ok = if job.mem_budget.is_some() {
                         state.running == 0
                     } else {
                         !state.exclusive_active
@@ -1775,7 +1766,6 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
                         spec: job.spec.clone(),
                         cacheable_key: job.status.cache_key.clone(),
                         config: job.status.config.clone(),
-                        exclusive: job.exclusive,
                         mem_budget: job.mem_budget,
                         digest: job.digest.clone(),
                         attempt: job.status.attempt,
@@ -1783,14 +1773,13 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
                         parent_span: job.parent_span,
                         submit_ns: job.submit_ns,
                     };
-                    if picked.exclusive {
+                    if picked.mem_budget.is_some() {
                         state.exclusive_active = true;
                     }
                     // Under the state lock: the supervisor's crash
                     // repair sees either no job or a fully-dispatched
                     // one, never a half-transition.
-                    *current.lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some((id, picked.exclusive, picked.attempt));
+                    *current.lock().unwrap_or_else(|e| e.into_inner()) = Some((id, picked.attempt));
                     shared.changed.notify_all();
                     break picked;
                 }
@@ -1805,7 +1794,6 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
             spec,
             cacheable_key,
             config,
-            exclusive,
             mem_budget,
             digest,
             attempt,
@@ -1904,7 +1892,7 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, bool, u32)>>) {
         let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
         *current.lock().unwrap_or_else(|e| e.into_inner()) = None;
         state.running -= 1;
-        if exclusive {
+        if mem_budget.is_some() {
             state.exclusive_active = false;
         }
         state.release_reservation(id);

@@ -5,8 +5,10 @@
 //!   and never blocks the submitter;
 //! * cancel-before-start — a cancelled queued job never reaches the
 //!   runner;
-//! * exclusive dispatch — a deadline-bounded job runs alone, and FIFO
-//!   order is preserved around it;
+//! * concurrent deadline jobs — a deadline-bounded job starts beside a
+//!   running job instead of waiting for the pool to drain;
+//! * exclusive dispatch — under a memory limit an oversized job waits
+//!   for running jobs to finish, then runs alone;
 //! * drain-on-shutdown — in-flight jobs finish, queued jobs cancel, and
 //!   shutdown returns without deadlock;
 //! * supervision — a panicking spec is quarantined after the poison
@@ -199,7 +201,7 @@ fn cancel_before_start_never_reaches_the_runner() {
 }
 
 #[test]
-fn deadline_jobs_dispatch_exclusively_in_fifo_order() {
+fn deadline_jobs_run_beside_other_jobs() {
     let runner = GateRunner::new();
     let sched = Scheduler::new(
         runner.clone(),
@@ -212,31 +214,68 @@ fn deadline_jobs_dispatch_exclusively_in_fifo_order() {
     );
     let a = queued(sched.submit(spec("a")));
     runner.await_started("a", WAIT);
-    // `d` is deadline-bounded (exclusive); `b` follows it in the queue.
+    // `d` is deadline-bounded: it takes the free worker beside `a`.
     let mut dspec = spec("d");
     dspec.deadline_secs = Some(30.0);
     let d = queued(sched.submit(dspec));
-    let b = queued(sched.submit(spec("b")));
-    // Two workers are available, but neither `d` (exclusive, `a` still
-    // running) nor `b` (FIFO: behind `d`) may start.
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(runner.running_now(), ["a"]);
-    assert_eq!(sched.status(d).unwrap().state, JobState::Queued);
-    assert_eq!(sched.status(b).unwrap().state, JobState::Queued);
-    // `a` finishes → `d` runs alone; `b` still held back.
-    runner.release("a");
     runner.await_started("d", WAIT);
+    let mut running = runner.running_now();
+    running.sort();
+    assert_eq!(running, ["a", "d"]);
+    // Both workers are busy, so `b` waits for one to free up.
+    let b = queued(sched.submit(spec("b")));
     std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(runner.running_now(), ["d"]);
     assert_eq!(sched.status(b).unwrap().state, JobState::Queued);
-    // `d` finishes → normal concurrency resumes.
     runner.release("d");
     runner.await_started("b", WAIT);
+    runner.release("a");
     runner.release("b");
     for id in [a, d, b] {
         assert_eq!(sched.wait_terminal(id, WAIT), Some(JobState::Done));
     }
     assert_eq!(runner.started(), ["a", "d", "b"]);
+    sched.shutdown();
+}
+
+#[test]
+fn oversized_jobs_wait_for_running_jobs_then_run_alone() {
+    // A 9 MiB ledger holds two single-study tiny jobs (4 MiB each); a
+    // `full` study prices far above the limit, so it is oversized.
+    let runner = GateRunner::new();
+    let sched = Scheduler::new(
+        runner.clone(),
+        SchedulerConfig {
+            queue_capacity: 8,
+            workers: 2,
+            retry_after_secs: 1,
+            mem_limit: Some(9 << 20),
+        },
+    );
+    let a = queued(sched.submit(spec("a")));
+    let b = queued(sched.submit(spec("b")));
+    runner.await_started("a", WAIT);
+    runner.await_started("b", WAIT);
+    let mut ospec = spec("o");
+    ospec.size = "full".to_owned();
+    let o = queued(sched.submit(ospec));
+    // Running jobs keep `o` queued, even once one of them finishes.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(sched.status(o).unwrap().state, JobState::Queued);
+    runner.release("a");
+    assert_eq!(sched.wait_terminal(a, WAIT), Some(JobState::Done));
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(sched.status(o).unwrap().state, JobState::Queued);
+    // The last running job finishes: `o` starts, alone.
+    runner.release("b");
+    runner.await_started("o", WAIT);
+    assert_eq!(runner.running_now(), ["o"]);
+    // Its reservation is the whole limit, so nothing is admitted beside it.
+    assert!(matches!(sched.submit(spec("c")), Submission::Shed { .. }));
+    runner.release("o");
+    for id in [b, o] {
+        assert_eq!(sched.wait_terminal(id, WAIT), Some(JobState::Done));
+    }
+    assert_eq!(runner.started(), ["a", "b", "o"]);
     sched.shutdown();
 }
 

@@ -1,27 +1,18 @@
 //! Fault-tolerance integration tests: deterministic injection through the
 //! full-chip flow, per-block isolation with retry/degradation, thread
-//! invariance of faulted runs, and checkpoint/resume equivalence.
+//! invariance of faulted runs, checkpoint/resume equivalence, and
+//! per-run provenance when runs overlap in one process.
 //!
-//! The fault plan and the fault log are process-global, so every test
-//! serializes on one mutex, installs its plan inside the critical
-//! section, and clears both before leaving it.
+//! Every faulted run carries its plan in its own `RunCtx`, so the tests
+//! run in parallel without sharing any fault state.
 
 use foldic::prelude::*;
 use foldic::{
-    clear_fault_plan, install_fault_plan, take_fault_log, CheckpointStore, Disposition, FaultPlan,
-    FlowStage, RetryPolicy,
+    CheckpointStore, DeadlinePolicy, Disposition, FaultPlan, FaultRecord, FlowStage, RetryPolicy,
+    RunCtx, RunOutcome,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Enters the critical section with clean global fault state.
-fn exclusive() -> MutexGuard<'static, ()> {
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    clear_fault_plan();
-    let _ = take_fault_log();
-    guard
-}
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn run(
     style: DesignStyle,
@@ -48,12 +39,33 @@ fn assert_same(a: &FullChipResult, b: &FullChipResult) {
     assert_eq!(a.route_overflow, b.route_overflow);
 }
 
+/// A context whose only policy is the fault plan `spec`.
+fn faulted(spec: &str) -> RunCtx {
+    RunCtx::new().with_faults(FaultPlan::parse(spec).unwrap())
+}
+
+/// [`run`] under `ctx`.
+fn run_in(ctx: &RunCtx, style: DesignStyle, threads: usize) -> FullChipResult {
+    let _entered = ctx.enter();
+    run(style, threads, None)
+}
+
+/// Every record of a finished run, in the order `RunCtx::finish` sorts.
+fn drained(outcome: &RunOutcome) -> Vec<FaultRecord> {
+    let mut all = [
+        &outcome.faults[..],
+        &outcome.timeouts,
+        &outcome.mem_exceeded,
+    ]
+    .concat();
+    all.sort();
+    all
+}
+
 #[test]
 fn injected_route_failure_degrades_only_that_block() {
-    let _g = exclusive();
-    install_fault_plan(FaultPlan::parse("route:ccx:error").unwrap());
-    let result = run(DesignStyle::Flat2d, 1, None);
-    clear_fault_plan();
+    let ctx = faulted("route:ccx:error");
+    let result = run_in(&ctx, DesignStyle::Flat2d, 1);
 
     assert_eq!(result.faults.len(), 1, "exactly one faulted block");
     let f = &result.faults[0];
@@ -68,19 +80,15 @@ fn injected_route_failure_degrades_only_that_block() {
     // the degraded analytical estimate still rolls up into chip totals
     assert!(result.chip.power.total_w() > 0.0);
     assert!(result.chip.footprint_um2 > 0.0);
-    // provenance also landed in the global log, in the same shape
-    assert_eq!(take_fault_log(), result.faults);
+    // provenance also landed in the run's own log, in the same shape
+    assert_eq!(ctx.finish().faults, result.faults);
 }
 
 #[test]
 fn injected_panic_recovers_on_the_first_retry() {
-    let _g = exclusive();
     // `:1` fires on attempt 0 only: the panic unwinds through the
     // isolation boundary, the retry runs clean and recovers the block
-    install_fault_plan(FaultPlan::parse("place:ccx:panic:1").unwrap());
-    let result = run(DesignStyle::Flat2d, 1, None);
-    clear_fault_plan();
-    let _ = take_fault_log();
+    let result = run_in(&faulted("place:ccx:panic:1"), DesignStyle::Flat2d, 1);
 
     assert_eq!(result.faults.len(), 1);
     let f = &result.faults[0];
@@ -96,16 +104,10 @@ fn injected_panic_recovers_on_the_first_retry() {
 
 #[test]
 fn faulted_runs_are_thread_invariant() {
-    let _g = exclusive();
     // one permanent panic (degrades) plus one transient error (recovers)
-    let plan = FaultPlan::parse("route:ccx:panic,sta:mcu0:error:1").unwrap();
-    install_fault_plan(plan.clone());
-    let serial = run(DesignStyle::CoreCache, 1, None);
-    let _ = take_fault_log();
-    install_fault_plan(plan);
-    let parallel = run(DesignStyle::CoreCache, 4, None);
-    clear_fault_plan();
-    let _ = take_fault_log();
+    let spec = "route:ccx:panic,sta:mcu0:error:1";
+    let serial = run_in(&faulted(spec), DesignStyle::CoreCache, 1);
+    let parallel = run_in(&faulted(spec), DesignStyle::CoreCache, 4);
 
     assert_eq!(serial.faults.len(), 2);
     assert_same(&serial, &parallel);
@@ -113,7 +115,6 @@ fn faulted_runs_are_thread_invariant() {
 
 #[test]
 fn checkpoint_resume_replays_blocks_byte_identically() {
-    let _g = exclusive();
     let store = Arc::new(CheckpointStore::in_memory());
     let first = run(DesignStyle::CoreCache, 1, Some(store.clone()));
     assert_eq!(store.len(), first.per_block.len(), "every block stored");
@@ -127,7 +128,6 @@ fn checkpoint_resume_replays_blocks_byte_identically() {
 
 #[test]
 fn torn_checkpoint_tail_is_recomputed_on_resume() {
-    let _g = exclusive();
     let path =
         std::env::temp_dir().join(format!("foldic-fault-itest-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -150,4 +150,63 @@ fn torn_checkpoint_tail_is_recomputed_on_resume() {
     assert_eq!(store.hits() as usize, loaded, "intact entries replay");
     assert_same(&first, &resumed);
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn overlapping_runs_keep_their_own_provenance() {
+    // Two runs share the process: one injects a route error into ccx,
+    // the other gives every route stage a zero budget. Both contexts
+    // stay live through both runs (barriers on either side), and each
+    // fans its blocks out over a pool, so every hook on every worker
+    // must read its own run's context.
+    let faulty = faulted("route:ccx:error");
+    let starved = RunCtx::new().with_deadline(
+        &DeadlinePolicy {
+            stage_budgets: vec![(FlowStage::Route, Duration::ZERO)],
+            ..DeadlinePolicy::default()
+        },
+        "starved",
+    );
+    let barrier = Barrier::new(2);
+    let run_overlapped = |ctx: RunCtx| {
+        let (mut design, tech) = T2Config::tiny().generate();
+        let cfg = FullChipConfig {
+            threads: 2,
+            ..FullChipConfig::default()
+        };
+        let result = {
+            let _entered = ctx.enter();
+            barrier.wait();
+            let result = run_fullchip(&mut design, &tech, DesignStyle::Flat2d, &cfg).unwrap();
+            barrier.wait();
+            result
+        };
+        (result, ctx.finish())
+    };
+    let ((a, a_out), (b, b_out)) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_overlapped(faulty));
+        let b = s.spawn(|| run_overlapped(starved));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+
+    // the injected run: exactly one degraded ccx, no timeouts
+    assert_eq!(a.faults.len(), 1, "{:?}", a.faults);
+    let f = &a.faults[0];
+    assert_eq!((f.block.as_str(), f.stage), ("ccx", FlowStage::Route));
+    assert_eq!(f.disposition, Disposition::Degraded);
+    assert!(!f.timed_out);
+    assert!(a_out.timeouts.is_empty() && a_out.mem_exceeded.is_empty());
+    // the starved run: only timed-out records, no injected fault
+    assert!(!b.faults.is_empty());
+    assert!(b
+        .faults
+        .iter()
+        .all(|r| r.timed_out && r.stage == FlowStage::Route));
+    assert!(b_out.faults.is_empty() && b_out.mem_exceeded.is_empty());
+    // each drained outcome is exactly its own run's provenance
+    for (result, outcome) in [(&a, &a_out), (&b, &b_out)] {
+        let mut own = result.faults.clone();
+        own.sort();
+        assert_eq!(drained(outcome), own);
+    }
 }
