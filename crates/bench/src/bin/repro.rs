@@ -20,12 +20,15 @@
 //! `--threads N` fans the per-block loops and configuration sweeps out
 //! over N workers (default: `FOLDIC_THREADS` or all cores; 1 = serial).
 //! Reports are byte-identical for every thread count. `--profile` prints
-//! a per-stage wall-time/iteration table after each experiment.
+//! a per-stage wall-time/iteration table after each experiment, folded
+//! from the experiment's trace spans and keyed by span path (the same
+//! keys at any `--threads`).
 //!
 //! `--trace` writes a Chrome-trace JSON (load in `chrome://tracing` or
 //! <https://ui.perfetto.dev>), `--events` a JSONL event log, and
 //! `--manifest` a machine-readable run manifest (config, per-stage
-//! timings, metrics snapshot, per-experiment result digests). If the
+//! timings — the `--profile` table as JSON — metrics snapshot,
+//! per-experiment result digests). If the
 //! manifest path is an existing directory, the file is named
 //! `run-<experiments>-<size>.json` inside it. `repro compare` diffs two
 //! manifests (timing ignored) and exits nonzero when a metric moved more
@@ -277,11 +280,10 @@ fn main() {
     }
 
     let threads = foldic_exec::resolve_threads(threads);
+    // `tracing`: every event is kept for --trace/--events; the stage
+    // tables of --profile and --manifest fold each experiment's events
     let tracing = trace_path.is_some() || events_path.is_some();
-    if profile || manifest_path.is_some() {
-        foldic_exec::profile::set_enabled(true);
-    }
-    if tracing {
+    if tracing || profile || manifest_path.is_some() {
         foldic_obs::trace::set_enabled(true);
     }
     if manifest_path.is_some() {
@@ -398,6 +400,7 @@ fn main() {
     // this object may vary across thread counts and is stripped before
     // determinism comparisons
     let mut timing_experiments: BTreeMap<String, Json> = BTreeMap::new();
+    let mut kept_events = Vec::new();
 
     println!(
         "foldic repro — synthetic OpenSPARC T2 @ size={size} (seed {:#x}, cluster {}x, {threads} thread{})",
@@ -457,14 +460,21 @@ fn main() {
                 let report = $body;
                 let text = report.to_string();
                 println!("{text}");
-                let stage_report = foldic_exec::profile::take();
+                let events = foldic_obs::trace::take_events();
+                let stages = foldic_obs::stages::fold(&events);
+                if tracing {
+                    kept_events.extend(events);
+                }
                 if profile {
-                    println!("-- profile: {} --\n{}", $name, stage_report);
+                    println!("-- profile: {} --\n{}", $name, stages);
                 }
                 if manifest_path.is_some() {
                     manifest.record_result($name, &text);
-                    timing_experiments
-                        .insert($name.to_owned(), timing_json(&stage_report, t.elapsed()));
+                    let mut timing = stages.to_json();
+                    if let Some(fields) = timing.as_obj_mut() {
+                        fields.insert("wall_s".to_owned(), Json::Num(t.elapsed().as_secs_f64()));
+                    }
+                    timing_experiments.insert($name.to_owned(), timing);
                 }
                 println!("[{} finished in {:?}]\n", $name, t.elapsed());
                 ran.push($name.to_owned());
@@ -531,7 +541,8 @@ fn main() {
 
     if tracing {
         foldic_obs::trace::set_enabled(false);
-        let events = foldic_obs::trace::take_events();
+        let mut events = kept_events;
+        events.extend(foldic_obs::trace::take_events());
         if let Some(path) = &trace_path {
             write_or_die(path, &foldic_obs::trace::chrome_trace_json(&events));
             println!("trace: {} events -> {}", events.len(), path.display());
@@ -593,40 +604,6 @@ fn main() {
         write_or_die(&path, &manifest.to_json_text());
         println!("manifest: {}", path.display());
     }
-}
-
-/// One experiment's wall-clock record for the manifest `timing` section.
-fn timing_json(report: &foldic_exec::profile::Report, wall: std::time::Duration) -> Json {
-    let stages = report
-        .stages
-        .iter()
-        .map(|(name, s)| {
-            (
-                name.clone(),
-                Json::obj([
-                    ("calls".to_owned(), Json::Num(s.calls as f64)),
-                    ("wall_ms".to_owned(), Json::Num(s.wall.as_secs_f64() * 1e3)),
-                    ("iters".to_owned(), Json::Num(s.iters as f64)),
-                ]),
-            )
-        })
-        .collect();
-    Json::obj([
-        ("wall_s".to_owned(), Json::Num(wall.as_secs_f64())),
-        ("stages".to_owned(), Json::Obj(stages)),
-        (
-            "pool".to_owned(),
-            Json::obj([
-                ("jobs".to_owned(), Json::Num(report.jobs as f64)),
-                ("steals".to_owned(), Json::Num(report.steals as f64)),
-                ("runs".to_owned(), Json::Num(report.runs as f64)),
-                (
-                    "peak_queue_depth".to_owned(),
-                    Json::Num(report.peak_queue_depth as f64),
-                ),
-            ]),
-        ),
-    ])
 }
 
 /// Parses a `--stage-timeout` spec (`STAGE=SECS,...`) into per-stage

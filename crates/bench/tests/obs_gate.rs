@@ -5,6 +5,7 @@
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
 use foldic_obs::metrics::Metric;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -33,10 +34,34 @@ fn stripped(path: &Path) -> String {
     m.to_json_text()
 }
 
-/// The acceptance gate of the PR: `table2 --size tiny` manifests are
-/// byte-identical across `--threads 1` and `--threads 4` once the
-/// `timing` section (wall clocks, steal counts, thread count) is
-/// stripped, the Chrome trace is balanced and monotonic, and `repro
+/// `(key, calls, iters)` of each row of one experiment's stage table.
+type StageCounts = Vec<(String, f64, f64)>;
+
+/// The thread-invariant part of each experiment's `timing` table.
+fn stage_counts(path: &Path) -> BTreeMap<String, StageCounts> {
+    let m = RunManifest::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let experiments = m.timing.get("experiments").and_then(Json::as_obj).unwrap();
+    experiments
+        .iter()
+        .map(|(name, timing)| {
+            let stages = timing.get("stages").and_then(Json::as_obj).unwrap();
+            let rows = stages
+                .iter()
+                .map(|(key, row)| {
+                    let num = |field: &str| row.get(field).and_then(Json::as_f64).unwrap();
+                    (key.clone(), num("calls"), num("iters"))
+                })
+                .collect();
+            (name.clone(), rows)
+        })
+        .collect()
+}
+
+/// The acceptance gate of the PR: `table2 table3 fig2 --size tiny`
+/// manifests are byte-identical across `--threads 1` and `--threads 4`
+/// once the `timing` section (wall clocks, steal counts, thread count)
+/// is stripped, and that section's stage keys, calls and iterations are
+/// equal too. The Chrome trace is balanced and monotonic, and `repro
 /// compare` exits 0 on the pair. One test so the two expensive runs
 /// happen exactly once.
 #[test]
@@ -46,6 +71,8 @@ fn manifests_are_thread_count_invariant_and_trace_is_valid() {
     let trace = tmp("table2-t1-trace.json");
     run_ok(&[
         "table2",
+        "table3",
+        "fig2",
         "--size",
         "tiny",
         "--threads",
@@ -57,6 +84,8 @@ fn manifests_are_thread_count_invariant_and_trace_is_valid() {
     ]);
     run_ok(&[
         "table2",
+        "table3",
+        "fig2",
         "--size",
         "tiny",
         "--threads",
@@ -76,6 +105,18 @@ fn manifests_are_thread_count_invariant_and_trace_is_valid() {
     assert!(m.metrics.counter("place.runs") > 0);
     assert!(m.metrics.counter("opt.rounds") > 0);
     assert!(m.metrics.histogram("route.net_length_um").is_some());
+
+    // --- stage tables: same keys, calls and iterations at any --threads ---
+    let counts = stage_counts(&m1);
+    assert_eq!(counts, stage_counts(&m4), "stage rows depend on --threads");
+    let experiments: Vec<&str> = counts.keys().map(String::as_str).collect();
+    assert_eq!(experiments, ["fig2", "table2", "table3"]);
+    let fig2 = &counts["fig2"];
+    assert!(
+        fig2.iter()
+            .any(|(key, calls, _)| key.rsplit('/').next() == Some("partition") && *calls > 0.0),
+        "fig2's folds have a partition row: {fig2:?}"
+    );
 
     // --- compare contract: 0 across thread counts, 1 on perturbation ---
     let status = repro()
@@ -138,6 +179,47 @@ fn manifests_are_thread_count_invariant_and_trace_is_valid() {
     ] {
         assert!(names.contains(&expected), "trace misses span {expected:?}");
     }
+}
+
+/// `(key, calls, iters)` of every row `--profile` prints.
+fn profile_rows(stdout: &str) -> Vec<(String, String, String)> {
+    stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("-- profile:"))
+        .skip(2) // the banner and the column header
+        .take_while(|l| !l.starts_with("pool:"))
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            (cols[0].to_owned(), cols[1].to_owned(), cols[4].to_owned())
+        })
+        .collect()
+}
+
+/// Run alone, `table3` fans its block flows out over the pool itself:
+/// its profile rows must not depend on which threads ran them.
+#[test]
+fn profile_rows_are_thread_count_invariant() {
+    let rows = |threads: &str| {
+        let out = repro()
+            .args([
+                "table3",
+                "--size",
+                "tiny",
+                "--threads",
+                threads,
+                "--profile",
+            ])
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success());
+        profile_rows(&String::from_utf8_lossy(&out.stdout))
+    };
+    let serial = rows("1");
+    assert!(
+        serial.iter().any(|(key, _, _)| key.ends_with("/place")),
+        "{serial:?}"
+    );
+    assert_eq!(serial, rows("4"));
 }
 
 #[test]

@@ -177,10 +177,8 @@ pub fn run_block_flow(
     {
         let _scope = stage_scope(FlowStage::Place, &name, attempt)?;
         fault_point(FlowStage::Place, &name, attempt)?;
-        foldic_exec::profile::stage("place", || {
-            place_block(&mut block.netlist, tech, outline, &cfg.placer)
-        })
-        .map_err(|e| e.with_block(&name))?;
+        place_block(&mut block.netlist, tech, outline, &cfg.placer)
+            .map_err(|e| e.with_block(&name))?;
     }
 
     // 2. timing + power optimization
@@ -191,36 +189,30 @@ pub fn run_block_flow(
     let opt = {
         let _scope = stage_scope(FlowStage::Opt, &name, attempt)?;
         fault_point(FlowStage::Opt, &name, attempt)?;
-        foldic_exec::profile::stage("opt", || {
-            optimize_block_with_vias(&mut block.netlist, tech, budgets, &opt_cfg, None)
-        })
-        .map_err(|e| e.with_block(&name))?
+        optimize_block_with_vias(&mut block.netlist, tech, budgets, &opt_cfg, None)
+            .map_err(|e| e.with_block(&name))?
     };
 
     // 3. sign-off
     let wiring = {
         let _scope = stage_scope(FlowStage::Route, &name, attempt)?;
         fault_point(FlowStage::Route, &name, attempt)?;
-        foldic_exec::profile::stage("route", || {
-            BlockWiring::analyze(&block.netlist, tech, opt_cfg.detour, None)
-        })
-        .map_err(|e| e.with_block(&name))?
+        BlockWiring::analyze(&block.netlist, tech, opt_cfg.detour, None)
+            .map_err(|e| e.with_block(&name))?
     };
     let sta = {
         let _scope = stage_scope(FlowStage::Sta, &name, attempt)?;
         fault_point(FlowStage::Sta, &name, attempt)?;
-        foldic_exec::profile::stage("sta", || {
-            analyze(
-                &block.netlist,
-                tech,
-                &wiring,
-                budgets,
-                &StaConfig {
-                    max_layer,
-                    via_kind: None,
-                },
-            )
-        })
+        analyze(
+            &block.netlist,
+            tech,
+            &wiring,
+            budgets,
+            &StaConfig {
+                max_layer,
+                via_kind: None,
+            },
+        )
         .map_err(|e| e.with_block(&name))?
     };
     let mut pw_cfg = PowerConfig::for_block(block);
@@ -228,10 +220,7 @@ pub fn run_block_flow(
     let power = {
         let _scope = stage_scope(FlowStage::Power, &name, attempt)?;
         fault_point(FlowStage::Power, &name, attempt)?;
-        foldic_exec::profile::stage("power", || {
-            analyze_block(&block.netlist, tech, &wiring, &pw_cfg)
-        })
-        .map_err(|e| e.with_block(&name))?
+        analyze_block(&block.netlist, tech, &wiring, &pw_cfg).map_err(|e| e.with_block(&name))?
     };
     let metrics = collect_metrics(
         &block.netlist,

@@ -466,7 +466,8 @@ pub fn run_fullchip(
                 ) || (b.kind == BlockKind::Rtx && cfg.fold_rtx)
             })
             .collect();
-        let results = foldic_exec::profile::stage("fold", || {
+        let results = {
+            let _span = foldic_obs::span!("fold");
             foldic_exec::run_cancellable(cfg.threads, jobs, token.flag(), |_, (id, block)| {
                 let key = format!("{scope}/{}", block.name);
                 if let Some(store) = &cfg.checkpoint {
@@ -512,7 +513,7 @@ pub fn run_fullchip(
                 }
                 (id, metrics, fault)
             })
-        });
+        };
         for outcome in results {
             let (id, m) = match outcome {
                 foldic_exec::JobOutcome::Done((id, m, fault)) => {
@@ -538,11 +539,10 @@ pub fn run_fullchip(
         DesignStyle::CoreCore => FloorplanStyle::CoreCore,
     };
     let mut plan: ChipPlan = isolate(|| {
+        let _span = foldic_obs::span!("floorplan");
         let _scope = chip_stage_scope(FlowStage::Floorplan)?;
         fault_point(FlowStage::Floorplan, "chip", 0)?;
-        Ok(foldic_exec::profile::stage("floorplan", || {
-            floorplan_t2(design, fp_style, tech)
-        }))
+        Ok(floorplan_t2(design, fp_style, tech))
     })?;
     if style.folded() {
         // folded blocks expose ports on both tiers: cross-die chip nets
@@ -563,7 +563,8 @@ pub fn run_fullchip(
         .blocks_mut()
         .filter(|(id, _)| !folded_results.contains_key(id))
         .collect();
-    let flow_results = foldic_exec::profile::stage("block_flows", || {
+    let flow_results = {
+        let _span = foldic_obs::span!("block_flows");
         foldic_exec::run_cancellable(cfg.threads, jobs, token.flag(), |_, (id, block)| {
             let key = format!("{scope}/{}", block.name);
             if let Some(store) = &cfg.checkpoint {
@@ -596,7 +597,7 @@ pub fn run_fullchip(
             }
             (id, metrics, fault)
         })
-    });
+    };
     let mut flow_metrics: HashMap<BlockId, DesignMetrics> = HashMap::new();
     for outcome in flow_results {
         let (id, m) = match outcome {
@@ -619,7 +620,7 @@ pub fn run_fullchip(
     }
 
     // ---- 5. inter-block routing and roll-up -----------------------------------
-    let chip_route_timer = foldic_exec::profile::StageTimer::start("chip_route");
+    let chip_route_span = foldic_obs::span!("chip_route");
     let top = tech.metal.top_layer();
     let tracks_per_um = 2.0 / top.pitch_um * TRACK_UTILIZATION;
     let mut router = GlobalRouter::new(plan.die, plan.die.width().max(64.0) / 32.0, tracks_per_um);
@@ -677,7 +678,7 @@ pub fn run_fullchip(
         chip_net_wire_cap_ghz += routed * net.bits as f64 * top.c_per_um * f;
     }
     let route_stats = router.stats();
-    drop(chip_route_timer);
+    drop(chip_route_span);
     let interblock_wl_um = route_stats.routed_um;
 
     // chip-level repeaters on the inter-block wiring

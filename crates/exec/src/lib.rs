@@ -29,13 +29,13 @@
 //!
 //! # Instrumentation
 //!
-//! The [`profile`] module wraps flow stages (place / route / STA / opt /
-//! power) in lightweight timers and iteration counters; the pool feeds
-//! queue-depth and steal statistics into the same report. See
-//! [`RunStats`] for the per-run numbers exposed programmatically.
+//! While `foldic-obs` tracing is on, each job runs in a `job` span
+//! under the span that submitted it, and each pool run records one
+//! `fanout` instant with its [`RunStats`] (jobs, threads, steals, peak
+//! queue depth) — the pool line of `foldic_obs::stages`. Off, both cost
+//! one relaxed load.
 
-pub mod profile;
-
+use foldic_obs::stages::{FANOUT, JOB};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -243,14 +243,14 @@ where
             .enumerate()
             .map(|(i, item)| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    let _span = foldic_obs::span!("job", idx = i, worker = 0usize);
+                    let _span = foldic_obs::span!(JOB, idx = i, worker = 0usize);
                     f(i, item)
                 }))
                 .map_err(|payload| JobPanic { index: i, payload })
             })
             .collect();
         stats.wall = t0.elapsed();
-        profile::note_run(&stats);
+        note_fanout(&stats);
         return (results, stats);
     }
 
@@ -325,7 +325,7 @@ where
                     foldic_obs::trace::run_with_parent(parent_span, || {
                         let _run = foldic_obs::trace::enter_run(parent_run.clone());
                         let _span = foldic_obs::span!(
-                            "job",
+                            JOB,
                             idx = idx,
                             worker = me,
                             wait_us = foldic_obs::trace::now_ns().saturating_sub(fanout_ns) / 1_000,
@@ -351,8 +351,24 @@ where
         .into_iter()
         .map(|r| r.expect("every job ran exactly once"))
         .collect();
-    profile::note_run(&stats);
+    note_fanout(&stats);
     (results, stats)
+}
+
+/// Records one pool run as a `fanout` instant (no-op while tracing is
+/// off).
+fn note_fanout(stats: &RunStats) {
+    if foldic_obs::trace::is_enabled() {
+        foldic_obs::trace::instant(
+            FANOUT,
+            vec![
+                ("jobs", stats.jobs.into()),
+                ("threads", stats.threads.into()),
+                ("steals", stats.steals.into()),
+                ("peak_queue_depth", stats.peak_queue_depth.into()),
+            ],
+        );
+    }
 }
 
 /// Maps `f` over mutable borrows in parallel.
@@ -376,24 +392,12 @@ pub fn next_job_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Serializes this crate's tests that run the pool or switch profiling
-/// on: the profile report is process-global, so a pool run in one test
-/// would feed another test's recording window.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // a test that failed while holding the lock leaves no state to repair
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn maps_in_submission_order() {
-        let _serial = test_lock();
         let out = par_map(4, (0..64).collect::<Vec<i64>>(), |i, x| {
             assert_eq!(i as i64, x);
             x * 2
@@ -403,7 +407,6 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let _serial = test_lock();
         let items: Vec<u64> = (0..200).collect();
         let f = |_: usize, x: u64| x.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
         let serial = par_map(1, items.clone(), f);
@@ -413,7 +416,6 @@ mod tests {
 
     #[test]
     fn stats_count_jobs() {
-        let _serial = test_lock();
         let (_, stats) = par_map_stats(4, (0..40).collect::<Vec<usize>>(), |_, x| x);
         assert_eq!(stats.jobs, 40);
         assert_eq!(stats.threads, 4);
@@ -422,7 +424,6 @@ mod tests {
 
     #[test]
     fn par_map_mut_mutates_in_place() {
-        let _serial = test_lock();
         let mut v: Vec<usize> = (0..32).collect();
         let doubled = par_map_mut(4, &mut v, |_, x| {
             *x *= 2;
@@ -434,7 +435,6 @@ mod tests {
 
     #[test]
     fn caught_map_records_every_outcome() {
-        let _serial = test_lock();
         for threads in [1, 4] {
             let out = par_map_caught(threads, (0..16).collect::<Vec<usize>>(), |_, x| {
                 if x % 5 == 3 {
@@ -457,7 +457,6 @@ mod tests {
 
     #[test]
     fn par_map_reraises_lowest_index_panic() {
-        let _serial = test_lock();
         for threads in [1, 4] {
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 par_map(threads, (0..32).collect::<Vec<usize>>(), |_, x| {
@@ -486,7 +485,6 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let _serial = test_lock();
         let out: Vec<u8> = par_map(4, Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
     }
@@ -494,7 +492,6 @@ mod tests {
     #[test]
     fn pre_cancelled_run_skips_every_job_in_order() {
         use std::sync::atomic::AtomicBool;
-        let _serial = test_lock();
         for threads in [1, 4] {
             let cancel = AtomicBool::new(true);
             let out = run_cancellable(threads, (0..12).collect::<Vec<usize>>(), &cancel, |_, x| {
@@ -510,7 +507,6 @@ mod tests {
     #[test]
     fn cancellation_mid_run_skips_the_remaining_jobs() {
         use std::sync::atomic::AtomicBool;
-        let _serial = test_lock();
         // inline (threads=1) runs jobs strictly in order, so cancelling
         // inside job 2 deterministically skips jobs 3 and up
         let cancel = AtomicBool::new(false);
@@ -534,7 +530,6 @@ mod tests {
     #[test]
     fn uncancelled_run_matches_par_map() {
         use std::sync::atomic::AtomicBool;
-        let _serial = test_lock();
         let cancel = AtomicBool::new(false);
         let out = run_cancellable(4, (0..32).collect::<Vec<u64>>(), &cancel, |_, x| x + 1);
         let expect: Vec<JobOutcome<u64, u64>> = (0..32).map(|x| JobOutcome::Done(x + 1)).collect();
@@ -544,7 +539,6 @@ mod tests {
     #[test]
     fn pool_jobs_attribute_to_the_submitting_span() {
         use foldic_obs::trace;
-        let _serial = test_lock();
         trace::set_enabled(true);
         let submit_id = {
             let submit = foldic_obs::span!("fanout_test");

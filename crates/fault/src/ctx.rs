@@ -14,7 +14,7 @@ use crate::resource::{ResourcePolicy, Tracking};
 use crate::retry::{Disposition, FaultRecord};
 use crate::FlowStage;
 use foldic_obs::manifest::RunManifest;
-use foldic_obs::trace::RunGuard;
+use foldic_obs::trace::{RunGuard, SpanGuard};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -211,22 +211,30 @@ thread_local! {
 }
 
 /// Closes its scope when dropped; returned by
-/// [`stage_scope`](crate::deadline::stage_scope) and
-/// [`job_scope`](crate::resource::job_scope).
+/// [`stage_scope`](crate::deadline::stage_scope), which also puts the
+/// stage's span in it, and [`job_scope`](crate::resource::job_scope).
+/// The span drops after [`Drop::drop`] pops the scope, so its `End` is
+/// recorded outside the scope's memory accounting.
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately ends the scope"]
-pub struct StageGuard(bool);
+pub struct StageGuard(bool, SpanGuard);
 
 impl StageGuard {
     /// A guard for a scope that enforces nothing (no entry was pushed).
     pub(crate) fn none() -> Self {
-        Self(false)
+        Self(false, SpanGuard::disabled())
     }
 
     /// Pushes `scope` onto the calling thread's stack.
     pub(crate) fn push(scope: Scope) -> Self {
         SCOPES.with(|s| s.borrow_mut().push(scope));
-        Self(true)
+        Self(true, SpanGuard::disabled())
+    }
+
+    /// Makes the guard close `span` too.
+    pub(crate) fn with_span(mut self, span: SpanGuard) -> Self {
+        self.1 = span;
+        self
     }
 }
 

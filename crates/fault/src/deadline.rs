@@ -34,6 +34,7 @@
 
 use crate::ctx::{self, Scope, StageGuard, SCOPES};
 use crate::{FaultCause, FlowError, FlowStage};
+use foldic_obs::trace::SpanGuard;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -193,6 +194,9 @@ fn timed_out(stage: FlowStage, block: &str, msg: impl Into<String>) -> FlowError
 /// token at the kernel's coarse-grained checkpoints, and its memory
 /// budget when the run has a memory policy.
 ///
+/// The guard also holds the stage's span, named [`FlowStage::as_str`]
+/// and opened on every path: the stage's one timing record.
+///
 /// The effective wall-clock budget is the run's explicit per-stage
 /// override when it has one, otherwise the [`BudgetSplit`] share of the
 /// run's remaining budget; either way it is scaled by `attempt + 1` — a
@@ -208,6 +212,13 @@ fn timed_out(stage: FlowStage, block: &str, msg: impl Into<String>) -> FlowError
 /// overall deadline has already expired at stage entry, or the stage's
 /// budget works out to zero.
 pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageGuard, FlowError> {
+    // opened first, so its Begin lands outside the memory scope
+    let span = SpanGuard::enter(stage.as_str());
+    Ok(enter_scope(stage, block, attempt)?.with_span(span))
+}
+
+/// [`stage_scope`] without the span.
+fn enter_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageGuard, FlowError> {
     let Some(run) = ctx::current() else {
         return Ok(StageGuard::none());
     };
@@ -267,7 +278,8 @@ pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageG
 
 /// [`stage_scope`] for a chip-level serial stage, entered only under an
 /// *explicit* budget: a derived share would turn the one non-retryable
-/// stage into a timing-dependent chip failure.
+/// stage into a timing-dependent chip failure. It opens no span: the
+/// chip flow spans its stages whether or not they are scoped.
 ///
 /// # Errors
 ///
@@ -275,7 +287,7 @@ pub fn stage_scope(stage: FlowStage, block: &str, attempt: u32) -> Result<StageG
 pub fn chip_stage_scope(stage: FlowStage) -> Result<Option<StageGuard>, FlowError> {
     let explicit = ctx::current().and_then(|run| run.deadline.as_ref()?.stage_budget(stage));
     match explicit {
-        Some(_) => stage_scope(stage, "chip", 0).map(Some),
+        Some(_) => enter_scope(stage, "chip", 0).map(Some),
         None => Ok(None),
     }
 }

@@ -7,7 +7,7 @@
 //!    opens a named, attributed span; nesting is tracked per thread and
 //!    inherited across `foldic-exec` pool jobs. Recorded events export as
 //!    Chrome-trace JSON (loadable in `chrome://tracing` or Perfetto) or
-//!    JSONL.
+//!    JSONL, or fold into the per-stage table ([`stages`]).
 //! 2. **Metrics registry** ([`metrics`]): named counters, gauges, and
 //!    log-bucketed histograms with order-independent accumulators, a
 //!    stable-ordered text dump, and JSON export.
@@ -36,6 +36,7 @@ pub mod json;
 pub mod log;
 pub mod manifest;
 pub mod metrics;
+pub mod stages;
 pub mod trace;
 
 pub use manifest::{compare, CompareConfig, CompareOutcome, RunManifest};

@@ -11,7 +11,8 @@
 //! Recording is **off by default** and every hook starts with one relaxed
 //! atomic load, so instrumentation stays in release builds at no cost
 //! (the `span!` macro does not even build its attribute vector while
-//! disabled).
+//! disabled). Kernels count work with [`add_iters`], which rides on a
+//! span's `End`.
 //!
 //! # Parent attribution across thread pools
 //!
@@ -130,7 +131,8 @@ pub struct Event {
     pub span: SpanId,
     /// Parent span id, if any — follows pool-job inheritance.
     pub parent: Option<SpanId>,
-    /// Attributes (only on `Begin` and `Instant` events).
+    /// Attributes: on `Begin` and `Instant` events, and `iters` on the
+    /// `End` of a span that counted any (see [`add_iters`]).
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
@@ -145,7 +147,8 @@ static SHARDS: [Mutex<Vec<Event>>; NUM_SHARDS] = [const { Mutex::new(Vec::new())
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    static STACK: RefCell<Vec<SpanId>> = const { RefCell::new(Vec::new()) };
+    /// Open spans on this thread, innermost last, with their iterations.
+    static STACK: RefCell<Vec<(SpanId, u64)>> = const { RefCell::new(Vec::new()) };
     static INHERITED: Cell<Option<SpanId>> = const { Cell::new(None) };
     static RUN: RefCell<Option<RunSlot>> = const { RefCell::new(None) };
 }
@@ -216,8 +219,23 @@ fn record(event: Event) {
 /// inherited from a pool fan-out.
 pub fn current_span() -> Option<SpanId> {
     STACK
-        .with(|s| s.borrow().last().copied())
+        .with(|s| s.borrow().last().map(|&(id, _)| id))
         .or_else(|| INHERITED.with(Cell::get))
+}
+
+/// Adds `n` iterations to the innermost span open on this thread, whose
+/// `End` event carries the sum as `iters`, so counting records no event
+/// of its own (no-op while disabled or outside any span). Call once per
+/// kernel entry with a count, not once per inner-loop iteration.
+pub fn add_iters(n: u64) {
+    if !is_enabled() || n == 0 {
+        return;
+    }
+    STACK.with(|s| {
+        if let Some((_, iters)) = s.borrow_mut().last_mut() {
+            *iters += n;
+        }
+    });
 }
 
 /// Runs `f` with `parent` installed as the inherited parent span for this
@@ -279,6 +297,7 @@ pub fn instant(name: &'static str, attrs: Vec<(&'static str, AttrValue)>) {
 /// RAII span: `Begin` on creation, `End` on drop. Build through the
 /// [`span!`](crate::span) macro (which skips attribute construction while
 /// disabled) or [`SpanGuard::enter`] for attribute-free spans.
+#[derive(Debug)]
 #[must_use = "a span ends when the guard drops"]
 pub struct SpanGuard {
     id: Option<SpanId>,
@@ -291,7 +310,7 @@ impl SpanGuard {
     pub fn begin(name: &'static str, attrs: Vec<(&'static str, AttrValue)>) -> Self {
         let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
         let parent = current_span();
-        STACK.with(|s| s.borrow_mut().push(id));
+        STACK.with(|s| s.borrow_mut().push((id, 0)));
         record(Event {
             seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
             ts_ns: now_ns(),
@@ -329,10 +348,10 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(id) = self.id else { return };
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            debug_assert_eq!(s.last().copied(), Some(id), "span drop order");
-            s.pop();
+        let iters = STACK.with(|s| {
+            let top = s.borrow_mut().pop();
+            debug_assert_eq!(top.map(|(open, _)| open), Some(id), "span drop order");
+            top.map_or(0, |(_, iters)| iters)
         });
         // record the End even if tracing was switched off mid-span, so
         // exported traces always have balanced Begin/End pairs
@@ -344,7 +363,11 @@ impl Drop for SpanGuard {
             name: self.name,
             span: id,
             parent: None,
-            attrs: Vec::new(),
+            attrs: if iters > 0 {
+                vec![("iters", iters.into())]
+            } else {
+                Vec::new()
+            },
         });
     }
 }
@@ -398,7 +421,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         if e.kind == EventKind::Instant {
             out.push_str(",\"s\":\"t\"");
         }
-        if e.kind != EventKind::End {
+        if e.kind != EventKind::End || !e.attrs.is_empty() {
             let _ = write!(out, ",\"args\":{}", args_json(e).to_compact());
         }
         out.push('}');
@@ -508,6 +531,41 @@ mod tests {
             .find(|e| e.name == "job" && e.kind == EventKind::Begin)
             .unwrap();
         assert_eq!(job.parent, Some(parent_id));
+    }
+
+    #[test]
+    fn add_iters_lands_on_the_innermost_open_span() {
+        let _gate = lock();
+        set_enabled(true);
+        add_iters(9); // outside any span: dropped
+        {
+            let _outer = crate::span!("outer");
+            add_iters(2);
+            {
+                let _inner = crate::span!("inner");
+                add_iters(3);
+                add_iters(4);
+            }
+            add_iters(1);
+        }
+        set_enabled(false);
+        let events = take_events();
+        assert_eq!(events.len(), 4, "counting records no events");
+        let ends: Vec<(&str, &[(&str, AttrValue)])> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::End)
+            .map(|e| (e.name, e.attrs.as_slice()))
+            .collect();
+        assert_eq!(
+            ends,
+            [
+                ("inner", &[("iters", AttrValue::Int(7))][..]),
+                ("outer", &[("iters", AttrValue::Int(3))][..]),
+            ]
+        );
+        let table = crate::stages::fold(&events);
+        assert_eq!(table.rows["outer/inner"].iters, 7);
+        assert_eq!(table.rows["outer"].iters, 3);
     }
 
     #[test]

@@ -499,7 +499,7 @@ pub fn optimize_block_with_vias(
 
     stats.final_wns_ps = report.wns_ps;
     stats.final_violations = report.violations;
-    foldic_exec::profile::add_iters(stats.rounds as u64);
+    foldic_obs::trace::add_iters(stats.rounds as u64);
     if foldic_obs::metrics::is_enabled() {
         foldic_obs::metrics::add("opt.buffers_added", stats.buffers_added as u64);
         foldic_obs::metrics::add("opt.upsized", stats.upsized as u64);

@@ -211,7 +211,7 @@ pub fn place_with_obstacles(
             ));
         }
     }
-    foldic_exec::profile::add_iters(cfg.iterations as u64);
+    foldic_obs::trace::add_iters(cfg.iterations as u64);
     if foldic_obs::metrics::is_enabled() {
         foldic_obs::metrics::add("place.runs", 1);
         foldic_obs::metrics::add("place.iterations", cfg.iterations as u64);

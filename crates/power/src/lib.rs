@@ -161,7 +161,7 @@ pub fn analyze_block(
     wiring: &foldic_route::BlockWiring,
     cfg: &PowerConfig,
 ) -> Result<PowerReport, FlowError> {
-    foldic_exec::profile::add_iters(netlist.num_nets() as u64);
+    foldic_obs::trace::add_iters(netlist.num_nets() as u64);
     let mut report = PowerReport::default();
     let v2 = tech.vdd * tech.vdd;
     let c_um = tech.metal.effective_c_per_um(cfg.max_layer);

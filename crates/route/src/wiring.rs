@@ -56,7 +56,7 @@ impl BlockWiring {
         detour: f64,
         vias: Option<&ViaPlacement>,
     ) -> Result<Self, FlowError> {
-        foldic_exec::profile::add_iters(netlist.num_nets() as u64);
+        foldic_obs::trace::add_iters(netlist.num_nets() as u64);
         let mut nets = Vec::with_capacity(netlist.num_nets());
         let mut total = 0.0;
         let mut long_wires = 0;

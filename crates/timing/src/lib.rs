@@ -161,7 +161,7 @@ pub fn analyze(
     budgets: &TimingBudgets,
     cfg: &StaConfig,
 ) -> Result<TimingReport, FlowError> {
-    foldic_exec::profile::add_iters(netlist.num_nets() as u64);
+    foldic_obs::trace::add_iters(netlist.num_nets() as u64);
     foldic_obs::metrics::add("sta.runs", 1);
     let n_insts = netlist.num_insts();
     let (r_um, c_um) = wire_rc(tech, cfg.max_layer);
