@@ -1,8 +1,9 @@
 //! Kernel microbenchmarks behind `repro bench`.
 //!
-//! Times the three hot kernels of the flow — sequence-pair packing (the
-//! SA inner loop), one SA temperature step, and one quadratic-system
-//! solve — with the same built-in harness the `cargo bench` targets use
+//! Times the hot kernels of the flow — sequence-pair packing (the SA
+//! inner loop), one SA temperature step, one quadratic-system solve, one
+//! FM bipartition and one wiring analysis — with the same built-in
+//! harness the `cargo bench` targets use
 //! (fixed sample count, median/min/max; Criterion is a registry
 //! dependency and this workspace is offline-first). `--json` emits a
 //! `foldic-kernel-bench/1` document so CI can gate on the run completing
@@ -15,7 +16,10 @@ use std::time::Instant;
 
 use foldic_floorplan::seqpair::{anneal_floorplan, FpBlock, Packer, SaConfig, SeqPair};
 use foldic_obs::json::Json;
-use foldic_place::QuadraticSystem;
+use foldic_partition::{bipartition, PartitionConfig};
+use foldic_place::{place_block, PlacerConfig, QuadraticSystem};
+use foldic_route::wiring::DEFAULT_DETOUR;
+use foldic_route::BlockWiring;
 use foldic_t2::T2Config;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,16 +46,21 @@ pub struct KernelResult {
     pub iters: u64,
 }
 
+/// Whether `filter` selects the kernel `name`.
+fn selected(filter: &Option<String>, name: &str) -> bool {
+    filter
+        .as_ref()
+        .is_none_or(|pat| name.contains(pat.as_str()))
+}
+
 fn time_kernel(
     filter: &Option<String>,
     name: &str,
     iters: u64,
     mut f: impl FnMut(),
 ) -> Option<KernelResult> {
-    if let Some(pat) = filter {
-        if !name.contains(pat.as_str()) {
-            return None;
-        }
+    if !selected(filter, name) {
+        return None;
     }
     let mut run = || {
         for _ in 0..iters {
@@ -144,19 +153,20 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
         }));
     }
 
+    let (design, tech) = T2Config::tiny().generate();
+    let l2t = design
+        .find_block("l2t0")
+        .map(|id| design.block(id))
+        .unwrap_or_else(|| {
+            eprintln!("tiny T2 design lost its l2t0 block");
+            std::process::exit(2);
+        });
+
     // One quadratic-system solve on the tiny T2's l2t0 block (the solve
     // the placer repeats `iterations` times per block), always from the
     // generator's positions: re-solving at the previous solution would
     // stop CG after a few iterations and time almost nothing of it.
     {
-        let (design, _tech) = T2Config::tiny().generate();
-        let l2t = design
-            .find_block("l2t0")
-            .map(|id| design.block(id))
-            .unwrap_or_else(|| {
-                eprintln!("tiny T2 design lost its l2t0 block");
-                std::process::exit(2);
-            });
         let outline = l2t.outline;
         let mut nl = l2t.netlist.clone();
         let start: Vec<_> = nl.insts().map(|(id, inst)| (id, inst.pos)).collect();
@@ -167,6 +177,25 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
             }
             sys.solve(&mut nl, outline, 60, 0.1);
             black_box(sys.num_movable());
+        }));
+    }
+
+    // One FM bipartition of the same block at the default config: the
+    // min-cut an L2T fold runs.
+    push(time_kernel(filter, "fm_bipartition_l2t", 1, || {
+        black_box(bipartition(&l2t.netlist, &tech, &PartitionConfig::default()).cut);
+    }));
+
+    // One wiring analysis of the same block, placed once at `quality()`:
+    // the analysis opt runs after buffering.
+    if selected(filter, "wiring_analyze_l2t") {
+        let mut nl = l2t.netlist.clone();
+        place_block(&mut nl, &tech, l2t.outline, &PlacerConfig::quality()).unwrap_or_else(|e| {
+            eprintln!("placing l2t0 failed: {e}");
+            std::process::exit(2);
+        });
+        push(time_kernel(filter, "wiring_analyze_l2t", 10, || {
+            let _ = black_box(BlockWiring::analyze(&nl, &tech, DEFAULT_DETOUR, None));
         }));
     }
 

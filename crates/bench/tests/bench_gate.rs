@@ -44,6 +44,8 @@ fn bench_json_is_well_formed_and_complete() {
         "pack_n128",
         "sa_temp_step_n46",
         "quadratic_solve_l2t",
+        "fm_bipartition_l2t",
+        "wiring_analyze_l2t",
     ] {
         let k = kernels
             .get(name)

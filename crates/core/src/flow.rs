@@ -9,12 +9,12 @@ use crate::metrics::DesignMetrics;
 use foldic_fault::deadline::stage_scope;
 use foldic_fault::{fault_point, FlowError, FlowStage};
 use foldic_netlist::{Block, InstMaster, Netlist};
-use foldic_opt::{optimize_block_with_vias, OptConfig, OptStats};
+use foldic_opt::{optimize_block_analyzed, OptConfig, OptOutcome, OptStats};
 use foldic_place::{place_block, PlacerConfig};
 use foldic_power::{analyze_block, PowerConfig};
 use foldic_route::{BlockWiring, ViaPlacement};
 use foldic_tech::{BondingStyle, CellKind, RoutingPolicy, Technology, VthClass};
-use foldic_timing::{analyze, StaConfig, TimingBudgets};
+use foldic_timing::TimingBudgets;
 
 /// Configuration of the block flow.
 #[derive(Debug, Clone)]
@@ -186,35 +186,26 @@ pub fn run_block_flow(
     opt_cfg.max_layer = max_layer;
     opt_cfg.via_kind = None;
     opt_cfg.dual_vth = cfg.dual_vth;
-    let opt = {
+    let OptOutcome {
+        stats: opt,
+        wiring,
+        report,
+    } = {
         let _scope = stage_scope(FlowStage::Opt, &name, attempt)?;
         fault_point(FlowStage::Opt, &name, attempt)?;
-        optimize_block_with_vias(&mut block.netlist, tech, budgets, &opt_cfg, None)
+        optimize_block_analyzed(&mut block.netlist, tech, budgets, &opt_cfg, None)
             .map_err(|e| e.with_block(&name))?
     };
 
-    // 3. sign-off
-    let wiring = {
-        let _scope = stage_scope(FlowStage::Route, &name, attempt)?;
-        fault_point(FlowStage::Route, &name, attempt)?;
-        BlockWiring::analyze(&block.netlist, tech, opt_cfg.detour, None)
-            .map_err(|e| e.with_block(&name))?
-    };
-    let sta = {
-        let _scope = stage_scope(FlowStage::Sta, &name, attempt)?;
-        fault_point(FlowStage::Sta, &name, attempt)?;
-        analyze(
-            &block.netlist,
-            tech,
-            &wiring,
-            budgets,
-            &StaConfig {
-                max_layer,
-                via_kind: None,
-            },
-        )
-        .map_err(|e| e.with_block(&name))?
-    };
+    // 3. sign-off. Opt's last STA round analysed this netlist with the
+    //    sign-off's detour, layer ceiling and (absent) vias, and sizing
+    //    never moves the wiring, so its wiring and report are the sign-off
+    //    analysis. The route and STA stages still open their scopes, so
+    //    fault plans and stage deadlines fire there.
+    for stage in [FlowStage::Route, FlowStage::Sta] {
+        let _scope = stage_scope(stage, &name, attempt)?;
+        fault_point(stage, &name, attempt)?;
+    }
     let mut pw_cfg = PowerConfig::for_block(block);
     pw_cfg.max_layer = max_layer;
     let power = {
@@ -229,7 +220,7 @@ pub fn run_block_flow(
         &wiring,
         None,
         power,
-        sta.wns_ps,
+        report.wns_ps,
     );
     if foldic_obs::metrics::is_enabled() {
         foldic_obs::metrics::add("flow.blocks", 1);
@@ -275,6 +266,50 @@ mod tests {
         let result = run_block_flow(block, &tech, &budgets, &cfg).unwrap();
         assert!(result.metrics.num_hvt > 0);
         assert!(result.metrics.hvt_fraction() > 0.3);
+    }
+
+    /// The sign-off reuses opt's last wiring analysis and STA report. It
+    /// must equal re-running both after opt, bit for bit, on a normal and
+    /// a routing-hungry block, with and without the dual-Vth pass.
+    #[test]
+    fn signoff_reuse_matches_fresh_analyses_bitwise() {
+        use foldic_opt::optimize_block_with_vias;
+        use foldic_timing::{analyze, StaConfig};
+        let (design, tech) = T2Config::tiny().generate();
+        for name in ["ccu", "spc0"] {
+            let block = design.block(design.find_block(name).unwrap());
+            let budgets = TimingBudgets::relaxed(&block.netlist, &tech);
+            for dual_vth in [false, true] {
+                let mut cfg = FlowConfig::fast();
+                cfg.dual_vth = dual_vth;
+                let mut flowed = block.clone();
+                let got = run_block_flow(&mut flowed, &tech, &budgets, &cfg).unwrap();
+
+                let mut b = block.clone();
+                let max_layer = block_max_layer(&b, cfg.bonding, &cfg.policy);
+                place_block(&mut b.netlist, &tech, b.outline, &cfg.placer).unwrap();
+                let mut opt_cfg = cfg.opt.clone();
+                opt_cfg.max_layer = max_layer;
+                opt_cfg.dual_vth = dual_vth;
+                let stats =
+                    optimize_block_with_vias(&mut b.netlist, &tech, &budgets, &opt_cfg, None)
+                        .unwrap();
+                let wiring = BlockWiring::analyze(&b.netlist, &tech, opt_cfg.detour, None).unwrap();
+                let sta_cfg = StaConfig {
+                    max_layer,
+                    via_kind: None,
+                };
+                let sta = analyze(&b.netlist, &tech, &wiring, &budgets, &sta_cfg).unwrap();
+                let mut pw_cfg = PowerConfig::for_block(&b);
+                pw_cfg.max_layer = max_layer;
+                let power = analyze_block(&b.netlist, &tech, &wiring, &pw_cfg).unwrap();
+                let want = collect_metrics(&b.netlist, &b, &tech, &wiring, None, power, sta.wns_ps);
+                // f64 Debug output round-trips, so equal text is equal bits
+                let ctx = format!("{name} dual_vth={dual_vth}");
+                assert_eq!(format!("{:?}", got.metrics), format!("{want:?}"), "{ctx}");
+                assert_eq!(format!("{:?}", got.opt), format!("{stats:?}"), "{ctx}");
+            }
+        }
     }
 
     #[test]

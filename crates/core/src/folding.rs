@@ -625,7 +625,14 @@ pub fn fold_spc_second_level(
     let part_scope = stage_scope(FlowStage::Partition, &name, cfg.retry_attempt)?;
     fault_point(FlowStage::Partition, &name, cfg.retry_attempt)?;
     let budgets = TimingBudgets::relaxed(&block.netlist, tech);
-    let nl = &block.netlist;
+    let part = spc_second_level_partition(&block.netlist, tech, cfg);
+    drop(part_scope);
+    fold_with_partition(block, tech, &budgets, cfg, part)
+}
+
+/// The die assignment of [`fold_spc_second_level`]: the six large FUBs
+/// min-cut one by one, the small ones wholesale per Fig. 3.
+fn spc_second_level_partition(nl: &Netlist, tech: &Technology, cfg: &FoldConfig) -> Partition {
     let mut tier_of = vec![Tier::Bottom; nl.num_insts()];
 
     // group membership lookup
@@ -668,8 +675,7 @@ pub fn fold_spc_second_level(
 
     let mut part = Partition { tier_of, cut: 0 };
     part.cut = part.cut_size(nl);
-    drop(part_scope);
-    fold_with_partition(block, tech, &budgets, cfg, part)
+    part
 }
 
 /// Extracts the sub-netlist induced by `members`: their instances plus the
@@ -800,6 +806,80 @@ mod tests {
 
     fn design() -> (foldic_netlist::Design, Technology) {
         T2Config::tiny().generate()
+    }
+
+    /// Digest of the tiny T2's chip fold pass partitions, in block order.
+    const CHIP_FOLDS_DIGEST: &str = "301963f3b127d121";
+    /// Digest of the Fig. 2 (CCX) and Fig. 7 (L2T) quality sweeps.
+    const QUALITY_SWEEPS_DIGEST: &str = "8051fab15ccf1530";
+
+    /// 64-bit FNV-1a over each partition's cut and tiers (one byte each).
+    fn partition_digest(parts: &[Partition]) -> String {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for part in parts {
+            let tiers = part.tier_of.iter().map(|&t| u8::from(t == Tier::Top));
+            for byte in (part.cut as u64).to_le_bytes().into_iter().chain(tiers) {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        format!("{h:016x}")
+    }
+
+    /// Pins every partition the tiny T2's folds compute across commits,
+    /// as `crates/place/tests/pinned_bits.rs` pins placements: the chip
+    /// fold pass (each SPC's second-level split, the CCX's natural split,
+    /// each L2D's macro rows, each L2T's and the RTX's min-cut) and the
+    /// partition-quality sweeps of Figs. 2 and 7. A change meant to move
+    /// a partition must update the constants and say why.
+    #[test]
+    fn tiny_t2_fold_partitions_are_pinned() {
+        use foldic_netlist::BlockKind;
+        let (design, tech) = design();
+        let with = |strategy| FoldConfig {
+            strategy,
+            ..FoldConfig::default()
+        };
+        let mut chip = Vec::new();
+        for (_, b) in design.blocks() {
+            let nl = &b.netlist;
+            chip.push(match b.kind {
+                BlockKind::Spc => spc_second_level_partition(nl, &tech, &FoldConfig::default()),
+                BlockKind::Ccx => make_partition(
+                    nl,
+                    &tech,
+                    &with(FoldStrategy::NaturalGroups(vec!["pcx".into()])),
+                ),
+                BlockKind::L2d => make_partition(nl, &tech, &with(FoldStrategy::MacroRows)),
+                BlockKind::L2t | BlockKind::Rtx => {
+                    make_partition(nl, &tech, &with(FoldStrategy::MinCut))
+                }
+                _ => continue,
+            });
+        }
+        let mut quality = Vec::new();
+        for (name, qs) in [
+            ("ccx", &[1.0, 0.6, 0.3, 0.0][..]),
+            ("l2t0", &[1.0, 0.75, 0.5, 0.25, 0.0][..]),
+        ] {
+            let nl = &design.block(design.find_block(name).unwrap()).netlist;
+            for &q in qs {
+                quality.push(make_partition(nl, &tech, &with(FoldStrategy::Quality(q))));
+            }
+        }
+        let cuts = |parts: &[Partition]| parts.iter().map(|p| p.cut).collect::<Vec<_>>();
+        assert_eq!(
+            partition_digest(&chip),
+            CHIP_FOLDS_DIGEST,
+            "chip fold cuts {:?}",
+            cuts(&chip)
+        );
+        assert_eq!(
+            partition_digest(&quality),
+            QUALITY_SWEEPS_DIGEST,
+            "quality sweep cuts {:?}",
+            cuts(&quality)
+        );
     }
 
     #[test]

@@ -412,6 +412,37 @@ pub fn optimize_block_with_vias(
     cfg: &OptConfig,
     vias: Option<&ViaPlacement>,
 ) -> Result<OptStats, FlowError> {
+    optimize_block_analyzed(netlist, tech, budgets, cfg, vias).map(|out| out.stats)
+}
+
+/// What the optimization recipe did, with the analysis its last STA round
+/// ran on.
+#[derive(Debug, Clone)]
+pub struct OptOutcome {
+    /// What the optimizer did.
+    pub stats: OptStats,
+    /// Wiring analysis of the buffered netlist, under `cfg.detour` and the
+    /// given vias. Sizing never moves it.
+    pub wiring: BlockWiring,
+    /// The final STA round's report: the netlist as returned, under
+    /// `wiring`, `budgets`, `cfg.max_layer` and `cfg.via_kind`.
+    pub report: TimingReport,
+}
+
+/// [`optimize_block_with_vias`], also returning the final wiring and
+/// timing report, so a caller whose sign-off would re-run the same
+/// analyses on the same netlist can use them instead.
+///
+/// # Errors
+///
+/// See [`optimize_block`].
+pub fn optimize_block_analyzed(
+    netlist: &mut Netlist,
+    tech: &Technology,
+    budgets: &TimingBudgets,
+    cfg: &OptConfig,
+    vias: Option<&ViaPlacement>,
+) -> Result<OptOutcome, FlowError> {
     // 1. repeaters on long wires
     let mut stats = OptStats {
         buffers_added: insert_buffers(netlist, tech, cfg, vias)?,
@@ -508,7 +539,11 @@ pub fn optimize_block_with_vias(
         foldic_obs::metrics::add("opt.rounds", stats.rounds as u64);
         foldic_obs::metrics::observe_all("opt.round_wns_ps", &wns_traj);
     }
-    Ok(stats)
+    Ok(OptOutcome {
+        stats,
+        wiring,
+        report,
+    })
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! Fiduccia–Mattheyses area-balanced min-cut bipartitioning.
 
 use foldic_geom::Tier;
-use foldic_netlist::{InstId, Netlist};
+use foldic_netlist::{InstId, Net, Netlist};
 use foldic_tech::Technology;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BinaryHeap;
 
 /// Nets with more pins than this are excluded from the cut objective:
 /// broadcast/control fan-outs span both dies no matter what and would only
@@ -50,24 +49,16 @@ pub struct Partition {
 impl Partition {
     /// Recounts the cut: signal nets with instance pins on both dies.
     /// Clock nets and nets wider than the degree cap are excluded, matching
-    /// the paper's *signal* TSV counts.
+    /// the paper's *signal* TSV counts and the nets FM minimises.
     pub fn cut_size(&self, netlist: &Netlist) -> usize {
+        let mut verts = Vec::new();
         let mut cut = 0;
         for (_, net) in netlist.nets() {
-            if net.is_clock {
+            if !cut_net_vertices(net, &mut verts) {
                 continue;
             }
-            let mut bottom = false;
-            let mut top = false;
-            for pin in net.pins() {
-                if let Some(i) = pin.inst() {
-                    match self.tier_of[i.index()] {
-                        Tier::Bottom => bottom = true,
-                        Tier::Top => top = true,
-                    }
-                }
-            }
-            if bottom && top {
+            let first = self.tier_of[verts[0] as usize];
+            if verts.iter().any(|&v| self.tier_of[v as usize] != first) {
                 cut += 1;
             }
         }
@@ -114,25 +105,35 @@ struct Hypergraph {
     area: Vec<f64>,
 }
 
+/// The one net filter of the cut objective, shared by FM's hypergraph and
+/// [`Partition::cut_size`]: fills `verts` with the net's distinct
+/// instances (ascending) and returns whether the net counts — a signal
+/// net with 2 to [`MAX_NET_DEGREE`] distinct instances.
+fn cut_net_vertices(net: Net<'_>, verts: &mut Vec<u32>) -> bool {
+    verts.clear();
+    if net.is_clock {
+        return false;
+    }
+    verts.extend(net.pins().filter_map(|p| p.inst()).map(|i| i.0));
+    verts.sort_unstable();
+    verts.dedup();
+    (2..=MAX_NET_DEGREE).contains(&verts.len())
+}
+
 fn build_hypergraph(netlist: &Netlist, tech: &Technology) -> Hypergraph {
     let n = netlist.num_insts();
     let mut nets = Vec::new();
     let mut incident = vec![Vec::new(); n];
+    let mut verts = Vec::new();
     for (_, net) in netlist.nets() {
-        if net.is_clock {
-            continue;
-        }
-        let mut verts: Vec<u32> = net.pins().filter_map(|p| p.inst()).map(|i| i.0).collect();
-        verts.sort_unstable();
-        verts.dedup();
-        if verts.len() < 2 || verts.len() > MAX_NET_DEGREE {
+        if !cut_net_vertices(net, &mut verts) {
             continue;
         }
         let nid = nets.len() as u32;
         for &v in &verts {
             incident[v as usize].push(nid);
         }
-        nets.push(verts);
+        nets.push(verts.clone());
     }
     let area = netlist
         .insts()
@@ -144,6 +145,11 @@ fn build_hypergraph(netlist: &Netlist, tech: &Technology) -> Hypergraph {
         area,
     }
 }
+
+/// One FM refinement run over a hypergraph: updates `side` in place and
+/// returns the final cut. [`fm_refine`] in the flow; tests swap in the
+/// lazy-heap oracle.
+type Refine = fn(&Hypergraph, &mut [bool], &[Option<Tier>], f64, f64, usize) -> usize;
 
 /// Area-balanced min-cut bipartitioning with multi-start FM.
 ///
@@ -163,6 +169,16 @@ pub fn bipartition_seeded(
     cfg: &PartitionConfig,
     locked: Option<&dyn Fn(InstId) -> Option<Tier>>,
 ) -> Partition {
+    partition_with(netlist, tech, cfg, locked, fm_refine)
+}
+
+fn partition_with(
+    netlist: &Netlist,
+    tech: &Technology,
+    cfg: &PartitionConfig,
+    locked: Option<&dyn Fn(InstId) -> Option<Tier>>,
+    refine: Refine,
+) -> Partition {
     let hg = build_hypergraph(netlist, tech);
     let n = netlist.num_insts();
     if n == 0 {
@@ -181,9 +197,9 @@ pub fn bipartition_seeded(
 
     let mut best: Option<(usize, Vec<bool>)> = None;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for start in 0..cfg.starts.max(1) {
-        let mut side = random_balanced(&hg, &locked_tier, total_area, &mut rng, start);
-        let cut = fm_refine(&hg, &mut side, &locked_tier, lo, hi, cfg.max_passes);
+    for _ in 0..cfg.starts.max(1) {
+        let mut side = random_balanced(&hg, &locked_tier, total_area, &mut rng);
+        let cut = refine(&hg, &mut side, &locked_tier, lo, hi, cfg.max_passes);
         if best.as_ref().is_none_or(|(c, _)| cut < *c) {
             best = Some((cut, side));
         }
@@ -204,7 +220,6 @@ fn random_balanced(
     locked: &[Option<Tier>],
     total_area: f64,
     rng: &mut StdRng,
-    _start: usize,
 ) -> Vec<bool> {
     let n = hg.area.len();
     let mut side = vec![false; n];
@@ -230,8 +245,122 @@ fn random_balanced(
     side
 }
 
+/// An FM move candidate: `(gain, stamp, vertex)`, ordered as a tuple. The
+/// stamp counts the (move, shared net) updates the vertex received this
+/// pass, so among equal gains the most recently touched vertex wins, and
+/// the id breaks what is left.
+type Key = (i64, u32, u32);
+
+const ABSENT: u32 = u32::MAX;
+
+/// Max-heap of at most one [`Key`] per vertex, addressable by vertex.
+struct KeyHeap {
+    heap: Vec<Key>,
+    /// Heap slot of each vertex, or [`ABSENT`].
+    slot: Vec<u32>,
+}
+
+impl KeyHeap {
+    fn new(n: usize) -> Self {
+        Self {
+            heap: Vec::with_capacity(n),
+            slot: vec![ABSENT; n],
+        }
+    }
+
+    /// Replaces the contents with `keys` (one per vertex at most).
+    fn rebuild(&mut self, keys: impl Iterator<Item = Key>) {
+        for &(_, _, v) in &self.heap {
+            self.slot[v as usize] = ABSENT;
+        }
+        self.heap.clear();
+        self.heap.extend(keys);
+        for (i, &(_, _, v)) in self.heap.iter().enumerate() {
+            self.slot[v as usize] = i as u32;
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// Inserts `key`, or replaces its vertex's key.
+    fn set(&mut self, key: Key) {
+        let v = key.2 as usize;
+        if self.slot[v] == ABSENT {
+            self.slot[v] = self.heap.len() as u32;
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1);
+            return;
+        }
+        let i = self.slot[v] as usize;
+        let old = std::mem::replace(&mut self.heap[i], key);
+        if key > old {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    /// Removes and returns the largest key.
+    fn pop(&mut self) -> Option<Key> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        self.slot[top.2 as usize] = ABSENT;
+        if let Some(&(_, _, v)) = self.heap.first() {
+            self.slot[v as usize] = 0;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[i] <= self.heap[parent] {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.heap[right] > self.heap[left] {
+                right
+            } else {
+                left
+            };
+            if self.heap[child] <= self.heap[i] {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.slot[self.heap[a].2 as usize] = a as u32;
+        self.slot[self.heap[b].2 as usize] = b as u32;
+    }
+}
+
 /// One FM run: repeated passes until a pass yields no improvement.
 /// Returns the final cut size.
+///
+/// Each pass keeps every unmoved, unlocked vertex's gain current with the
+/// FM delta rule and holds one live key per vertex in a [`KeyHeap`]; it
+/// pops the same vertex sequence as a lazy heap that recomputes a
+/// neighbour's gain and pushes a fresh entry per (move, shared net)
+/// (DESIGN §9).
 fn fm_refine(
     hg: &Hypergraph,
     side: &mut [bool],
@@ -242,6 +371,12 @@ fn fm_refine(
 ) -> usize {
     let n = side.len();
     let mut cut = count_cut(hg, side);
+    let mut heap = KeyHeap::new(n);
+    let mut gain = vec![0i64; n];
+    let mut stamp = vec![0u32; n];
+    let mut moved = vec![false; n];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut is_touched = vec![false; n];
     for _ in 0..max_passes {
         // per-net side counts
         let mut counts: Vec<(u32, u32)> = hg
@@ -269,20 +404,21 @@ fn fm_refine(
             g
         };
 
-        let mut stamp = vec![0u32; n];
-        let mut heap: BinaryHeap<(i64, u32, u32)> = BinaryHeap::new();
-        for (v, lock) in locked.iter().enumerate().take(n) {
-            if lock.is_none() {
-                heap.push((gain_of(v, side, &counts), 0, v as u32));
+        stamp.fill(0);
+        moved.fill(false);
+        for v in 0..n {
+            if locked[v].is_none() {
+                gain[v] = gain_of(v, side, &counts);
             }
         }
-        let mut moved = vec![false; n];
+        heap.rebuild(
+            (0..n)
+                .filter(|&v| locked[v].is_none())
+                .map(|v| (gain[v], 0, v as u32)),
+        );
         let mut order: Vec<(usize, i64)> = Vec::new();
-        while let Some((g, s, v)) = heap.pop() {
+        while let Some((g, _, v)) = heap.pop() {
             let v = v as usize;
-            if moved[v] || s != stamp[v] {
-                continue;
-            }
             // balance feasibility
             let new_top = if side[v] {
                 top_area - hg.area[v]
@@ -290,14 +426,34 @@ fn fm_refine(
                 top_area + hg.area[v]
             };
             if new_top < lo || new_top > hi {
-                continue; // skip this vertex for the rest of the pass
+                // out of the heap until a neighbour's move re-keys it
+                continue;
             }
-            // apply move
+            // apply move: with `(a, b)` a net's counts on v's side and the
+            // other side before the move, a neighbour on v's side gains
+            // [a == 2] + [b == 0] and one on the other side (so b >= 1)
+            // gains −[a == 1] − [b == 1]
             moved[v] = true;
             order.push((v, g));
+            let from_top = side[v];
             for &nid in &hg.incident[v] {
                 let c = &mut counts[nid as usize];
-                if side[v] {
+                let (a, b) = if from_top { (c.1, c.0) } else { (c.0, c.1) };
+                let same = i64::from(a == 2) + i64::from(b == 0);
+                let other = -i64::from(a == 1) - i64::from(b == 1);
+                for &u in &hg.nets[nid as usize] {
+                    let u = u as usize;
+                    if moved[u] || locked[u].is_some() {
+                        continue;
+                    }
+                    gain[u] += if side[u] == from_top { same } else { other };
+                    stamp[u] += 1;
+                    if !is_touched[u] {
+                        is_touched[u] = true;
+                        touched.push(u as u32);
+                    }
+                }
+                if from_top {
                     c.1 -= 1;
                     c.0 += 1;
                 } else {
@@ -305,17 +461,11 @@ fn fm_refine(
                     c.1 += 1;
                 }
             }
-            side[v] = !side[v];
+            side[v] = !from_top;
             top_area = new_top;
-            // refresh gains of unmoved neighbours
-            for &nid in &hg.incident[v] {
-                for &u in &hg.nets[nid as usize] {
-                    let u = u as usize;
-                    if !moved[u] && locked[u].is_none() {
-                        stamp[u] += 1;
-                        heap.push((gain_of(u, side, &counts), stamp[u], u as u32));
-                    }
-                }
+            for u in touched.drain(..) {
+                is_touched[u as usize] = false;
+                heap.set((gain[u as usize], stamp[u as usize], u));
             }
         }
         // find the best prefix of the move sequence
@@ -357,6 +507,9 @@ mod tests {
     use super::*;
     use foldic_netlist::{InstMaster, PinRef};
     use foldic_tech::{CellKind, Drive, VthClass};
+    use rand::Rng;
+    use std::collections::BinaryHeap;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     /// Two cliques of `k` cells joined by a single bridge net: FM must find
     /// the bridge.
@@ -429,6 +582,268 @@ mod tests {
         let p = bipartition(&nl, &tech, &PartitionConfig::default());
         assert_eq!(p.cut, 0);
         assert!(p.tier_of.is_empty());
+    }
+
+    /// A net over `verts` (driver first) with one extra pin on an
+    /// instance already present, so pin and instance counts differ.
+    fn wide_net(nl: &mut Netlist, name: &str, verts: &[InstId]) {
+        let n = nl.add_net(name.to_owned());
+        nl.connect_driver(n, PinRef::output(verts[0]));
+        for &v in &verts[1..] {
+            nl.connect_sink(n, PinRef::input(v, 0));
+        }
+        nl.connect_sink(n, PinRef::input(verts[1], 1));
+    }
+
+    #[test]
+    fn cut_size_skips_nets_over_the_degree_cap() {
+        let tech = Technology::cmos28();
+        let master = InstMaster::Cell(tech.cells.id_of(CellKind::Inv, Drive::X1, VthClass::Rvt));
+        let mut nl = Netlist::new("wide");
+        let ids: Vec<InstId> = (0..70)
+            .map(|i| nl.add_inst(format!("u{i}"), master))
+            .collect();
+        wide_net(&mut nl, "w64", &ids[..64]);
+        wide_net(&mut nl, "w65", &ids[..65]);
+        let part = Partition {
+            tier_of: (0..70)
+                .map(|i| if i % 2 == 0 { Tier::Bottom } else { Tier::Top })
+                .collect(),
+            cut: 0,
+        };
+        assert_eq!(part.cut_size(&nl), 1, "only the 64-instance net counts");
+    }
+
+    // ---- live-key FM vs lazy-heap oracle ---------------------------------
+
+    fn fuzz_seed() -> u64 {
+        std::env::var("FOLDIC_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xDAC1_4F3A)
+    }
+
+    /// Times the oracle popped a live entry of a vertex that had failed
+    /// the balance test earlier in the same pass (re-keyed by a later
+    /// neighbour move).
+    static REKEYED_AFTER_REJECT: AtomicUsize = AtomicUsize::new(0);
+
+    /// The lazy-heap FM pass [`fm_refine`] replaced: every (move, shared
+    /// net) recomputes the neighbour's gain from scratch and pushes a
+    /// fresh entry; stale entries are skipped by stamp on pop.
+    fn fm_refine_lazy(
+        hg: &Hypergraph,
+        side: &mut [bool],
+        locked: &[Option<Tier>],
+        lo: f64,
+        hi: f64,
+        max_passes: usize,
+    ) -> usize {
+        let n = side.len();
+        let mut cut = count_cut(hg, side);
+        for _ in 0..max_passes {
+            let mut counts: Vec<(u32, u32)> = hg
+                .nets
+                .iter()
+                .map(|verts| {
+                    let top = verts.iter().filter(|&&v| side[v as usize]).count() as u32;
+                    (verts.len() as u32 - top, top)
+                })
+                .collect();
+            let mut top_area: f64 = (0..n).filter(|&i| side[i]).map(|i| hg.area[i]).sum();
+
+            let gain_of = |v: usize, side: &[bool], counts: &[(u32, u32)]| -> i64 {
+                let mut g = 0i64;
+                for &nid in &hg.incident[v] {
+                    let (b, t) = counts[nid as usize];
+                    let (from, to) = if side[v] { (t, b) } else { (b, t) };
+                    if from == 1 {
+                        g += 1;
+                    }
+                    if to == 0 {
+                        g -= 1;
+                    }
+                }
+                g
+            };
+
+            let mut stamp = vec![0u32; n];
+            let mut rejected = vec![false; n];
+            let mut heap: BinaryHeap<(i64, u32, u32)> = BinaryHeap::new();
+            for (v, lock) in locked.iter().enumerate().take(n) {
+                if lock.is_none() {
+                    heap.push((gain_of(v, side, &counts), 0, v as u32));
+                }
+            }
+            let mut moved = vec![false; n];
+            let mut order: Vec<(usize, i64)> = Vec::new();
+            while let Some((g, s, v)) = heap.pop() {
+                let v = v as usize;
+                if moved[v] || s != stamp[v] {
+                    continue;
+                }
+                if rejected[v] {
+                    REKEYED_AFTER_REJECT.fetch_add(1, Relaxed);
+                }
+                let new_top = if side[v] {
+                    top_area - hg.area[v]
+                } else {
+                    top_area + hg.area[v]
+                };
+                if new_top < lo || new_top > hi {
+                    rejected[v] = true;
+                    continue;
+                }
+                moved[v] = true;
+                order.push((v, g));
+                for &nid in &hg.incident[v] {
+                    let c = &mut counts[nid as usize];
+                    if side[v] {
+                        c.1 -= 1;
+                        c.0 += 1;
+                    } else {
+                        c.0 -= 1;
+                        c.1 += 1;
+                    }
+                }
+                side[v] = !side[v];
+                top_area = new_top;
+                for &nid in &hg.incident[v] {
+                    for &u in &hg.nets[nid as usize] {
+                        let u = u as usize;
+                        if !moved[u] && locked[u].is_none() {
+                            stamp[u] += 1;
+                            heap.push((gain_of(u, side, &counts), stamp[u], u as u32));
+                        }
+                    }
+                }
+            }
+            let mut best_gain = 0i64;
+            let mut running = 0i64;
+            let mut best_k = 0usize;
+            for (k, &(_, g)) in order.iter().enumerate() {
+                running += g;
+                if running > best_gain {
+                    best_gain = running;
+                    best_k = k + 1;
+                }
+            }
+            for &(v, _) in &order[best_k..] {
+                side[v] = !side[v];
+            }
+            if best_gain <= 0 {
+                break;
+            }
+            cut = (cut as i64 - best_gain) as usize;
+        }
+        cut
+    }
+
+    /// A random netlist for the oracle comparison. Every 10th case is
+    /// empty or a single cell; every 10th has 70 cells with a 64- and a
+    /// 65-instance net; one case in three uses one master, so most gains
+    /// tie and the stamp and id decide.
+    fn random_netlist(rng: &mut StdRng, tech: &Technology, iter: usize) -> Netlist {
+        let lib = &tech.cells;
+        let masters = [
+            lib.id_of(CellKind::Nand2, Drive::X1, VthClass::Rvt),
+            lib.id_of(CellKind::Inv, Drive::X1, VthClass::Rvt),
+            lib.id_of(CellKind::Dff, Drive::X1, VthClass::Rvt),
+            lib.id_of(CellKind::Buf, Drive::X4, VthClass::Rvt),
+        ];
+        let n = match iter % 10 {
+            0 => iter / 10 % 2,
+            1 => 70,
+            _ => rng.gen_range(2..48usize),
+        };
+        let uniform = iter.is_multiple_of(3);
+        let mut nl = Netlist::new("fuzz");
+        let ids: Vec<InstId> = (0..n)
+            .map(|i| {
+                let m = if uniform {
+                    masters[0]
+                } else {
+                    masters[rng.gen_range(0..masters.len())]
+                };
+                nl.add_inst(format!("u{i}"), InstMaster::Cell(m))
+            })
+            .collect();
+        if n == 0 {
+            return nl;
+        }
+        for k in 0..rng.gen_range(0..3 * n + 1) {
+            let net = nl.add_net(format!("n{k}"));
+            nl.connect_driver(net, PinRef::output(ids[rng.gen_range(0..n)]));
+            let fanout = if rng.gen_bool(0.6) {
+                1
+            } else {
+                rng.gen_range(2..8usize)
+            };
+            for _ in 0..fanout {
+                nl.connect_sink(net, PinRef::input(ids[rng.gen_range(0..n)], 0));
+            }
+            if rng.gen_bool(0.05) {
+                nl.net_mut(net).is_clock = true;
+            }
+        }
+        if n >= 65 {
+            let mut shuffled = ids.clone();
+            shuffled.shuffle(rng);
+            wide_net(&mut nl, "w64", &shuffled[..64]);
+            shuffled.shuffle(rng);
+            wide_net(&mut nl, "w65", &shuffled[..65]);
+        }
+        nl
+    }
+
+    /// 2,400 random netlists: the live-key FM must return the lazy-heap
+    /// oracle's partition bit for bit — every tier and the cut. Covers
+    /// n = 0 and 1, all-locked and partly locked starts, balance windows
+    /// from 0 to 0.5 (tight ones reject popped vertices that a later move
+    /// re-keys), single-master netlists full of gain ties, clock nets,
+    /// and nets of exactly 64 and 65 distinct instances. Seeded via
+    /// `FOLDIC_FUZZ_SEED` like the other oracle suites.
+    #[test]
+    fn live_key_fm_matches_lazy_heap_oracle_bitwise() {
+        const ITERS: usize = 2_400;
+        let tech = Technology::cmos28();
+        let mut rng = StdRng::seed_from_u64(fuzz_seed());
+        let before = REKEYED_AFTER_REJECT.load(Relaxed);
+        for iter in 0..ITERS {
+            let nl = random_netlist(&mut rng, &tech, iter);
+            let cfg = PartitionConfig {
+                balance_tol: [0.0, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5][rng.gen_range(0..7usize)],
+                max_passes: rng.gen_range(1..7usize),
+                starts: rng.gen_range(1..4usize),
+                seed: rng.gen(),
+            };
+            let lock_p = match iter % 7 {
+                0 => 1.0,
+                1 | 2 => 0.25,
+                _ => 0.0,
+            };
+            let locks: Vec<Option<Tier>> = (0..nl.num_insts())
+                .map(|_| {
+                    rng.gen_bool(lock_p).then(|| {
+                        if rng.gen_bool(0.5) {
+                            Tier::Top
+                        } else {
+                            Tier::Bottom
+                        }
+                    })
+                })
+                .collect();
+            let lock = |id: InstId| locks[id.index()];
+            let live = partition_with(&nl, &tech, &cfg, Some(&lock), fm_refine);
+            let lazy = partition_with(&nl, &tech, &cfg, Some(&lock), fm_refine_lazy);
+            assert_eq!(live.tier_of, lazy.tier_of, "case {iter}: tiers differ");
+            assert_eq!(live.cut, lazy.cut, "case {iter}: cut differs");
+            assert_eq!(live.cut, live.cut_size(&nl), "case {iter}: cut recount");
+        }
+        assert!(
+            REKEYED_AFTER_REJECT.load(Relaxed) > before,
+            "no case re-keyed a vertex after a balance rejection"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-block wiring analysis: routed lengths, per-sink paths, long-wire
 //! census.
 
-use crate::steiner::SteinerTree;
+use crate::steiner::{steiner_length, Prim};
 use crate::via::ViaPlacement;
 use foldic_fault::{FlowError, FlowStage};
 use foldic_geom::{Point, Tier};
@@ -65,6 +65,9 @@ impl BlockWiring {
         // batch the histogram: collect locally, flush under one lock
         let obs_on = foldic_obs::metrics::is_enabled();
         let mut lengths: Vec<f64> = Vec::new();
+        // per-call scratch, refilled per net
+        let mut prim = Prim::default();
+        let mut sinks: Vec<(Point, Tier)> = Vec::new();
         for (nid, net) in netlist.nets() {
             // cooperative deadline checkpoint, every 256 nets
             if nid.index() % 256 == 0 {
@@ -81,22 +84,22 @@ impl BlockWiring {
             };
             let dpos = netlist.pin_pos(driver);
             let dtier = netlist.pin_tier(driver);
-            let sinks: Vec<(Point, Tier)> = net
-                .sinks()
-                .map(|s| (netlist.pin_pos(s), netlist.pin_tier(s)))
-                .collect();
+            sinks.clear();
+            sinks.extend(
+                net.sinks()
+                    .map(|s| (netlist.pin_pos(s), netlist.pin_tier(s))),
+            );
             let is_3d = sinks.iter().any(|&(_, t)| t != dtier);
 
             let (length, sink_paths) = match (is_3d, vias.and_then(|v| v.via_of(nid))) {
-                (true, Some(via)) => route_3d(dpos, dtier, &sinks, via.pos, detour),
+                (true, Some(via)) => route_3d(&mut prim, dpos, dtier, &sinks, via.pos, detour),
                 _ => {
                     // coplanar (2D net, or ideal 3D interconnect)
-                    let pts: Vec<Point> = sinks.iter().map(|&(p, _)| p).collect();
-                    let tree = SteinerTree::build(dpos, &pts);
-                    let paths = (0..pts.len())
-                        .map(|i| tree.sink_path_length(i) * detour)
-                        .collect();
-                    (tree.total_length() * detour, paths)
+                    prim.start(dpos);
+                    prim.points.extend(sinks.iter().map(|&(p, _)| p));
+                    let mst_len = prim.build();
+                    let paths = prim.path_len[1..].iter().map(|&l| l * detour).collect();
+                    (steiner_length(mst_len, prim.points.len()) * detour, paths)
                 }
             };
             if is_3d {
@@ -148,49 +151,54 @@ impl BlockWiring {
 /// Routes a tier-crossing net through its via: one subtree per tier with
 /// the via as the crossing point.
 fn route_3d(
+    prim: &mut Prim,
     dpos: Point,
     dtier: Tier,
     sinks: &[(Point, Tier)],
     via: Point,
     detour: f64,
 ) -> (f64, Vec<f64>) {
-    let near: Vec<Point> = sinks
-        .iter()
-        .filter(|&&(_, t)| t == dtier)
-        .map(|&(p, _)| p)
-        .collect();
-    let far: Vec<Point> = sinks
-        .iter()
-        .filter(|&&(_, t)| t != dtier)
-        .map(|&(p, _)| p)
-        .collect();
     // near tree: driver + near sinks + the via
-    let mut near_pts = near.clone();
-    near_pts.push(via);
-    let near_tree = SteinerTree::build(dpos, &near_pts);
-    let via_path = near_tree.sink_path_length(near.len());
+    prim.start(dpos);
+    prim.points
+        .extend(sinks.iter().filter(|&&(_, t)| t == dtier).map(|&(p, _)| p));
+    prim.points.push(via);
+    let near_len = steiner_length(prim.build(), prim.points.len());
+    let via_path = prim.path_len[prim.points.len() - 1];
+    // per-sink paths in the original sink order: the near sinks' now, the
+    // far sinks' once the far tree is built
+    let mut k = 0;
+    let mut paths: Vec<f64> = sinks
+        .iter()
+        .map(|&(_, t)| {
+            if t == dtier {
+                k += 1;
+                prim.path_len[k] * detour
+            } else {
+                0.0
+            }
+        })
+        .collect();
     // far tree: via acts as the driver
-    let far_tree = SteinerTree::build(via, &far);
-    let length = (near_tree.total_length() + far_tree.total_length()) * detour;
-    // stitch per-sink paths back into the original sink order
-    let mut near_iter = 0usize;
-    let mut far_iter = 0usize;
-    let mut paths = Vec::with_capacity(sinks.len());
-    for &(_, t) in sinks {
-        if t == dtier {
-            paths.push(near_tree.sink_path_length(near_iter) * detour);
-            near_iter += 1;
-        } else {
-            paths.push((via_path + far_tree.sink_path_length(far_iter)) * detour);
-            far_iter += 1;
+    prim.start(via);
+    prim.points
+        .extend(sinks.iter().filter(|&&(_, t)| t != dtier).map(|&(p, _)| p));
+    let far_len = steiner_length(prim.build(), prim.points.len());
+    let mut k = 0;
+    for (path, &(_, t)) in paths.iter_mut().zip(sinks) {
+        if t != dtier {
+            k += 1;
+            *path = (via_path + prim.path_len[k]) * detour;
         }
     }
-    (length, paths)
+    ((near_len + far_len) * detour, paths)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::steiner::SteinerTree;
+    use crate::via::place_vias;
     use foldic_netlist::{InstMaster, PinRef};
     use foldic_tech::{CellKind, Drive, VthClass};
 
@@ -236,6 +244,96 @@ mod tests {
         let w = BlockWiring::analyze(&nl, &tech(), 1.0, None).unwrap();
         assert_eq!(w.num_3d, 1);
         assert!((w.total_um - 100.0).abs() < 1e-9);
+    }
+
+    /// The per-net computation `analyze` ran before it shared one Prim
+    /// scratch per call: a fresh [`SteinerTree`] per tree.
+    fn cold_net(
+        netlist: &Netlist,
+        nid: NetId,
+        detour: f64,
+        vias: Option<&ViaPlacement>,
+    ) -> (f64, Vec<f64>) {
+        let net = netlist.net(nid);
+        let Some(driver) = net.driver else {
+            return (0.0, Vec::new());
+        };
+        let (dpos, dtier) = (netlist.pin_pos(driver), netlist.pin_tier(driver));
+        let sinks: Vec<(Point, Tier)> = net
+            .sinks()
+            .map(|s| (netlist.pin_pos(s), netlist.pin_tier(s)))
+            .collect();
+        let is_3d = sinks.iter().any(|&(_, t)| t != dtier);
+        if let (true, Some(via)) = (is_3d, vias.and_then(|v| v.via_of(nid))) {
+            let pick = |near: bool| -> Vec<Point> {
+                sinks
+                    .iter()
+                    .filter(|&&(_, t)| (t == dtier) == near)
+                    .map(|&(p, _)| p)
+                    .collect()
+            };
+            let (near, far) = (pick(true), pick(false));
+            let mut near_pts = near.clone();
+            near_pts.push(via.pos);
+            let near_tree = SteinerTree::build(dpos, &near_pts);
+            let via_path = near_tree.sink_path_length(near.len());
+            let far_tree = SteinerTree::build(via.pos, &far);
+            let (mut n, mut f) = (0, 0);
+            let paths = sinks
+                .iter()
+                .map(|&(_, t)| {
+                    if t == dtier {
+                        n += 1;
+                        near_tree.sink_path_length(n - 1) * detour
+                    } else {
+                        f += 1;
+                        (via_path + far_tree.sink_path_length(f - 1)) * detour
+                    }
+                })
+                .collect();
+            let length = (near_tree.total_length() + far_tree.total_length()) * detour;
+            return (length, paths);
+        }
+        let pts: Vec<Point> = sinks.iter().map(|&(p, _)| p).collect();
+        let tree = SteinerTree::build(dpos, &pts);
+        let paths = (0..pts.len())
+            .map(|i| tree.sink_path_length(i) * detour)
+            .collect();
+        (tree.total_length() * detour, paths)
+    }
+
+    /// The shared per-call scratch leaves every net's length and sink
+    /// paths bit-identical to fresh trees, flat and folded with F2F vias
+    /// and TSVs.
+    #[test]
+    fn scratch_reuse_matches_fresh_trees_bitwise() {
+        use foldic_partition::{apply_partition, bipartition, PartitionConfig};
+        use foldic_tech::BondingStyle;
+        let (design, t) = foldic_t2::T2Config::tiny().generate();
+        let block = design.block(design.find_block("l2t0").unwrap());
+        let mut nl = block.netlist.clone();
+        let flat = BlockWiring::analyze(&nl, &t, 1.1, None).unwrap();
+        let mut runs = vec![(flat, None)];
+        let part = bipartition(&nl, &t, &PartitionConfig::default());
+        apply_partition(&mut nl, &part);
+        for bonding in [BondingStyle::FaceToFace, BondingStyle::FaceToBack] {
+            let vias = place_vias(&nl, &t, block.outline, bonding).unwrap();
+            assert!(!vias.is_empty());
+            let w = BlockWiring::analyze(&nl, &t, 1.1, Some(&vias)).unwrap();
+            runs.push((w, Some(vias)));
+        }
+        for (k, (w, vias)) in runs.iter().enumerate() {
+            let netlist = if k == 0 { &block.netlist } else { &nl };
+            let mut total = 0.0;
+            for rec in &w.nets {
+                let (length, paths) = cold_net(netlist, rec.net, 1.1, vias.as_ref());
+                assert_eq!(rec.length_um.to_bits(), length.to_bits(), "{:?}", rec.net);
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rec.sink_paths), bits(&paths), "{:?}", rec.net);
+                total += length;
+            }
+            assert_eq!(w.total_um.to_bits(), total.to_bits());
+        }
     }
 
     #[test]

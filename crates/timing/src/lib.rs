@@ -38,7 +38,7 @@
 
 use foldic_fault::{FlowError, FlowStage};
 use foldic_netlist::{InstMaster, Netlist, PinRef};
-use foldic_route::{BlockWiring, ViaPlacement};
+use foldic_route::BlockWiring;
 use foldic_tech::units::RC_TO_PS;
 use foldic_tech::{CellKind, Technology, Via3dKind};
 
@@ -403,36 +403,6 @@ pub fn analyze(
         endpoints: endpoints.len(),
         max_arrival_ps: max_arrival,
     })
-}
-
-/// Convenience: analyze a folded block with its via placement.
-///
-/// # Errors
-///
-/// Propagates wiring-analysis and STA failures (see [`analyze`]).
-pub fn analyze_folded(
-    netlist: &Netlist,
-    tech: &Technology,
-    vias: &ViaPlacement,
-    budgets: &TimingBudgets,
-    max_layer: usize,
-) -> Result<TimingReport, FlowError> {
-    let wiring = BlockWiring::analyze(
-        netlist,
-        tech,
-        foldic_route::wiring::DEFAULT_DETOUR,
-        Some(vias),
-    )?;
-    analyze(
-        netlist,
-        tech,
-        &wiring,
-        budgets,
-        &StaConfig {
-            max_layer,
-            via_kind: Some(vias.kind()),
-        },
-    )
 }
 
 #[cfg(test)]

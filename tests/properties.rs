@@ -116,7 +116,9 @@ fn density_demand_is_conserved() {
 }
 
 /// FM partitioning on random netlists: the reported cut matches a
-/// recount and balance respects the (loose) tolerance.
+/// recount and balance respects the (loose) tolerance. Two cases in three
+/// add a signal net over 64 or 65 distinct instances (one of them on two
+/// pins): the recount must apply FM's degree cap too.
 #[test]
 fn fm_cut_matches_recount() {
     for case in 0..CASES {
@@ -124,7 +126,7 @@ fn fm_cut_matches_recount() {
         let tech = Technology::cmos28();
         let master = InstMaster::Cell(tech.cells.id_of(CellKind::Nand2, Drive::X1, VthClass::Rvt));
         let mut nl = Netlist::new("rand");
-        let ids: Vec<_> = (0..40)
+        let ids: Vec<_> = (0..70)
             .map(|i| nl.add_inst(format!("c{i}"), master))
             .collect();
         let num_edges = rng.gen_range(10..120usize);
@@ -137,6 +139,15 @@ fn fm_cut_matches_recount() {
             let n = nl.add_net(format!("n{k}"));
             nl.connect_driver(n, PinRef::output(ids[a]));
             nl.connect_sink(n, PinRef::input(ids[b], 0));
+        }
+        let width = [0, 64, 65][case as usize % 3];
+        if width > 0 {
+            let n = nl.add_net("wide");
+            nl.connect_driver(n, PinRef::output(ids[0]));
+            for &s in &ids[1..width] {
+                nl.connect_sink(n, PinRef::input(s, 0));
+            }
+            nl.connect_sink(n, PinRef::input(ids[1], 1));
         }
         let seed = rng.gen_range(0..50u64);
         let cfg = PartitionConfig {
