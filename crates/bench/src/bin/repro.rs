@@ -886,10 +886,10 @@ fn run_serve(args: &[String]) -> i32 {
                 let v = it
                     .next()
                     .unwrap_or_else(|| usage_err("--workers needs a value"));
-                cfg.workers = v.parse().unwrap_or_else(|_| {
+                cfg.scheduler.workers = v.parse().unwrap_or_else(|_| {
                     usage_err(&format!("--workers needs a positive integer, got `{v}`"))
                 });
-                if cfg.workers == 0 {
+                if cfg.scheduler.workers == 0 {
                     usage_err("--workers must be at least 1");
                 }
             }
@@ -897,10 +897,10 @@ fn run_serve(args: &[String]) -> i32 {
                 let v = it
                     .next()
                     .unwrap_or_else(|| usage_err("--queue-cap needs a value"));
-                cfg.queue_capacity = v.parse().unwrap_or_else(|_| {
+                cfg.scheduler.queue_capacity = v.parse().unwrap_or_else(|_| {
                     usage_err(&format!("--queue-cap needs a positive integer, got `{v}`"))
                 });
-                if cfg.queue_capacity == 0 {
+                if cfg.scheduler.queue_capacity == 0 {
                     usage_err("--queue-cap must be at least 1");
                 }
             }
@@ -926,10 +926,10 @@ fn run_serve(args: &[String]) -> i32 {
                 let v = it
                     .next()
                     .unwrap_or_else(|| usage_err("--mem-limit needs BYTES (e.g. 512M)"));
-                if cfg.mem_limit.is_some() {
+                if cfg.scheduler.mem_limit.is_some() {
                     usage_err("duplicate --mem-limit");
                 }
-                cfg.mem_limit = Some(
+                cfg.scheduler.mem_limit = Some(
                     parse_bytes(v)
                         .unwrap_or_else(|e: String| usage_err(&format!("--mem-limit: {e}"))),
                 );
@@ -950,7 +950,7 @@ fn run_serve(args: &[String]) -> i32 {
                 if failure_threshold == 0 {
                     usage_err("--breaker failure count must be at least 1");
                 }
-                let default = foldic_fault::supervise::BreakerConfig::default();
+                let default = foldic_serve::supervise::BreakerConfig::default();
                 let cooldown = match cooldown {
                     Some(c) => std::time::Duration::from_secs(c.parse().unwrap_or_else(|_| {
                         usage_err(&format!(
@@ -959,7 +959,7 @@ fn run_serve(args: &[String]) -> i32 {
                     })),
                     None => default.cooldown,
                 };
-                cfg.breaker = Some(foldic_fault::supervise::BreakerConfig {
+                cfg.breaker = Some(foldic_serve::supervise::BreakerConfig {
                     failure_threshold,
                     cooldown,
                 });
@@ -998,7 +998,7 @@ fn run_serve(args: &[String]) -> i32 {
     let bound = server.local_addr();
     println!(
         "serve: listening on {bound} ({} worker(s), queue capacity {})",
-        cfg.workers, cfg.queue_capacity
+        cfg.scheduler.workers, cfg.scheduler.queue_capacity
     );
     if let Some(path) = &cfg.journal {
         println!("serve: job journal -> {}", path.display());
@@ -1013,7 +1013,7 @@ fn run_serve(args: &[String]) -> i32 {
             breaker.cooldown.as_secs()
         );
     }
-    if let Some(limit) = cfg.mem_limit {
+    if let Some(limit) = cfg.scheduler.mem_limit {
         println!(
             "serve: memory admission limit {} (cost-estimate reservations)",
             foldic::format_bytes(limit)

@@ -20,10 +20,9 @@
 use crate::{experiments, Ctx};
 use foldic::{DeadlinePolicy, FaultRecord, ResourcePolicy, RunCtx, RunOutcome};
 use foldic_exec::JobPanic;
-use foldic_obs::flight;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
-use foldic_serve::queue::StudyRunner;
+use foldic_serve::queue::{FlightRecord, StudyRunner};
 use foldic_serve::JobSpec;
 use foldic_t2::T2Config;
 use std::collections::BTreeMap;
@@ -125,22 +124,29 @@ impl StudyRunner for BenchRunner {
     }
 
     fn run(&self, spec: &JobSpec) -> Result<String, String> {
-        self.run_budgeted(spec, None)
+        self.run_budgeted(spec, None).0
     }
 
-    fn run_budgeted(&self, spec: &JobSpec, mem_budget: Option<u64>) -> Result<String, String> {
-        let resolved = resolve_spec(spec)?;
+    fn run_budgeted(
+        &self,
+        spec: &JobSpec,
+        mem_budget: Option<u64>,
+    ) -> (Result<String, String>, Vec<FlightRecord>) {
+        let resolved = match resolve_spec(spec) {
+            Ok(resolved) => resolved,
+            Err(e) => return (Err(e), Vec::new()),
+        };
         let mut manifest = RunManifest {
             config: resolved.config,
             ..RunManifest::default()
         };
         let mut ctx = Ctx::with_threads(resolved.cfg, spec.threads.max(1));
 
-        // Bounded jobs leave flight records: this thread is the scheduler
-        // worker, so they land in the worker's flight ring and a degraded
-        // job's status payload carries them as provenance. Unbounded jobs
-        // keep their status payloads free of them.
+        // Bounded jobs leave provenance records, which a degraded job's
+        // status payload carries. Unbounded jobs keep their status
+        // payloads free of them.
         let bounded = spec.deadline_secs.is_some() || mem_budget.is_some();
+        let mut flight = Vec::new();
         if bounded {
             let mut start_fields = vec![
                 (
@@ -155,7 +161,7 @@ impl StudyRunner for BenchRunner {
             if let Some(bytes) = mem_budget {
                 start_fields.push(("mem_budget_bytes".to_owned(), Json::Num(bytes as f64)));
             }
-            flight::record("job.start", start_fields);
+            flight.push(FlightRecord::new("job.start", start_fields));
         }
         let mut run = RunCtx::new();
         if let Some(secs) = spec.deadline_secs {
@@ -179,23 +185,35 @@ impl StudyRunner for BenchRunner {
         };
         let outcome = run.finish();
         if bounded {
-            record_flight(&outcome, caught.as_ref().err(), mem_budget.is_some());
+            record_flight(
+                &mut flight,
+                &outcome,
+                caught.as_ref().err(),
+                mem_budget.is_some(),
+            );
         }
-        match caught {
-            Ok(()) => {}
-            Err(panic) if bounded => return Err(format!("job panicked: {}", panic.message())),
+        let body = match caught {
+            Ok(()) => {
+                outcome.record_in(&mut manifest);
+                Ok(manifest.to_json_text())
+            }
+            Err(panic) if bounded => Err(format!("job panicked: {}", panic.message())),
             // an unbounded job's panic stays the scheduler's to handle
             Err(panic) => std::panic::resume_unwind(panic.payload),
-        }
-        outcome.record_in(&mut manifest);
-        Ok(manifest.to_json_text())
+        };
+        (body, flight)
     }
 }
 
-/// Leaves a bounded job's provenance in the worker's flight ring: one
-/// record per timed-out, budget-breached or faulted block, the panic if
-/// the run panicked, and an end summary.
-fn record_flight(outcome: &RunOutcome, panic: Option<&JobPanic>, budgeted: bool) {
+/// Pushes a bounded job's provenance onto `flight`: one record per
+/// timed-out, budget-breached or faulted block, the panic if the run
+/// panicked, and an end summary.
+fn record_flight(
+    flight: &mut Vec<FlightRecord>,
+    outcome: &RunOutcome,
+    panic: Option<&JobPanic>,
+    budgeted: bool,
+) {
     let flight_fields = |record: &FaultRecord| {
         [
             ("block".to_owned(), Json::Str(record.block.clone())),
@@ -216,14 +234,14 @@ fn record_flight(outcome: &RunOutcome, panic: Option<&JobPanic>, budgeted: bool)
         ("stage.fault", &outcome.faults),
     ] {
         for record in records {
-            flight::record(name, flight_fields(record));
+            flight.push(FlightRecord::new(name, flight_fields(record)));
         }
     }
     if let Some(panic) = panic {
-        flight::record(
+        flight.push(FlightRecord::new(
             "job.panic",
             [("message".to_owned(), Json::Str(panic.message().to_owned()))],
-        );
+        ));
     }
     let mut end_fields = vec![
         ("faults".to_owned(), Json::Num(outcome.faults.len() as f64)),
@@ -244,7 +262,7 @@ fn record_flight(outcome: &RunOutcome, panic: Option<&JobPanic>, budgeted: bool)
             Json::Num(outcome.mem_exceeded.len() as f64),
         ));
     }
-    flight::record("job.end", end_fields);
+    flight.push(FlightRecord::new("job.end", end_fields));
 }
 
 #[cfg(test)]
@@ -310,7 +328,7 @@ mod tests {
         let s = spec(&["table1"], "tiny");
         assert_eq!(
             runner.run(&s).unwrap(),
-            runner.run_budgeted(&s, None).unwrap()
+            runner.run_budgeted(&s, None).0.unwrap()
         );
     }
 

@@ -45,6 +45,7 @@ fn tight_budget_degrades_with_provenance_and_thread_invariance() {
     let tight = Some(64 << 10);
     let body_t1 = runner
         .run_budgeted(&spec(&["table2"], 7), tight)
+        .0
         .expect("tight budget degrades, never fails the job");
     let manifest = RunManifest::parse(&body_t1).expect("body is a manifest");
     assert!(
@@ -74,6 +75,7 @@ fn tight_budget_degrades_with_provenance_and_thread_invariance() {
     wide.threads = 4;
     let body_t4 = runner
         .run_budgeted(&wide, tight)
+        .0
         .expect("threads do not change the outcome");
     // config records only size/seed/cluster/experiments, so the two
     // bodies are comparable directly
@@ -90,6 +92,7 @@ fn generous_budget_changes_nothing_but_adds_provenance() {
     let plain = runner.run(&spec(&["table2"], 7)).expect("unbudgeted run");
     let budgeted = runner
         .run_budgeted(&spec(&["table2"], 7), Some(64 << 20))
+        .0
         .expect("generous budget");
     let plain_manifest = RunManifest::parse(&plain).expect("plain manifest");
     let manifest = RunManifest::parse(&budgeted).expect("budgeted manifest");

@@ -11,7 +11,7 @@ use foldic_bench::serve::BenchRunner;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
 use foldic_serve::client;
-use foldic_serve::{JobSpec, Server, ServerConfig};
+use foldic_serve::{JobSpec, SchedulerConfig, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::Command;
@@ -364,7 +364,10 @@ fn metrics_are_deterministic_across_worker_counts() {
     // hit/miss split).
     let run = |workers: usize| -> String {
         let cfg = ServerConfig {
-            workers,
+            scheduler: SchedulerConfig {
+                workers,
+                ..SchedulerConfig::default()
+            },
             ..ServerConfig::default()
         };
         let server = Server::bind("127.0.0.1:0", Arc::new(BenchRunner), cfg).expect("bind");

@@ -22,11 +22,7 @@
 //!   deadline, memory budget and fault plan;
 //! * checkpoint/resume — [`CheckpointStore`] persists completed per-block
 //!   results as append-only JSONL so an interrupted full-chip run can be
-//!   resumed byte-identically;
-//! * worker supervision — [`PoisonLedger`] quarantines spec digests whose
-//!   runs keep panicking and [`CircuitBreaker`] sheds load while the
-//!   worker pool is unhealthy, both as pure clock-explicit state machines
-//!   the serve scheduler drives under its own lock.
+//!   resumed byte-identically.
 //!
 //! Everything here is deterministic: injection decisions are pure
 //! functions of `(site, attempt)`, and log/checkpoint contents are sorted
@@ -38,7 +34,6 @@ pub mod deadline;
 pub mod inject;
 pub mod resource;
 pub mod retry;
-pub mod supervise;
 
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use ctx::{RunCtx, RunOutcome, StageGuard};
@@ -49,9 +44,6 @@ pub use resource::{
     take_peaks, ResourcePolicy, TrackingAlloc,
 };
 pub use retry::{isolate, log_fault, Disposition, FaultRecord, RetryPolicy};
-pub use supervise::{
-    Admission, BreakerConfig, BreakerState, CircuitBreaker, PoisonLedger, DEFAULT_POISON_THRESHOLD,
-};
 
 use std::fmt;
 

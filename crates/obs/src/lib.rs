@@ -15,15 +15,13 @@
 //!    `repro` run, plus [`manifest::compare`] — the regression gate
 //!    behind `repro compare`.
 //!
-//! Serving telemetry (PR 7) adds three more, built on the same layers:
+//! Serving telemetry adds two more, built on the same layers:
 //!
 //! 4. **Text exposition** ([`expo`]): Prometheus-style rendering of a
 //!    metrics [`Snapshot`], with a matching parser and series filter —
 //!    the format behind the daemon's `GET /metrics`.
 //! 5. **Structured logs** ([`log`]): leveled JSONL with deterministic
 //!    field order — the daemon's access+app log.
-//! 6. **Flight recorder** ([`flight`]): a per-worker ring of recent
-//!    records, dumped as provenance when a job degrades.
 //!
 //! Every hook costs one relaxed atomic load while its layer is disabled
 //! and allocates nothing, so instrumentation stays in release builds.
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod expo;
-pub mod flight;
 pub mod json;
 pub mod log;
 pub mod manifest;

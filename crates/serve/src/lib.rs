@@ -18,7 +18,10 @@
 //!   strict field validation;
 //! * [`queue`] — a bounded FIFO [`queue::Scheduler`] with admission
 //!   control (full queue ⇒ 429 + `Retry-After`), cancel-before-start,
-//!   oversized jobs run alone, and drain-on-shutdown;
+//!   oversized jobs run alone, and drain-on-shutdown — a thread driver
+//!   around one job-lifecycle state machine;
+//! * [`supervise`] — the poison ledger and circuit breaker that state
+//!   machine drives, as pure clock-explicit state machines;
 //! * [`cache`] — the content-addressed [`cache::ResultCache`], keyed on
 //!   the FNV-1a digest of the canonical manifest config (the `repro
 //!   compare` schema), entries carrying full manifest provenance,
@@ -60,6 +63,7 @@ pub mod loadgen;
 pub mod overload;
 pub mod queue;
 pub mod server;
+pub mod supervise;
 pub mod telemetry;
 
 pub use cache::ResultCache;

@@ -1,4 +1,4 @@
-//! Seeded multi-client load generator and its `foldic-serve-bench/1`
+//! Seeded multi-client load generator and its `foldic-serve-bench/2`
 //! report.
 //!
 //! The generator replays a deterministic mix of job kinds against a

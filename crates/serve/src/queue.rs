@@ -28,13 +28,28 @@
 //! are cancelled, workers are joined. The property tests in
 //! `tests/queue_props.rs` pin all four rules plus drain-without-deadlock.
 //!
+//! # State machine and thread driver
+//!
+//! The job lifecycle is one state machine, [`State`], with three
+//! transitions: `enqueue` adds a job (a cache hit or a journal-replayed
+//! terminal job is born terminal, every other job joins the queue),
+//! `dispatch` picks the next job to run under the rules above, and
+//! `settle` ends a job — the only place a queued or running job becomes
+//! terminal, whether it finished, failed, panicked, lost its worker, was
+//! cancelled, drained at shutdown or quarantined as poisoned. They take
+//! no lock, spawn no thread, never sleep and touch no cache, journal or
+//! log, so a unit test drives them directly. Everything else is the
+//! thread driver: [`Scheduler`] and its workers hold the lock around each
+//! transition, run jobs, fill the cache, write the journal (every settled
+//! job's `terminal` record outside the lock) and log.
+//!
 //! The scheduler is telemetry-aware ([`Scheduler::with_telemetry`]): a
 //! traced submission carries its request's `http.request` span, dispatch
 //! synthesizes a `queue.wait` span covering the time in queue, the run
 //! executes under a `job.run` span (so the flow/stage spans the study
-//! runner opens nest beneath it), workers drain the per-thread flight
-//! recorder into degraded jobs' status payloads, and every transition
-//! writes a structured log line.
+//! runner opens nest beneath it), the provenance records a run returns
+//! ([`FlightRecord`]) land in its job's status document, and every
+//! transition writes a structured log line.
 //!
 //! # Durability & supervision
 //!
@@ -66,8 +81,8 @@
 //!   half-open probe decides recovery.
 //! * **Worker supervision** — each worker thread runs under a
 //!   supervisor that catches a panic of the *loop itself* (runner panics
-//!   are caught per-job inside), repairs the scheduler state (the
-//!   orphaned job fails, counters rebalance) and restarts the worker.
+//!   are caught per-job inside), settles the orphaned job as failed and
+//!   restarts the worker.
 //! * **Idempotency keys** — a submission carrying an idempotency key
 //!   that matches an accepted job returns that job instead of
 //!   double-enqueuing; the key→job map is journaled and survives
@@ -76,13 +91,14 @@
 use crate::cache::ResultCache;
 use crate::job::{cache_key, JobSpec};
 use crate::journal::{Journal, Record as JournalRecord, Replay};
+use crate::supervise::{Admission, BreakerConfig, BreakerState, CircuitBreaker, PoisonLedger};
 use crate::telemetry::{self, field_num, field_str, Telemetry};
-use foldic_fault::supervise::{Admission, BreakerConfig, CircuitBreaker, PoisonLedger};
 use foldic_obs::json::Json;
 use foldic_obs::log::Level;
 use foldic_obs::metrics::Metric;
+use foldic_obs::span;
 use foldic_obs::trace::{self, AttrValue, EventKind, SpanId};
-use foldic_obs::{flight, span};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -110,21 +126,89 @@ pub trait StudyRunner: Send + Sync {
     /// A message describing the failure (the job lands in `failed`).
     fn run(&self, spec: &JobSpec) -> Result<String, String>;
 
-    /// [`StudyRunner::run`] under a per-job memory budget, for jobs the
-    /// cost-aware admission layer classified oversized. Implementations
-    /// that honor the budget run under a `foldic-fault` context carrying
-    /// a resource policy, so breaches degrade gracefully instead of
-    /// taking the worker's address space; the default ignores the
-    /// budget, which keeps budget-less runners byte-identical to their
-    /// old behavior.
+    /// [`StudyRunner::run`] under a per-job memory budget (for jobs the
+    /// cost-aware admission layer classified oversized), returning the
+    /// run's provenance records beside its result; the scheduler renders
+    /// them as the job status document's `flight_recorder` array.
+    /// Implementations that honor the budget run under a `foldic-fault`
+    /// context carrying a resource policy, so breaches degrade gracefully
+    /// instead of taking the worker's address space. The default ignores
+    /// the budget and records nothing, which keeps budget-less runners
+    /// byte-identical to their old behavior.
     ///
     /// # Errors
     ///
-    /// Same contract as [`StudyRunner::run`].
-    fn run_budgeted(&self, spec: &JobSpec, mem_budget: Option<u64>) -> Result<String, String> {
+    /// The result carries the same contract as [`StudyRunner::run`].
+    fn run_budgeted(
+        &self,
+        spec: &JobSpec,
+        mem_budget: Option<u64>,
+    ) -> (Result<String, String>, Vec<FlightRecord>) {
         let _ = mem_budget;
-        self.run(spec)
+        (self.run(spec), Vec::new())
     }
+}
+
+/// One provenance record a run leaves for its job: why a result degraded,
+/// faulted, timed out or panicked, without any always-on logging cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightRecord {
+    /// Nanoseconds since the process trace epoch ([`trace::now_ns`]), the
+    /// clock spans use, so a dump lines up with a trace of the same job.
+    pub ts_ns: u64,
+    /// What happened (`job.start`, `stage.timeout`, `job.panic`, …).
+    pub name: String,
+    /// Structured payload, deterministically ordered.
+    pub fields: BTreeMap<String, Json>,
+}
+
+impl FlightRecord {
+    /// A record stamped now.
+    pub fn new(name: &str, fields: impl IntoIterator<Item = (String, Json)>) -> Self {
+        Self {
+            ts_ns: trace::now_ns(),
+            name: name.to_owned(),
+            fields: fields.into_iter().collect(),
+        }
+    }
+}
+
+/// Most provenance records a status document carries. Sized for the
+/// worst realistic dump: a deadline job over every experiment leaves one
+/// record per faulted stage/block plus start and end records — tens of
+/// entries — while a dump stays a few KiB.
+const FLIGHT_CAPACITY: usize = 64;
+
+/// Renders a run's provenance as the status document's `flight_recorder`
+/// array: `None` when the run recorded nothing, else its last
+/// [`FLIGHT_CAPACITY`] records, `seq` numbering them in the job's own
+/// order, then a `flight.truncated` marker counting any older ones
+/// dropped — the dump says how much history it lost.
+fn flight_json(records: &[FlightRecord]) -> Option<Json> {
+    if records.is_empty() {
+        return None;
+    }
+    let dropped = records.len().saturating_sub(FLIGHT_CAPACITY);
+    let mut items: Vec<Json> = records
+        .iter()
+        .enumerate()
+        .skip(dropped)
+        .map(|(seq, record)| {
+            Json::obj([
+                ("fields".to_owned(), Json::Obj(record.fields.clone())),
+                ("name".to_owned(), Json::Str(record.name.clone())),
+                ("seq".to_owned(), Json::Num(seq as f64)),
+                ("ts_ns".to_owned(), Json::Num(record.ts_ns as f64)),
+            ])
+        })
+        .collect();
+    if dropped > 0 {
+        items.push(Json::obj([
+            ("dropped".to_owned(), Json::Num(dropped as f64)),
+            ("name".to_owned(), Json::Str("flight.truncated".to_owned())),
+        ]));
+    }
+    Some(Json::Arr(items))
 }
 
 /// Lifecycle of one job.
@@ -220,9 +304,9 @@ pub struct JobStatus {
     /// Result body, for `done` jobs.
     pub body: Option<Arc<str>>,
     /// Flight-recorder dump (array of record objects, possibly ending in
-    /// a truncation marker) — attached when the worker's ring was
-    /// non-empty after the run, i.e. the job degraded, faulted or timed
-    /// out.
+    /// a truncation marker) — attached when the run left provenance
+    /// records, i.e. the job degraded, faulted, timed out, panicked or
+    /// was quarantined.
     pub flight: Option<Json>,
 }
 
@@ -280,11 +364,11 @@ pub struct SubmitCtx {
     pub idempotency_key: Option<String>,
 }
 
+#[derive(Clone)]
 struct Job {
     spec: JobSpec,
     status: JobStatus,
-    /// Bytes this job holds in the reservation ledger; zero once
-    /// released (release is idempotent via `State::release_reservation`).
+    /// Bytes this job holds in the reservation ledger; zero once settled.
     reservation: u64,
     /// Per-job memory budget for oversized admissions, handed to
     /// [`StudyRunner::run_budgeted`]. A job with one reserved the whole
@@ -302,7 +386,43 @@ struct Job {
     submit_ns: u64,
 }
 
-#[derive(Default)]
+impl Job {
+    /// A queued first attempt holding no reservation, with a cache key
+    /// when `cacheable`. Every job — cache hit, admission or journal
+    /// replay — starts here; callers set what differs before
+    /// [`State::enqueue`].
+    fn new(
+        id: u64,
+        spec: JobSpec,
+        config: BTreeMap<String, String>,
+        digest: String,
+        cacheable: bool,
+        request_id: Option<String>,
+    ) -> Self {
+        Self {
+            spec,
+            status: JobStatus {
+                id,
+                state: JobState::Queued,
+                attempt: 1,
+                cache_hit: false,
+                cache_key: cacheable.then(|| digest.clone()),
+                config,
+                error: None,
+                body: None,
+                flight: None,
+            },
+            reservation: 0,
+            mem_budget: None,
+            digest,
+            request_id,
+            parent_span: None,
+            submit_ns: trace::now_ns(),
+        }
+    }
+}
+
+#[derive(Default, Clone, Copy)]
 struct Counters {
     submitted: u64,
     completed: u64,
@@ -320,6 +440,56 @@ struct Counters {
     oversized: u64,
 }
 
+impl Counters {
+    /// Counts one job in terminal `state` (no-op for live states).
+    fn terminal(&mut self, state: JobState) {
+        match state {
+            JobState::Done => self.completed += 1,
+            JobState::Failed => self.failed += 1,
+            JobState::Cancelled => self.cancelled += 1,
+            JobState::Queued | JobState::Running => {}
+        }
+    }
+}
+
+/// How a job ends: the input of [`State::settle`].
+#[derive(Debug)]
+enum Outcome {
+    /// The run returned a body.
+    Done(Arc<str>),
+    /// The run returned an error — the job's problem, not the pool's.
+    Failed(String),
+    /// The runner panicked (the message becomes the job's error): a
+    /// strike against the spec's digest and a breaker failure.
+    Panicked(String),
+    /// The worker loop itself died while running the job.
+    Crashed,
+    /// Cancelled while queued, by a client or the shutdown drain.
+    Cancelled,
+    /// Quarantined at dispatch: the spec's digest struck out this many
+    /// times.
+    Poisoned(u32),
+}
+
+/// What one [`State::dispatch`] call did.
+enum Dispatch {
+    /// The job, now running, as the caller executes it.
+    Run(Job),
+    /// The head's digest is poisoned: the job was settled failed without
+    /// running, leaving this terminal record.
+    Poisoned {
+        id: u64,
+        strikes: u32,
+        record: Option<JournalRecord>,
+    },
+    /// Nothing can start now.
+    Idle,
+}
+
+/// The job table and every counter derived from it: a pure state
+/// machine whose transitions are [`State::enqueue`], [`State::dispatch`]
+/// and [`State::settle`] (see the module docs).
+#[derive(Default)]
 struct State {
     jobs: HashMap<u64, Job>,
     queue: VecDeque<u64>,
@@ -329,6 +499,8 @@ struct State {
     /// Deepest the queue has ever been (gauge on `/metrics`, `/stats`).
     queue_high_water: usize,
     running: usize,
+    /// A budgeted (oversized) job is running, so nothing else may start.
+    /// Set only by `dispatch`, cleared only by `settle`.
     exclusive_active: bool,
     next_id: u64,
     draining: bool,
@@ -352,23 +524,190 @@ struct State {
     reserved: u64,
     /// Highest the ledger has ever been (gauge on `/stats`, `/metrics`).
     reserved_peak: u64,
+    /// Whether `done` bodies ride inline in terminal records: everywhere
+    /// unless a persistent cache directory re-supplies cacheable ones.
+    inline_bodies: bool,
 }
 
 impl State {
-    /// Returns a job's ledger reservation to the pool. Idempotent: the
-    /// reservation is taken out of the job, so every terminal path may
-    /// call this without double-counting.
-    fn release_reservation(&mut self, id: u64) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            let held = std::mem::take(&mut job.reservation);
-            self.reserved = self.reserved.saturating_sub(held);
+    fn new(breaker: Option<BreakerConfig>, inline_bodies: bool) -> Self {
+        Self {
+            next_id: 1,
+            breaker: breaker.map(CircuitBreaker::new),
+            inline_bodies,
+            ..Self::default()
         }
     }
 
-    /// Commits `bytes` against the ledger for job bookkeeping.
-    fn reserve(&mut self, bytes: u64) {
-        self.reserved = self.reserved.saturating_add(bytes);
+    /// Adds a job to the table and counts it: `submitted` once, then
+    /// either its terminal counter (a cache hit or a journal-replayed
+    /// terminal job is born terminal) or the queue, which a queued job
+    /// joins at the back; plus its reservation, its idempotency key and,
+    /// for the breaker's half-open probe, the probe slot.
+    fn enqueue(&mut self, job: Job, idempotency_key: Option<String>, probe: bool) {
+        let id = job.status.id;
+        self.counters.submitted += 1;
+        if job.status.state == JobState::Queued {
+            self.queue.push_back(id);
+            self.queued += 1;
+            self.queue_high_water = self.queue_high_water.max(self.queued);
+        } else {
+            self.counters.terminal(job.status.state);
+        }
+        self.reserved += job.reservation;
         self.reserved_peak = self.reserved_peak.max(self.reserved);
+        if let Some(key) = idempotency_key {
+            self.idempotency.insert(key, id);
+        }
+        if probe {
+            self.probe_job = Some(id);
+        }
+        self.next_id = self.next_id.max(id + 1);
+        self.jobs.insert(id, job);
+    }
+
+    /// Picks the next job in strict FIFO order. Heads no longer queued
+    /// (cancelled) are dropped; a head whose digest is poisoned is
+    /// settled failed without running; a budgeted head waits until
+    /// nothing runs, and while it runs nothing else starts (rule 4).
+    fn dispatch(&mut self) -> Dispatch {
+        while let Some(&id) = self.queue.front() {
+            let Some(job) = self
+                .jobs
+                .get_mut(&id)
+                .filter(|job| job.status.state == JobState::Queued)
+            else {
+                self.queue.pop_front();
+                continue;
+            };
+            if self.ledger.is_poisoned(&job.digest) {
+                let strikes = self.ledger.strikes(&job.digest);
+                // No worker runs it, so the quarantine is its provenance.
+                job.status.flight = flight_json(&[FlightRecord::new(
+                    "job.poisoned",
+                    [
+                        ("digest".to_owned(), Json::Str(job.digest.clone())),
+                        ("job".to_owned(), Json::Num(id as f64)),
+                        ("strikes".to_owned(), Json::Num(f64::from(strikes))),
+                    ],
+                )]);
+                self.queue.pop_front();
+                let record = self.settle(id, Outcome::Poisoned(strikes));
+                return Dispatch::Poisoned {
+                    id,
+                    strikes,
+                    record,
+                };
+            }
+            let budgeted = job.mem_budget.is_some();
+            let fits = if budgeted {
+                self.running == 0
+            } else {
+                !self.exclusive_active
+            };
+            if !fits {
+                return Dispatch::Idle;
+            }
+            self.queue.pop_front();
+            self.queued -= 1;
+            self.running += 1;
+            if budgeted {
+                self.exclusive_active = true;
+            }
+            job.status.state = JobState::Running;
+            return Dispatch::Run(job.clone());
+        }
+        Dispatch::Idle
+    }
+
+    /// Ends job `id` — the only place a queued or running job becomes
+    /// terminal. A cancel or a poisoning ends a queued job, every other
+    /// outcome a running one; for any other job (unknown, or in another
+    /// state) it changes nothing and returns `None`. Otherwise it takes
+    /// the job out of the queued or running count, bumps its terminal
+    /// counters, releases its reservation, resolves the breaker (the
+    /// probe, or the failure streak) and `exclusive_active`, and returns
+    /// the job's `terminal` journal record.
+    fn settle(&mut self, id: u64, outcome: Outcome) -> Option<JournalRecord> {
+        let job = self.jobs.get_mut(&id)?;
+        let from = match outcome {
+            Outcome::Cancelled | Outcome::Poisoned(_) => JobState::Queued,
+            _ => JobState::Running,
+        };
+        if job.status.state != from {
+            return None;
+        }
+        if from == JobState::Queued {
+            self.queued -= 1;
+        } else {
+            self.running -= 1;
+            if job.mem_budget.is_some() {
+                self.exclusive_active = false;
+            }
+        }
+        self.reserved -= std::mem::take(&mut job.reservation);
+        let probe = self.probe_job == Some(id);
+        if probe {
+            self.probe_job = None;
+        }
+        // Only a panic or a lost worker counts against the pool; a job
+        // that never ran just frees the probe slot it may hold.
+        if let Some(breaker) = &mut self.breaker {
+            match outcome {
+                Outcome::Done(_) | Outcome::Failed(_) => breaker.record_success(),
+                Outcome::Panicked(_) | Outcome::Crashed => breaker.record_failure(Instant::now()),
+                Outcome::Cancelled | Outcome::Poisoned(_) if probe => breaker.abort_probe(),
+                Outcome::Cancelled | Outcome::Poisoned(_) => {}
+            }
+        }
+        let (state, error) = match outcome {
+            Outcome::Done(body) => {
+                job.status.body = Some(body);
+                (JobState::Done, None)
+            }
+            Outcome::Failed(error) => (JobState::Failed, Some(error)),
+            Outcome::Panicked(error) => {
+                self.ledger.strike(&job.digest);
+                (JobState::Failed, Some(error))
+            }
+            Outcome::Crashed => (
+                JobState::Failed,
+                Some("worker crashed while running this job".to_owned()),
+            ),
+            Outcome::Cancelled => (JobState::Cancelled, None),
+            Outcome::Poisoned(strikes) => {
+                self.counters.poisoned += 1;
+                (
+                    JobState::Failed,
+                    Some(format!(
+                        "poisoned: workers panicked {strikes} times on this spec; quarantined"
+                    )),
+                )
+            }
+        };
+        job.status.state = state;
+        job.status.error = error;
+        self.counters.terminal(state);
+        Some(terminal_record(job, self.inline_bodies))
+    }
+}
+
+/// The `terminal` journal record of a job in its final state. A `done`
+/// body rides inline unless the persistent cache re-supplies it after a
+/// restart (a cacheable job when bodies are not inlined).
+fn terminal_record(job: &Job, inline_bodies: bool) -> JournalRecord {
+    let inline = inline_bodies || job.status.cache_key.is_none();
+    JournalRecord::Terminal {
+        job: job.status.id,
+        attempt: job.status.attempt,
+        state: job.status.state.as_str().to_owned(),
+        error: job.status.error.clone(),
+        body: job
+            .status
+            .body
+            .as_ref()
+            .filter(|_| inline)
+            .map(|body| body.to_string()),
     }
 }
 
@@ -386,6 +725,28 @@ struct Shared {
     runner: Arc<dyn StudyRunner>,
     cfg: SchedulerConfig,
     telemetry: Arc<Telemetry>,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends `records` in one fsync'd batch; called outside the state
+    /// lock. A failure is logged, not returned: the transitions the
+    /// records describe already happened in memory.
+    fn write_journal(&self, records: &[JournalRecord]) {
+        let Some(journal) = self.journal.as_ref().filter(|_| !records.is_empty()) else {
+            return;
+        };
+        if let Err(e) = journal.append_sync(records) {
+            self.telemetry.log(
+                Level::Warn,
+                "journal.error",
+                vec![field_str("error", &e.to_string())],
+            );
+        }
+    }
 }
 
 /// Scheduler tuning.
@@ -434,6 +795,17 @@ fn retry_after_hint(cfg: &SchedulerConfig, state: &State) -> u32 {
     base.saturating_add(queue_pressure)
         .saturating_add(mem_pressure)
         .min(60) as u32
+}
+
+/// `(reservation, per-job budget)` for a job whose cost estimate is
+/// `estimate` under memory `limit`: an estimate above the limit reserves
+/// all of it and runs alone under it as its budget.
+fn reservation_for(estimate: u64, limit: u64) -> (u64, Option<u64>) {
+    if estimate > limit {
+        (limit, Some(limit))
+    } else {
+        (estimate, None)
+    }
 }
 
 /// Durability wiring for [`Scheduler::with_durability`]: an opened
@@ -497,68 +869,32 @@ impl Scheduler {
             cache,
             breaker,
         } = durability;
-        let breaker_configured = breaker.is_some();
-        let mut state = State {
-            jobs: HashMap::new(),
-            queue: VecDeque::new(),
-            queued: 0,
-            queue_high_water: 0,
-            running: 0,
-            exclusive_active: false,
-            next_id: 1,
-            draining: false,
-            counters: Counters::default(),
-            ledger: PoisonLedger::default(),
-            breaker: breaker.map(CircuitBreaker::new),
-            probe_job: None,
-            idempotency: HashMap::new(),
-            worker_restarts: 0,
-            replayed_jobs: 0,
-            reenqueued: 0,
-            reserved: 0,
-            reserved_peak: 0,
-        };
-        let (journal, replay_summary) = match journal {
-            Some((journal, replay)) => {
-                let summary = seed_from_replay(&mut state, &cache, &replay);
-                if let Some(limit) = cfg.mem_limit {
-                    reprice_replayed(&mut state, limit);
-                }
-                if !summary.reaccepts.is_empty() {
-                    // Re-acceptance records make the bumped attempt
-                    // counts durable; failure degrades only that (the
-                    // jobs are re-enqueued in memory regardless).
-                    if let Err(e) = journal.append_sync(&summary.reaccepts) {
-                        telemetry.log(
-                            Level::Warn,
-                            "journal.error",
-                            vec![field_str("error", &e.to_string())],
-                        );
-                    }
-                }
-                (Some(journal), Some(summary))
-            }
-            None => (None, None),
-        };
+        let (journal, replay) = journal.unzip();
         let shared = Arc::new(Shared {
-            state: Mutex::new(state),
+            state: Mutex::new(State::new(breaker, cache.dir().is_none())),
             work: Condvar::new(),
             changed: Condvar::new(),
             cache,
             journal,
-            breaker_configured,
+            breaker_configured: breaker.is_some(),
             runner,
             cfg,
             telemetry,
         });
-        if let Some(summary) = replay_summary {
+        if let Some(replay) = replay {
+            let reaccepts =
+                seed_from_replay(&mut shared.lock(), &shared.cache, &replay, cfg.mem_limit);
+            // Re-acceptance records make the bumped attempt counts
+            // durable; failure degrades only that (the jobs are
+            // re-enqueued in memory regardless).
+            shared.write_journal(&reaccepts);
             shared.telemetry.log(
                 Level::Info,
                 "journal.replayed",
                 vec![
-                    field_num("jobs", summary.jobs as f64),
-                    field_num("reenqueued", summary.reaccepts.len() as f64),
-                    field_num("trimmed_bytes", summary.trimmed_bytes as f64),
+                    field_num("jobs", replay.jobs.len() as f64),
+                    field_num("reenqueued", reaccepts.len() as f64),
+                    field_num("trimmed_bytes", replay.trimmed_bytes as f64),
                 ],
             );
         }
@@ -578,7 +914,7 @@ impl Scheduler {
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.shared.state.lock().unwrap_or_else(|e| e.into_inner())
+        self.shared.lock()
     }
 
     /// The result cache (stats and introspection endpoints).
@@ -610,7 +946,8 @@ impl Scheduler {
         let experiments = config.get("experiments").cloned().unwrap_or_default();
         let request_id = ctx.as_ref().map(|c| c.request_id.clone());
         let idempotency_key = ctx.as_ref().and_then(|c| c.idempotency_key.clone());
-        let rid = request_id.as_deref().unwrap_or("-");
+        let parent_span = ctx.as_ref().and_then(|c| c.parent_span);
+        let rid = ctx.as_ref().map_or("-", |c| c.request_id.as_str());
 
         let mut state = self.lock();
         if state.draining {
@@ -631,65 +968,40 @@ impl Scheduler {
                 return Submission::Duplicate { id };
             }
         }
-        state.counters.submitted += 1;
         if cacheable {
             // Cache consultation happens under the state lock so the
             // hit/miss counters observed by a status probe are always
             // consistent with the job table.
             if let Some(body) = self.shared.cache.lookup(&key) {
                 let id = state.next_id;
+                let mut job = Job::new(id, spec, config, key.clone(), true, request_id);
+                job.status.state = JobState::Done;
+                job.status.cache_hit = true;
+                job.status.body = Some(body);
                 if let Some(journal) = &self.shared.journal {
                     // A hit is an acknowledged job too: journal its
                     // acceptance and completion in one fsync'd batch.
-                    // The body rides inline only when no cache directory
-                    // can re-supply it after a restart.
-                    let inline = self.shared.cache.dir().is_none();
                     let records = [
-                        accepted_record(id, 1, &key, &spec, &config, &request_id, &idempotency_key),
-                        JournalRecord::Terminal {
-                            job: id,
-                            attempt: 1,
-                            state: "done".to_owned(),
-                            error: None,
-                            body: inline.then(|| body.to_string()),
-                        },
+                        accepted_record(
+                            id,
+                            1,
+                            &key,
+                            &job.spec,
+                            &job.status.config,
+                            &job.request_id,
+                            &idempotency_key,
+                        ),
+                        terminal_record(&job, state.inline_bodies),
                     ];
                     if let Err(e) = journal.append_sync(&records) {
                         return self.shed_submission(state, &e.to_string(), rid);
                     }
                 }
-                state.next_id += 1;
-                state.counters.completed += 1;
-                if let Some(idem) = &idempotency_key {
-                    state.idempotency.insert(idem.clone(), id);
-                }
-                state.jobs.insert(
-                    id,
-                    Job {
-                        spec,
-                        status: JobStatus {
-                            id,
-                            state: JobState::Done,
-                            attempt: 1,
-                            cache_hit: true,
-                            cache_key: Some(key.clone()),
-                            config,
-                            error: None,
-                            body: Some(body),
-                            flight: None,
-                        },
-                        reservation: 0,
-                        mem_budget: None,
-                        digest: key.clone(),
-                        request_id: request_id.clone(),
-                        parent_span: None,
-                        submit_ns: trace::now_ns(),
-                    },
-                );
+                state.enqueue(job, idempotency_key, false);
                 drop(state);
                 // A hit job's trace is just the request span: seed it so
                 // `/jobs/<id>/trace` still resolves.
-                if let Some(span) = ctx.as_ref().and_then(|c| c.parent_span) {
+                if let Some(span) = parent_span {
                     tele.seed_job_span(id, span);
                 }
                 tele.log(
@@ -708,7 +1020,6 @@ impl Scheduler {
             }
         }
         if state.queued >= self.shared.cfg.queue_capacity {
-            state.counters.submitted -= 1;
             state.counters.rejected += 1;
             let retry_after_secs = retry_after_hint(&self.shared.cfg, &state);
             drop(state);
@@ -728,23 +1039,14 @@ impl Scheduler {
         // full is shed; an estimate above the limit outright is admitted
         // anyway — alone, under a budget derived from the limit — so big
         // studies degrade deterministically instead of starving.
-        let mut reservation = 0u64;
-        let mut mem_budget = None;
-        let mut oversized = false;
+        let (mut reservation, mut mem_budget) = (0, None);
         if let Some(limit) = self.shared.cfg.mem_limit {
             let estimate = match crate::cost::estimate_cost(&spec) {
                 Ok(estimate) => estimate,
-                Err(msg) => {
-                    state.counters.submitted -= 1;
-                    return Submission::Invalid(msg);
-                }
+                Err(msg) => return Submission::Invalid(msg),
             };
-            if estimate > limit {
-                oversized = true;
-                reservation = limit;
-                mem_budget = Some(limit);
-            } else if state.reserved.saturating_add(estimate) > limit {
-                state.counters.submitted -= 1;
+            (reservation, mem_budget) = reservation_for(estimate, limit);
+            if mem_budget.is_none() && state.reserved.saturating_add(estimate) > limit {
                 state.counters.mem_shed += 1;
                 let retry_after_secs = retry_after_hint(&self.shared.cfg, &state);
                 drop(state);
@@ -759,13 +1061,11 @@ impl Scheduler {
                     ],
                 );
                 return Submission::Shed { retry_after_secs };
-            } else {
-                reservation = estimate;
             }
         }
         // A budget-degraded body is not the spec's canonical result, so
         // oversized jobs stay out of the content-addressed cache.
-        let cacheable = cacheable && !oversized;
+        let oversized = mem_budget.is_some();
         // The breaker gates computed work only — cache hits (above) are
         // served even while open, and it is the last gate so a half-open
         // probe admission always corresponds to an actually-queued job.
@@ -775,7 +1075,6 @@ impl Scheduler {
                 Admission::Allowed => {}
                 Admission::Probe => probe = true,
                 Admission::Shed { retry_after_secs } => {
-                    state.counters.submitted -= 1;
                     state.counters.shed += 1;
                     drop(state);
                     tele.log(
@@ -804,44 +1103,14 @@ impl Scheduler {
                 return self.shed_submission(state, &e.to_string(), rid);
             }
         }
-        state.next_id += 1;
-        if probe {
-            state.probe_job = Some(id);
-        }
+        let mut job = Job::new(id, spec, config, key, cacheable && !oversized, request_id);
+        job.reservation = reservation;
+        job.mem_budget = mem_budget;
+        job.parent_span = parent_span;
+        state.enqueue(job, idempotency_key, probe);
         if oversized {
             state.counters.oversized += 1;
         }
-        state.reserve(reservation);
-        if let Some(idem) = &idempotency_key {
-            state.idempotency.insert(idem.clone(), id);
-        }
-        let parent_span = ctx.as_ref().and_then(|c| c.parent_span);
-        state.jobs.insert(
-            id,
-            Job {
-                spec,
-                status: JobStatus {
-                    id,
-                    state: JobState::Queued,
-                    attempt: 1,
-                    cache_hit: false,
-                    cache_key: cacheable.then(|| key.clone()),
-                    config,
-                    error: None,
-                    body: None,
-                    flight: None,
-                },
-                reservation,
-                mem_budget,
-                digest: key,
-                request_id: request_id.clone(),
-                parent_span,
-                submit_ns: trace::now_ns(),
-            },
-        );
-        state.queue.push_back(id);
-        state.queued += 1;
-        state.queue_high_water = state.queue_high_water.max(state.queued);
         drop(state);
         if let Some(span) = parent_span {
             tele.seed_job_span(id, span);
@@ -871,15 +1140,14 @@ impl Scheduler {
         Submission::Queued { id }
     }
 
-    /// Rolls a submission back after a failed journal write and sheds it:
-    /// the daemon must never acknowledge a job it cannot re-prove.
+    /// Sheds a submission whose journal write failed: the daemon must
+    /// never acknowledge a job it cannot re-prove.
     fn shed_submission(
         &self,
         mut state: MutexGuard<'_, State>,
         error: &str,
         rid: &str,
     ) -> Submission {
-        state.counters.submitted -= 1;
         state.counters.shed += 1;
         let retry_after_secs = retry_after_hint(&self.shared.cfg, &state);
         drop(state);
@@ -906,55 +1174,25 @@ impl Scheduler {
     /// Returns the state after the call (`None`: unknown id).
     pub fn cancel(&self, id: u64) -> Option<JobState> {
         let mut state = self.lock();
-        let job = state.jobs.get_mut(&id)?;
-        if job.status.state == JobState::Queued {
-            job.status.state = JobState::Cancelled;
-            let request_id = job.request_id.clone().unwrap_or_else(|| "-".to_owned());
-            let attempt = job.status.attempt;
-            state.release_reservation(id);
-            state.queued -= 1;
-            state.counters.cancelled += 1;
-            if state.probe_job == Some(id) {
-                state.probe_job = None;
-                if let Some(breaker) = &mut state.breaker {
-                    breaker.abort_probe();
-                }
-            }
-            drop(state);
-            self.journal_terminal(JournalRecord::Terminal {
-                job: id,
-                attempt,
-                state: "cancelled".to_owned(),
-                error: None,
-                body: None,
-            });
+        let record = state.settle(id, Outcome::Cancelled);
+        let job = state.jobs.get(&id)?;
+        let current = job.status.state;
+        let request_id = job.request_id.clone();
+        drop(state);
+        if record.is_some() {
+            self.shared.write_journal(record.as_slice());
             self.shared.telemetry.log(
                 Level::Info,
                 "job.cancelled",
                 vec![
                     field_num("job", id as f64),
-                    field_str("request_id", &request_id),
+                    field_str("request_id", request_id.as_deref().unwrap_or("-")),
                 ],
             );
             self.shared.work.notify_all();
             self.shared.changed.notify_all();
-            return Some(JobState::Cancelled);
         }
-        Some(job.status.state)
-    }
-
-    /// Appends one terminal record (fsync'd, best-effort with a logged
-    /// error — the in-memory transition already happened).
-    fn journal_terminal(&self, record: JournalRecord) {
-        if let Some(journal) = &self.shared.journal {
-            if let Err(e) = journal.append_sync(std::slice::from_ref(&record)) {
-                self.shared.telemetry.log(
-                    Level::Warn,
-                    "journal.error",
-                    vec![field_str("error", &e.to_string())],
-                );
-            }
-        }
+        Some(current)
     }
 
     /// Blocks until job `id` reaches a terminal state, with a timeout.
@@ -989,19 +1227,14 @@ impl Scheduler {
     /// emits the document byte-identically to earlier versions).
     pub fn stats_json(&self) -> Json {
         let state = self.lock();
-        let mut by_state: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for s in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Failed,
-            JobState::Cancelled,
-        ] {
-            by_state.insert(s.as_str(), 0);
-        }
-        for job in state.jobs.values() {
-            *by_state.entry(job.status.state.as_str()).or_default() += 1;
-        }
+        // `State` keeps these equal to the job table's per-state counts.
+        let by_state = [
+            (JobState::Queued, state.queued as u64),
+            (JobState::Running, state.running as u64),
+            (JobState::Done, state.counters.completed),
+            (JobState::Failed, state.counters.failed),
+            (JobState::Cancelled, state.counters.cancelled),
+        ];
         let durability = self.durability_json(&state);
         let cache = self.shared.cache.stats();
         let mut fields = vec![
@@ -1011,12 +1244,7 @@ impl Scheduler {
             ),
             (
                 "jobs".to_owned(),
-                Json::Obj(
-                    by_state
-                        .into_iter()
-                        .map(|(k, v)| (k.to_owned(), Json::Num(v as f64)))
-                        .collect(),
-                ),
+                Json::obj(by_state.map(|(s, n)| (s.as_str().to_owned(), Json::Num(n as f64)))),
             ),
             (
                 "queue".to_owned(),
@@ -1176,17 +1404,7 @@ impl Scheduler {
         let (counters, queued, high_water, running, supervision, reserved, reserved_peak) = {
             let state = self.lock();
             (
-                Counters {
-                    submitted: state.counters.submitted,
-                    completed: state.counters.completed,
-                    failed: state.counters.failed,
-                    cancelled: state.counters.cancelled,
-                    rejected: state.counters.rejected,
-                    shed: state.counters.shed,
-                    poisoned: state.counters.poisoned,
-                    mem_shed: state.counters.mem_shed,
-                    oversized: state.counters.oversized,
-                },
+                state.counters,
                 state.queued,
                 state.queue_high_water,
                 state.running,
@@ -1300,9 +1518,9 @@ impl Scheduler {
             m.insert(
                 telemetry::SERIES_BREAKER_STATE.to_owned(),
                 gauge(match breaker_state {
-                    foldic_fault::supervise::BreakerState::Closed => 0.0,
-                    foldic_fault::supervise::BreakerState::HalfOpen => 1.0,
-                    foldic_fault::supervise::BreakerState::Open => 2.0,
+                    BreakerState::Closed => 0.0,
+                    BreakerState::HalfOpen => 1.0,
+                    BreakerState::Open => 2.0,
                 }),
             );
             m.insert(
@@ -1338,51 +1556,16 @@ impl Scheduler {
     /// recorded between the last export and the shutdown request are
     /// preserved, not dropped. Idempotent.
     pub fn shutdown(&self) {
-        let (drained, terminal_records) = {
+        let cancelled: Vec<JournalRecord> = {
             let mut state = self.lock();
             state.draining = true;
-            let ids: Vec<u64> = state.queue.iter().copied().collect();
-            let mut drained = 0u64;
-            let mut records = Vec::new();
-            for id in ids {
-                if state.probe_job == Some(id) {
-                    state.probe_job = None;
-                    if let Some(breaker) = &mut state.breaker {
-                        breaker.abort_probe();
-                    }
-                }
-                if let Some(job) = state.jobs.get_mut(&id) {
-                    if job.status.state == JobState::Queued {
-                        job.status.state = JobState::Cancelled;
-                        let attempt = job.status.attempt;
-                        state.release_reservation(id);
-                        state.queued -= 1;
-                        state.counters.cancelled += 1;
-                        drained += 1;
-                        records.push(JournalRecord::Terminal {
-                            job: id,
-                            attempt,
-                            state: "cancelled".to_owned(),
-                            error: None,
-                            body: None,
-                        });
-                    }
-                }
-            }
-            state.queue.clear();
-            (drained, records)
+            let queue: Vec<u64> = state.queue.drain(..).collect();
+            queue
+                .into_iter()
+                .filter_map(|id| state.settle(id, Outcome::Cancelled))
+                .collect()
         };
-        if !terminal_records.is_empty() {
-            if let Some(journal) = &self.shared.journal {
-                if let Err(e) = journal.append_sync(&terminal_records) {
-                    self.shared.telemetry.log(
-                        Level::Warn,
-                        "journal.error",
-                        vec![field_str("error", &e.to_string())],
-                    );
-                }
-            }
-        }
+        self.shared.write_journal(&cancelled);
         self.shared.work.notify_all();
         self.shared.changed.notify_all();
         let workers: Vec<_> = {
@@ -1398,26 +1581,9 @@ impl Scheduler {
         self.shared.telemetry.log(
             Level::Info,
             "scheduler.drained",
-            vec![field_num("cancelled_queued", drained as f64)],
+            vec![field_num("cancelled_queued", cancelled.len() as f64)],
         );
     }
-}
-
-/// Renders a drained flight ring as the status-payload dump: `None` when
-/// the ring was empty, else the record array with a truncation marker
-/// when the ring overflowed.
-fn flight_json(records: &[flight::FlightRecord], dropped: u64) -> Option<Json> {
-    if records.is_empty() && dropped == 0 {
-        return None;
-    }
-    let mut items: Vec<Json> = records.iter().map(flight::FlightRecord::to_json).collect();
-    if dropped > 0 {
-        items.push(Json::obj([
-            ("dropped".to_owned(), Json::Num(dropped as f64)),
-            ("name".to_owned(), Json::Str("flight.truncated".to_owned())),
-        ]));
-    }
-    Some(Json::Arr(items))
 }
 
 /// Builds an `accepted` journal record for one admission.
@@ -1441,29 +1607,39 @@ fn accepted_record(
     }
 }
 
-/// What [`seed_from_replay`] did, for the boot log line and the
-/// re-acceptance batch.
-struct ReplaySummary {
-    jobs: u64,
-    trimmed_bytes: u64,
-    reaccepts: Vec<JournalRecord>,
-}
-
 /// Seeds a fresh scheduler [`State`] from a journal [`Replay`]: terminal
 /// jobs are restored (bodies from the journal or the persistent cache —
 /// a `done` job whose body is unrecoverable is re-enqueued instead, and
 /// recomputes byte-identically), non-terminal jobs are re-enqueued with
-/// `attempt+1`, and lifetime counters come back.
-fn seed_from_replay(state: &mut State, cache: &ResultCache, replay: &Replay) -> ReplaySummary {
-    state.next_id = replay.next_id();
-    state.counters.submitted = replay.jobs.len() as u64;
+/// `attempt+1` (returned: their re-acceptance records), and lifetime
+/// counters come back.
+///
+/// Under a memory limit, re-enqueued jobs are priced as at admission:
+/// they bypassed `submit_traced`, but they will occupy workers all the
+/// same, so they must hold ledger reservations — and an oversized replay
+/// must come back budgeted and alone, or a crash would strip the very
+/// protection that let it in. Nothing is shed: the jobs were already
+/// acknowledged. An unpriceable spec (the journal outlived a size
+/// rename, say) is charged the whole limit.
+fn seed_from_replay(
+    state: &mut State,
+    cache: &ResultCache,
+    replay: &Replay,
+    mem_limit: Option<u64>,
+) -> Vec<JournalRecord> {
     state.replayed_jobs = replay.jobs.len() as u64;
     let mut reaccepts = Vec::new();
     for (&id, rjob) in &replay.jobs {
-        if let Some(key) = &rjob.idempotency_key {
-            state.idempotency.insert(key.clone(), id);
-        }
         let cacheable = rjob.spec.cacheable();
+        let mut job = Job::new(
+            id,
+            rjob.spec.clone(),
+            rjob.config.clone(),
+            rjob.digest.clone(),
+            cacheable,
+            rjob.request_id.clone(),
+        );
+        job.status.attempt = rjob.attempt;
         // (terminal state, error, body, body came from the cache)
         let restored = rjob.terminal.as_ref().and_then(|t| match t.state.as_str() {
             "failed" => Some((JobState::Failed, t.error.clone(), None, false)),
@@ -1486,50 +1662,21 @@ fn seed_from_replay(state: &mut State, cache: &ResultCache, replay: &Replay) -> 
             }
             _ => None,
         });
-        let reenqueue = restored.is_none();
-        let attempt = if reenqueue {
-            rjob.attempt + 1
+        if let Some((terminal, error, body, from_cache)) = restored {
+            job.status.state = terminal;
+            job.status.error = error;
+            job.status.body = body;
+            job.status.cache_hit = from_cache;
         } else {
-            rjob.attempt
-        };
-        let (job_state, error, body, from_cache) =
-            restored.unwrap_or((JobState::Queued, None, None, false));
-        match job_state {
-            JobState::Done => state.counters.completed += 1,
-            JobState::Failed => state.counters.failed += 1,
-            JobState::Cancelled => state.counters.cancelled += 1,
-            _ => {}
-        }
-        state.jobs.insert(
-            id,
-            Job {
-                spec: rjob.spec.clone(),
-                status: JobStatus {
-                    id,
-                    state: job_state,
-                    attempt,
-                    cache_hit: from_cache,
-                    cache_key: cacheable.then(|| rjob.digest.clone()),
-                    config: rjob.config.clone(),
-                    error,
-                    body,
-                    flight: None,
-                },
-                reservation: 0,
-                mem_budget: None,
-                digest: rjob.digest.clone(),
-                request_id: rjob.request_id.clone(),
-                parent_span: None,
-                submit_ns: trace::now_ns(),
-            },
-        );
-        if reenqueue {
-            state.queue.push_back(id);
-            state.queued += 1;
+            job.status.attempt += 1;
+            if let Some(limit) = mem_limit {
+                let estimate = crate::cost::estimate_cost(&job.spec).unwrap_or(limit);
+                (job.reservation, job.mem_budget) = reservation_for(estimate, limit);
+            }
             state.reenqueued += 1;
             reaccepts.push(accepted_record(
                 id,
-                attempt,
+                job.status.attempt,
                 &rjob.digest,
                 &rjob.spec,
                 &rjob.config,
@@ -1537,283 +1684,99 @@ fn seed_from_replay(state: &mut State, cache: &ResultCache, replay: &Replay) -> 
                 &rjob.idempotency_key,
             ));
         }
+        state.enqueue(job, rjob.idempotency_key.clone(), false);
     }
-    state.queue_high_water = state.queued;
-    ReplaySummary {
-        jobs: replay.jobs.len() as u64,
-        trimmed_bytes: replay.trimmed_bytes,
-        reaccepts,
-    }
-}
-
-/// Re-runs the cost-admission classification for journal-replayed queued
-/// jobs: they bypassed `submit_traced`, but they will occupy workers all
-/// the same, so they must hold ledger reservations — and an oversized
-/// replay must come back exclusive and budgeted, or a crash would strip
-/// the very protection that let it in. An unpriceable spec (the journal
-/// outlived a size rename, say) is charged the whole limit: maximally
-/// conservative, never admitted alongside anything.
-fn reprice_replayed(state: &mut State, limit: u64) {
-    let queued: Vec<u64> = state.queue.iter().copied().collect();
-    for id in queued {
-        let Some(job) = state.jobs.get_mut(&id) else {
-            continue;
-        };
-        if job.status.state != JobState::Queued {
-            continue;
-        }
-        let estimate = crate::cost::estimate_cost(&job.spec).unwrap_or(limit);
-        let reservation = if estimate > limit {
-            job.mem_budget = Some(limit);
-            limit
-        } else {
-            estimate
-        };
-        job.reservation = reservation;
-        state.reserve(reservation);
-    }
-}
-
-/// Everything a worker needs to run one dispatched job.
-struct Picked {
-    id: u64,
-    spec: JobSpec,
-    cacheable_key: Option<String>,
-    config: BTreeMap<String, String>,
-    mem_budget: Option<u64>,
-    digest: String,
-    attempt: u32,
-    request_id: Option<String>,
-    parent_span: Option<SpanId>,
-    submit_ns: u64,
+    reaccepts
 }
 
 /// Supervises one worker thread: [`worker_loop`] panics (which can only
 /// come from harness code — runner panics are caught per-job inside) are
-/// caught, the scheduler state is repaired (the orphaned job fails, the
-/// running count rebalances) and the loop restarts. A clean return means
-/// drain-on-shutdown finished.
+/// caught, the orphaned job is settled as crashed, and the loop
+/// restarts. A clean return means drain-on-shutdown finished.
 fn supervise_worker(shared: &Arc<Shared>) {
-    // The job this worker currently holds, maintained under the state
-    // lock at dispatch/completion. Only this thread touches it.
-    let current: Mutex<Option<(u64, u32)>> = Mutex::new(None);
+    // The job this worker is running, set and cleared under the state
+    // lock at dispatch and completion. Only this thread touches it.
+    let current = Cell::new(None);
     loop {
         if catch_unwind(AssertUnwindSafe(|| worker_loop(shared, &current))).is_ok() {
             return;
         }
-        let orphan = current.lock().unwrap_or_else(|e| e.into_inner()).take();
-        let terminal = {
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        let orphan = current.take();
+        let record = {
+            let mut state = shared.lock();
             state.worker_restarts += 1;
-            let mut terminal = None;
-            if let Some((id, attempt)) = orphan {
-                state.running = state.running.saturating_sub(1);
-                if state.jobs.get(&id).is_some_and(|j| j.mem_budget.is_some()) {
-                    state.exclusive_active = false;
-                }
-                if state.probe_job == Some(id) {
-                    state.probe_job = None;
-                }
-                if let Some(breaker) = &mut state.breaker {
-                    breaker.record_failure(Instant::now());
-                }
-                let mut crashed = false;
-                if let Some(job) = state.jobs.get_mut(&id) {
-                    if job.status.state == JobState::Running {
-                        job.status.state = JobState::Failed;
-                        job.status.error = Some("worker crashed while running this job".to_owned());
-                        crashed = true;
-                        terminal = Some(JournalRecord::Terminal {
-                            job: id,
-                            attempt,
-                            state: "failed".to_owned(),
-                            error: job.status.error.clone(),
-                            body: None,
-                        });
-                    }
-                }
-                if crashed {
-                    state.counters.failed += 1;
-                }
-                state.release_reservation(id);
-            }
-            terminal
+            orphan.and_then(|id| state.settle(id, Outcome::Crashed))
         };
-        if let Some(record) = terminal {
-            if let Some(journal) = &shared.journal {
-                let _ = journal.append_sync(std::slice::from_ref(&record));
-            }
-        }
+        shared.write_journal(record.as_slice());
         shared.telemetry.log(
             Level::Warn,
             "worker.restarted",
-            vec![field_num("job", orphan.map_or(-1.0, |(id, _)| id as f64))],
+            vec![field_num("job", orphan.map_or(-1.0, |id| id as f64))],
         );
         shared.changed.notify_all();
         shared.work.notify_all();
     }
 }
 
-/// One worker: strict-FIFO dispatch honoring the exclusivity and poison
-/// rules, then execution outside the lock, then completion bookkeeping.
-fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, u32)>>) {
+/// One worker: dispatch under the lock, execution outside it, then the
+/// job settles under the lock and its terminal record is journaled
+/// outside it.
+fn worker_loop(shared: &Shared, current: &Cell<Option<u64>>) {
     let tele = &shared.telemetry;
     loop {
-        let picked = {
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        let job = {
+            let mut state = shared.lock();
             loop {
-                // Drop already-cancelled heads so they never block FIFO,
-                // and fail poisoned heads at dispatch — their digest has
-                // struck out and must never reach a worker again.
-                while let Some(&head) = state.queue.front() {
-                    enum Head {
-                        Keep,
-                        Gone,
-                        Poisoned(u32),
+                match state.dispatch() {
+                    Dispatch::Run(job) => {
+                        // Under the state lock: crash repair sees either
+                        // no job or a fully-dispatched one.
+                        current.set(Some(job.status.id));
+                        break job;
                     }
-                    let disposition = match state.jobs.get(&head) {
-                        None => Head::Gone,
-                        Some(job) if job.status.state != JobState::Queued => Head::Gone,
-                        Some(job) if state.ledger.is_poisoned(&job.digest) => {
-                            Head::Poisoned(state.ledger.strikes(&job.digest))
-                        }
-                        Some(_) => Head::Keep,
-                    };
-                    match disposition {
-                        Head::Keep => break,
-                        Head::Gone => {
-                            state.queue.pop_front();
-                        }
-                        Head::Poisoned(strikes) => {
-                            state.queue.pop_front();
-                            state.queued -= 1;
-                            state.counters.failed += 1;
-                            state.counters.poisoned += 1;
-                            if state.probe_job == Some(head) {
-                                state.probe_job = None;
-                                if let Some(breaker) = &mut state.breaker {
-                                    breaker.abort_probe();
-                                }
-                            }
-                            let mut terminal = None;
-                            if let Some(job) = state.jobs.get_mut(&head) {
-                                job.status.state = JobState::Failed;
-                                job.status.error = Some(format!(
-                                    "poisoned: workers panicked {strikes} times on this spec; \
-                                     quarantined"
-                                ));
-                                // No worker ran, so synthesize the
-                                // provenance dump a run would have left:
-                                // record the quarantine into this
-                                // thread's ring and drain it.
-                                flight::record(
-                                    "job.poisoned",
-                                    [
-                                        ("digest".to_owned(), Json::Str(job.digest.clone())),
-                                        ("job".to_owned(), Json::Num(head as f64)),
-                                        ("strikes".to_owned(), Json::Num(f64::from(strikes))),
-                                    ],
-                                );
-                                let (records, dropped) = flight::take();
-                                job.status.flight = flight_json(&records, dropped);
-                                terminal = Some(JournalRecord::Terminal {
-                                    job: head,
-                                    attempt: job.status.attempt,
-                                    state: "failed".to_owned(),
-                                    error: job.status.error.clone(),
-                                    body: None,
-                                });
-                            }
-                            state.release_reservation(head);
-                            if let (Some(journal), Some(record)) = (&shared.journal, &terminal) {
-                                let _ = journal.append_sync(std::slice::from_ref(record));
-                            }
-                            tele.log(
-                                Level::Warn,
-                                "job.poisoned",
-                                vec![
-                                    field_num("job", head as f64),
-                                    field_num("strikes", f64::from(strikes)),
-                                ],
-                            );
-                            shared.changed.notify_all();
-                        }
-                    }
-                }
-                let dispatchable = state.queue.front().and_then(|&head| {
-                    let job = state.jobs.get(&head)?;
-                    let ok = if job.mem_budget.is_some() {
-                        state.running == 0
-                    } else {
-                        !state.exclusive_active
-                    };
-                    ok.then_some(head)
-                });
-                if let Some(id) = dispatchable {
-                    state.queue.pop_front();
-                    state.queued -= 1;
-                    state.running += 1;
-                    let job = match state.jobs.get_mut(&id) {
-                        Some(job) => job,
-                        None => {
-                            state.running -= 1;
-                            continue;
-                        }
-                    };
-                    job.status.state = JobState::Running;
-                    let picked = Picked {
+                    Dispatch::Poisoned {
                         id,
-                        spec: job.spec.clone(),
-                        cacheable_key: job.status.cache_key.clone(),
-                        config: job.status.config.clone(),
-                        mem_budget: job.mem_budget,
-                        digest: job.digest.clone(),
-                        attempt: job.status.attempt,
-                        request_id: job.request_id.clone(),
-                        parent_span: job.parent_span,
-                        submit_ns: job.submit_ns,
-                    };
-                    if picked.mem_budget.is_some() {
-                        state.exclusive_active = true;
+                        strikes,
+                        record,
+                    } => {
+                        drop(state);
+                        shared.write_journal(record.as_slice());
+                        tele.log(
+                            Level::Warn,
+                            "job.poisoned",
+                            vec![
+                                field_num("job", id as f64),
+                                field_num("strikes", f64::from(strikes)),
+                            ],
+                        );
+                        shared.changed.notify_all();
+                        state = shared.lock();
                     }
-                    // Under the state lock: the supervisor's crash
-                    // repair sees either no job or a fully-dispatched
-                    // one, never a half-transition.
-                    *current.lock().unwrap_or_else(|e| e.into_inner()) = Some((id, picked.attempt));
-                    shared.changed.notify_all();
-                    break picked;
+                    Dispatch::Idle if state.draining && state.queue.is_empty() => return,
+                    Dispatch::Idle => {
+                        state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());
+                    }
                 }
-                if state.draining && state.queue.is_empty() {
-                    return;
-                }
-                state = shared.work.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let Picked {
-            id,
-            spec,
-            cacheable_key,
-            config,
-            mem_budget,
-            digest,
-            attempt,
-            request_id,
-            parent_span,
-            submit_ns,
-        } = picked;
+        shared.changed.notify_all();
+        let id = job.status.id;
 
         // The started record is flushed, not fsync'd: losing it across a
         // crash only means replay re-runs a job that had already begun.
         if let Some(journal) = &shared.journal {
-            journal.append(&JournalRecord::Started { job: id, attempt });
+            journal.append(&JournalRecord::Started {
+                job: id,
+                attempt: job.status.attempt,
+            });
         }
 
         // Synthesize the queue-wait span: it covers admission → dispatch
         // and sits between the request span and the job.run span, so the
         // rendered trace shows where the time went before execution.
         let dispatch_ns = trace::now_ns();
-        let wait_ms = (dispatch_ns.saturating_sub(submit_ns)) as f64 / 1e6;
-        let qwait_span = if trace::is_enabled() && parent_span.is_some() {
+        let wait_ms = (dispatch_ns.saturating_sub(job.submit_ns)) as f64 / 1e6;
+        let qwait_span = if trace::is_enabled() && job.parent_span.is_some() {
             let span = trace::alloc_span_id();
             tele.push_job_event(
                 id,
@@ -1821,8 +1784,8 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, u32)>>) {
                     EventKind::Begin,
                     "queue.wait",
                     span,
-                    parent_span,
-                    submit_ns,
+                    job.parent_span,
+                    job.submit_ns,
                     vec![("job", AttrValue::from(id))],
                 ),
             );
@@ -1847,10 +1810,10 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, u32)>>) {
         // via the thread-local stack and pool inheritance). A panicking
         // runner must not take the worker down — it becomes a failed
         // job, same as a runner error (and a poison-ledger strike).
-        let panicked = std::cell::Cell::new(false);
+        let panicked = Cell::new(false);
         let run = || {
             catch_unwind(AssertUnwindSafe(|| {
-                shared.runner.run_budgeted(&spec, mem_budget)
+                shared.runner.run_budgeted(&job.spec, job.mem_budget)
             }))
             .unwrap_or_else(|payload| {
                 let msg = payload
@@ -1859,17 +1822,16 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, u32)>>) {
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "runner panicked".to_owned());
                 panicked.set(true);
-                // A panicking run may never have reached its own flight
-                // bookkeeping — record the unwind itself, so panicked
-                // jobs carry a dump like degraded ones do.
-                flight::record(
+                // The unwind took the run's own records with it: the
+                // panic itself is the job's provenance.
+                let record = FlightRecord::new(
                     "job.panic",
                     [("message".to_owned(), Json::Str(msg.clone()))],
                 );
-                Err(format!("runner panicked: {msg}"))
+                (Err(format!("runner panicked: {msg}")), vec![record])
             })
         };
-        let outcome = if qwait_span.is_some() {
+        let (result, flight) = if qwait_span.is_some() {
             trace::run_with_parent(qwait_span, || {
                 let _span = span!("job.run", job = id);
                 run()
@@ -1882,107 +1844,60 @@ fn worker_loop(shared: &Shared, current: &Mutex<Option<(u64, u32)>>) {
         tele.registry().observe("foldic_serve_job_wait_ms", wait_ms);
         tele.registry().observe("foldic_serve_job_run_ms", run_ms);
 
-        // Anything the runner put in this worker's flight recorder
-        // becomes provenance on the job's status payload.
-        let flight_dump = {
-            let (records, dropped) = flight::take();
-            flight_json(&records, dropped)
+        let result = result.map(Arc::<str>::from);
+        // The body is cached before the job turns done, so a client that
+        // sees it done and resubmits always hits.
+        if let (Ok(body), Some(key)) = (&result, &job.status.cache_key) {
+            shared
+                .cache
+                .insert(key, job.status.config.clone(), Arc::clone(body));
+        }
+        let (level, event, error) = match &result {
+            Ok(_) => (Level::Info, "job.done", None),
+            Err(msg) => (Level::Error, "job.failed", Some(msg.clone())),
         };
-
-        let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        *current.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        state.running -= 1;
-        if mem_budget.is_some() {
-            state.exclusive_active = false;
-        }
-        state.release_reservation(id);
-        // Supervision bookkeeping: only a *panic* counts against the
-        // spec's poison ledger and the breaker's failure streak — an
-        // ordinary `Err` is the job's problem, not the pool's.
-        let mut newly_poisoned = false;
-        if panicked {
-            newly_poisoned = state.ledger.strike(&digest);
-            if let Some(breaker) = &mut state.breaker {
-                breaker.record_failure(Instant::now());
+        let outcome = match result {
+            Ok(body) => Outcome::Done(body),
+            Err(msg) if panicked => Outcome::Panicked(msg),
+            Err(msg) => Outcome::Failed(msg),
+        };
+        let flight = flight_json(&flight);
+        let (record, newly_poisoned) = {
+            let mut state = shared.lock();
+            current.set(None);
+            let record = state.settle(id, outcome);
+            if let Some(job) = state.jobs.get_mut(&id) {
+                job.status.flight = flight;
             }
-        } else if let Some(breaker) = &mut state.breaker {
-            breaker.record_success();
-        }
-        if state.probe_job == Some(id) {
-            state.probe_job = None;
-        }
-        let mut log_line: Option<(Level, &'static str, Option<String>)> = None;
-        let mut terminal = None;
-        if let Some(job) = state.jobs.get_mut(&id) {
-            job.status.flight = flight_dump;
-            match outcome {
-                Ok(body) => {
-                    let body: Arc<str> = Arc::from(body);
-                    if let Some(key) = &cacheable_key {
-                        shared.cache.insert(key, config, Arc::clone(&body));
-                    }
-                    job.status.state = JobState::Done;
-                    job.status.body = Some(Arc::clone(&body));
-                    state.counters.completed += 1;
-                    log_line = Some((Level::Info, "job.done", None));
-                    // Inline the body only when the persistent cache
-                    // cannot re-supply it after a restart.
-                    let inline = cacheable_key.is_none() || shared.cache.dir().is_none();
-                    terminal = Some(JournalRecord::Terminal {
-                        job: id,
-                        attempt,
-                        state: "done".to_owned(),
-                        error: None,
-                        body: inline.then(|| body.to_string()),
-                    });
-                }
-                Err(msg) => {
-                    job.status.state = JobState::Failed;
-                    job.status.error = Some(msg.clone());
-                    state.counters.failed += 1;
-                    log_line = Some((Level::Error, "job.failed", Some(msg.clone())));
-                    terminal = Some(JournalRecord::Terminal {
-                        job: id,
-                        attempt,
-                        state: "failed".to_owned(),
-                        error: Some(msg),
-                        body: None,
-                    });
-                }
-            }
-        }
-        drop(state);
+            // The ledger poisons a digest on exactly its threshold-th strike.
+            let newly_poisoned =
+                panicked && state.ledger.strikes(&job.digest) == state.ledger.threshold();
+            (record, newly_poisoned)
+        };
         // Terminal durability is eventual, not ack-gated: a crash before
         // this fsync merely re-runs the job on restart, byte-identically.
-        if let (Some(journal), Some(record)) = (&shared.journal, &terminal) {
-            if let Err(e) = journal.append_sync(std::slice::from_ref(record)) {
-                tele.log(
-                    Level::Warn,
-                    "journal.error",
-                    vec![field_str("error", &e.to_string())],
-                );
-            }
-        }
+        shared.write_journal(record.as_slice());
         if newly_poisoned {
             tele.log(
                 Level::Warn,
                 "spec.poisoned",
-                vec![field_str("digest", &digest), field_num("job", id as f64)],
+                vec![
+                    field_str("digest", &job.digest),
+                    field_num("job", id as f64),
+                ],
             );
         }
-        if let Some((level, event, error)) = log_line {
-            let mut fields = vec![
-                field_str("cache", "miss"),
-                field_num("job", id as f64),
-                field_str("request_id", request_id.as_deref().unwrap_or("-")),
-                field_num("run_ms", run_ms),
-                field_num("wait_ms", wait_ms),
-            ];
-            if let Some(error) = error {
-                fields.push(field_str("error", &error));
-            }
-            tele.log(level, event, fields);
+        let mut fields = vec![
+            field_str("cache", "miss"),
+            field_num("job", id as f64),
+            field_str("request_id", job.request_id.as_deref().unwrap_or("-")),
+            field_num("run_ms", run_ms),
+            field_num("wait_ms", wait_ms),
+        ];
+        if let Some(error) = error {
+            fields.push(field_str("error", &error));
         }
+        tele.log(level, event, fields);
         // Move this job's freshly recorded spans into the mux promptly,
         // keeping the global buffer small between scrapes.
         tele.ingest();
@@ -2366,5 +2281,360 @@ mod tests {
             Some(JobState::Done)
         );
         sched.shutdown();
+    }
+
+    #[test]
+    fn flight_dump_keeps_the_last_records_and_counts_the_dropped() {
+        assert_eq!(
+            flight_json(&[]),
+            None,
+            "a run that recorded nothing has no dump"
+        );
+        let records: Vec<FlightRecord> = (0..FLIGHT_CAPACITY + 6)
+            .map(|i| FlightRecord::new("tick", [("i".to_owned(), Json::Num(i as f64))]))
+            .collect();
+        let Some(Json::Arr(items)) = flight_json(&records) else {
+            panic!("a non-empty run renders an array");
+        };
+        assert_eq!(items.len(), FLIGHT_CAPACITY + 1, "kept records + marker");
+        // seq numbers the job's own records, so the oldest kept is #6
+        for (item, seq) in items[..FLIGHT_CAPACITY].iter().zip(6..) {
+            assert_eq!(item.get("seq").and_then(Json::as_f64), Some(seq as f64));
+            assert_eq!(
+                item.get("fields")
+                    .and_then(|f| f.get("i"))
+                    .and_then(Json::as_f64),
+                Some(seq as f64)
+            );
+        }
+        let marker = items.last().unwrap();
+        assert_eq!(
+            marker.get("name").and_then(Json::as_str),
+            Some("flight.truncated")
+        );
+        assert_eq!(marker.get("dropped").and_then(Json::as_f64), Some(6.0));
+    }
+
+    fn fuzz_seed() -> u64 {
+        std::env::var("FOLDIC_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5E77_1E5A)
+    }
+
+    /// Every counter [`State`] keeps must agree with its job table.
+    fn assert_bookkeeping(state: &State, ctx: &str) {
+        let count = |s: JobState| state.jobs.values().filter(|j| j.status.state == s).count();
+        let live = |j: &&Job| matches!(j.status.state, JobState::Queued | JobState::Running);
+        assert_eq!(state.queued, count(JobState::Queued), "{ctx}: queued");
+        assert_eq!(state.running, count(JobState::Running), "{ctx}: running");
+        let held: u64 = state
+            .jobs
+            .values()
+            .filter(live)
+            .map(|j| j.reservation)
+            .sum();
+        assert_eq!(state.reserved, held, "{ctx}: reserved");
+        assert!(
+            state.jobs.values().all(|j| live(&j) || j.reservation == 0),
+            "{ctx}: a settled job still holds a reservation"
+        );
+        assert!(
+            state.reserved_peak >= state.reserved,
+            "{ctx}: reserved peak"
+        );
+        let counters = state.counters;
+        assert_eq!(
+            counters.submitted as usize,
+            state.jobs.len(),
+            "{ctx}: submitted"
+        );
+        assert_eq!(
+            counters.completed as usize,
+            count(JobState::Done),
+            "{ctx}: completed"
+        );
+        assert_eq!(
+            counters.failed as usize,
+            count(JobState::Failed),
+            "{ctx}: failed"
+        );
+        assert_eq!(
+            counters.cancelled as usize,
+            count(JobState::Cancelled),
+            "{ctx}: cancelled"
+        );
+        let poisoned = state
+            .jobs
+            .values()
+            .filter(|j| {
+                j.status
+                    .error
+                    .as_deref()
+                    .is_some_and(|e| e.starts_with("poisoned:"))
+            })
+            .count();
+        assert_eq!(counters.poisoned as usize, poisoned, "{ctx}: poisoned");
+        let budgeted_running = state
+            .jobs
+            .values()
+            .any(|j| j.status.state == JobState::Running && j.mem_budget.is_some());
+        assert_eq!(
+            state.exclusive_active, budgeted_running,
+            "{ctx}: exclusive_active"
+        );
+        if budgeted_running {
+            assert_eq!(state.running, 1, "{ctx}: a job runs beside a budgeted one");
+        }
+        let waiting = state
+            .queue
+            .iter()
+            .filter(|id| state.jobs[id].status.state == JobState::Queued)
+            .count();
+        assert_eq!(
+            waiting, state.queued,
+            "{ctx}: every queued job waits in the FIFO once"
+        );
+        if let Some(probe) = state.probe_job {
+            assert!(
+                !state.jobs[&probe].status.state.is_terminal(),
+                "{ctx}: settled job {probe} still holds the probe slot"
+            );
+        }
+    }
+
+    /// Drives [`State`] through random enqueues, dispatches, settles,
+    /// cancels and drains — no threads, no sleeps — checking after every
+    /// step that each counter matches the job table, and that the breaker
+    /// and poison ledger took exactly the calls a reference model expects
+    /// of each ending. Breaker cooldowns are zero or an hour, so no
+    /// outcome depends on the clock.
+    #[test]
+    fn state_bookkeeping_holds_under_random_transitions() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::mem::discriminant;
+        let seed = fuzz_seed();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let digests = ["fnv64:a", "fnv64:b", "fnv64:c", "fnv64:d"];
+        for run in 0..300 {
+            let limit = rng.gen_bool(0.6).then(|| rng.gen_range(1..1_000u64));
+            let breaker = rng.gen_bool(0.7).then(|| BreakerConfig {
+                failure_threshold: rng.gen_range(1..4u32),
+                cooldown: if rng.gen_bool(0.5) {
+                    Duration::ZERO
+                } else {
+                    Duration::from_secs(3600)
+                },
+            });
+            let mut state = State::new(breaker, rng.gen_bool(0.5));
+            let mut model = state.breaker.clone();
+            let mut strikes: HashMap<String, u32> = HashMap::new();
+            let mut probe: Option<u64> = None;
+            let steps = rng.gen_range(20..200usize);
+            let drain_at = rng.gen_range(0..steps * 2);
+            for step in 0..steps {
+                let ctx = format!("seed {seed} run {run} step {step}");
+                let action = match rng.gen_range(0..10u32) {
+                    _ if step == drain_at => 99,
+                    // a draining scheduler admits nothing: dispatch instead
+                    0..=3 if state.draining => 4,
+                    action => action,
+                };
+                match action {
+                    0..=3 => {
+                        let id = state.next_id;
+                        let digest = digests[rng.gen_range(0..digests.len())];
+                        let mut job = Job::new(
+                            id,
+                            JobSpec::default(),
+                            BTreeMap::new(),
+                            digest.to_owned(),
+                            rng.gen_bool(0.5),
+                            None,
+                        );
+                        let key = rng.gen_bool(0.3).then(|| format!("key-{id}"));
+                        match rng.gen_range(0..10u32) {
+                            // a cache hit, born done
+                            0 => {
+                                job.status.state = JobState::Done;
+                                job.status.cache_hit = true;
+                                job.status.body = Some(Arc::from("cached"));
+                                state.enqueue(job, key, false);
+                            }
+                            // a journal-replayed terminal job
+                            1 => {
+                                if rng.gen_bool(0.5) {
+                                    job.status.state = JobState::Failed;
+                                    job.status.error = Some("replayed".to_owned());
+                                } else {
+                                    job.status.state = JobState::Cancelled;
+                                }
+                                state.enqueue(job, key, false);
+                            }
+                            // an admission, gated as `submit_traced` gates
+                            // it: the ledger first, then the breaker
+                            _ => {
+                                let mut admitted = true;
+                                if let Some(limit) = limit {
+                                    let estimate = rng.gen_range(0..2 * limit);
+                                    (job.reservation, job.mem_budget) =
+                                        reservation_for(estimate, limit);
+                                    admitted = job.mem_budget.is_some()
+                                        || state.reserved + estimate <= limit;
+                                }
+                                let mut is_probe = false;
+                                if let (true, Some(real), Some(model)) =
+                                    (admitted, &mut state.breaker, &mut model)
+                                {
+                                    let now = Instant::now();
+                                    let got = real.try_admit(now);
+                                    let want = model.try_admit(now);
+                                    assert_eq!(
+                                        discriminant(&got),
+                                        discriminant(&want),
+                                        "{ctx}: admission {got:?} vs model {want:?}"
+                                    );
+                                    admitted = !matches!(got, Admission::Shed { .. });
+                                    is_probe = got == Admission::Probe;
+                                }
+                                if admitted {
+                                    if is_probe {
+                                        probe = Some(id);
+                                    }
+                                    state.enqueue(job, key, is_probe);
+                                }
+                            }
+                        }
+                    }
+                    4..=5 => {
+                        let head = state
+                            .queue
+                            .iter()
+                            .copied()
+                            .find(|id| state.jobs[id].status.state == JobState::Queued);
+                        let poisoned = |state: &State, id: u64| {
+                            strikes.get(&state.jobs[&id].digest).copied().unwrap_or(0)
+                                >= state.ledger.threshold()
+                        };
+                        match state.dispatch() {
+                            Dispatch::Run(job) => {
+                                assert_eq!(Some(job.status.id), head, "{ctx}: FIFO");
+                                assert!(
+                                    !poisoned(&state, job.status.id),
+                                    "{ctx}: ran a poisoned job"
+                                );
+                            }
+                            Dispatch::Poisoned { id, record, .. } => {
+                                assert_eq!(Some(id), head, "{ctx}: FIFO");
+                                assert!(poisoned(&state, id), "{ctx}: poisoned a clean job");
+                                assert!(record.is_some(), "{ctx}: poisoned job left no record");
+                                assert!(state.jobs[&id].status.flight.is_some(), "{ctx}: dump");
+                                if probe == Some(id) {
+                                    probe = None;
+                                    model.as_mut().map(CircuitBreaker::abort_probe);
+                                }
+                            }
+                            Dispatch::Idle => {
+                                if let Some(head) = head {
+                                    let blocked = if state.jobs[&head].mem_budget.is_some() {
+                                        state.running > 0
+                                    } else {
+                                        state.exclusive_active
+                                    };
+                                    assert!(blocked, "{ctx}: head {head} could have started");
+                                }
+                            }
+                        }
+                    }
+                    6..=8 => {
+                        // sorted, so the walk replays from its seed
+                        // whatever the job table's iteration order
+                        let mut running: Vec<u64> = state
+                            .jobs
+                            .iter()
+                            .filter(|(_, j)| j.status.state == JobState::Running)
+                            .map(|(&id, _)| id)
+                            .collect();
+                        running.sort_unstable();
+                        if running.is_empty() {
+                            continue;
+                        }
+                        let id = running[rng.gen_range(0..running.len())];
+                        let outcome = match rng.gen_range(0..4u32) {
+                            0 => Outcome::Done(Arc::from("body")),
+                            1 => Outcome::Failed("synthetic failure".to_owned()),
+                            2 => Outcome::Panicked("runner panicked: boom".to_owned()),
+                            _ => Outcome::Crashed,
+                        };
+                        if let Some(model) = &mut model {
+                            match outcome {
+                                Outcome::Done(_) | Outcome::Failed(_) => model.record_success(),
+                                _ => model.record_failure(Instant::now()),
+                            }
+                        }
+                        let job = &state.jobs[&id];
+                        if matches!(outcome, Outcome::Panicked(_)) {
+                            *strikes.entry(job.digest.clone()).or_default() += 1;
+                        }
+                        if probe == Some(id) {
+                            probe = None;
+                        }
+                        let inline = state.inline_bodies || job.status.cache_key.is_none();
+                        let done = matches!(outcome, Outcome::Done(_));
+                        let Some(JournalRecord::Terminal {
+                            job,
+                            state: ended,
+                            body,
+                            ..
+                        }) = state.settle(id, outcome)
+                        else {
+                            panic!("{ctx}: settling running job {id} left no terminal record");
+                        };
+                        assert_eq!(job, id, "{ctx}");
+                        assert_eq!(ended, if done { "done" } else { "failed" }, "{ctx}");
+                        assert_eq!(body.is_some(), done && inline, "{ctx}: inline body");
+                    }
+                    99 => {
+                        // the shutdown drain: admissions stop and every
+                        // queued job is cancelled
+                        state.draining = true;
+                        let queue: Vec<u64> = state.queue.drain(..).collect();
+                        for id in queue {
+                            if state.settle(id, Outcome::Cancelled).is_some() && probe == Some(id) {
+                                probe = None;
+                                model.as_mut().map(CircuitBreaker::abort_probe);
+                            }
+                        }
+                        assert_eq!(state.queued, 0, "{ctx}: drain left queued jobs");
+                    }
+                    _ => {
+                        // any id, unknown ones included: only a queued job
+                        // cancels
+                        let id = rng.gen_range(1..state.next_id + 1);
+                        let was = state.jobs.get(&id).map(|j| j.status.state);
+                        let record = state.settle(id, Outcome::Cancelled);
+                        assert_eq!(record.is_some(), was == Some(JobState::Queued), "{ctx}");
+                        if record.is_some() && probe == Some(id) {
+                            probe = None;
+                            model.as_mut().map(CircuitBreaker::abort_probe);
+                        }
+                    }
+                }
+                if let (Some(real), Some(model)) = (&state.breaker, &model) {
+                    assert_eq!(real.state(), model.state(), "{ctx}: breaker state");
+                    assert_eq!(
+                        real.transitions(),
+                        model.transitions(),
+                        "{ctx}: transitions"
+                    );
+                }
+                assert_eq!(state.probe_job, probe, "{ctx}: probe slot");
+                for digest in digests {
+                    let want = strikes.get(digest).copied().unwrap_or(0);
+                    assert_eq!(state.ledger.strikes(digest), want, "{ctx}: strikes");
+                }
+                assert_bookkeeping(&state, &ctx);
+            }
+        }
     }
 }

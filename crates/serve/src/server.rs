@@ -37,8 +37,8 @@ use crate::journal::Journal;
 use crate::queue::{
     Durability, JobState, Scheduler, SchedulerConfig, StudyRunner, Submission, SubmitCtx,
 };
+use crate::supervise::BreakerConfig;
 use crate::telemetry::{endpoint_class, Telemetry, TelemetryConfig};
-use foldic_fault::supervise::BreakerConfig;
 use foldic_obs::json::Json;
 use foldic_obs::trace::{AttrValue, SpanGuard, SpanId};
 use std::io::BufReader;
@@ -51,15 +51,13 @@ use std::time::{Duration, Instant};
 /// Daemon tuning.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Most jobs that may wait in the queue at once.
-    pub queue_capacity: usize,
-    /// Worker threads executing jobs.
-    pub workers: usize,
+    /// The scheduler behind the daemon: queue capacity, workers, the
+    /// base `Retry-After` hint of 429/503 responses, and the cost-aware
+    /// admission memory limit (`--mem-limit`).
+    pub scheduler: SchedulerConfig,
     /// Socket read timeout — bounds how long a torn write can hold a
     /// connection thread (the request then fails with 408).
     pub read_timeout: Duration,
-    /// `Retry-After` hint handed out with 429 responses.
-    pub retry_after_secs: u32,
     /// Write-ahead job journal path (`--journal`): acknowledged jobs
     /// survive a crash and are replayed at the next boot. `None` (the
     /// default) keeps the daemon byte-identical to its pre-durability
@@ -70,24 +68,16 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
     /// Circuit-breaker tuning; `None` (the default) disables shedding.
     pub breaker: Option<BreakerConfig>,
-    /// Cost-aware admission memory limit (`--mem-limit`): submissions
-    /// are priced and admitted only while their estimates fit under the
-    /// limit alongside in-flight reservations. `None` (the default)
-    /// disables the ledger entirely.
-    pub mem_limit: Option<u64>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            queue_capacity: 64,
-            workers: 2,
+            scheduler: SchedulerConfig::default(),
             read_timeout: Duration::from_secs(5),
-            retry_after_secs: 1,
             journal: None,
             cache_dir: None,
             breaker: None,
-            mem_limit: None,
         }
     }
 }
@@ -170,12 +160,7 @@ impl Server {
         let inner = Arc::new(Inner {
             scheduler: Scheduler::with_durability(
                 runner,
-                SchedulerConfig {
-                    queue_capacity: cfg.queue_capacity,
-                    workers: cfg.workers,
-                    retry_after_secs: cfg.retry_after_secs,
-                    mem_limit: cfg.mem_limit,
-                },
+                cfg.scheduler,
                 Arc::clone(&telemetry),
                 durability,
             ),

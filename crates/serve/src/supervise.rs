@@ -3,9 +3,10 @@
 //!
 //! Both types are **pure state machines** — no clocks, no threads, no
 //! locks. Time enters only through explicit [`Instant`] parameters, which
-//! is what makes every transition unit-testable without sleeping, and the
-//! caller (the serve scheduler) holds them under its own state lock so no
-//! internal synchronization is needed.
+//! is what makes every transition unit-testable without sleeping. The
+//! scheduler's job-lifecycle state machine (`queue::State`) owns both and
+//! drives them from its admission and settle transitions, under the
+//! scheduler's lock, so no internal synchronization is needed.
 //!
 //! * [`PoisonLedger`] — counts worker panics per spec digest. A job
 //!   whose runs panic [`PoisonLedger::threshold`] times is *poisoned*:

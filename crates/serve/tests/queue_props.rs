@@ -16,10 +16,10 @@
 //!   closed → open (shedding with `Retry-After`) → half-open (one
 //!   probe) → closed on a probe success.
 
-use foldic_fault::supervise::BreakerConfig;
 use foldic_serve::queue::{
     Durability, JobState, Scheduler, SchedulerConfig, StudyRunner, Submission,
 };
+use foldic_serve::supervise::BreakerConfig;
 use foldic_serve::JobSpec;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
