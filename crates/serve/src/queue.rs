@@ -180,10 +180,12 @@ impl FlightRecord {
 const FLIGHT_CAPACITY: usize = 64;
 
 /// Renders a run's provenance as the status document's `flight_recorder`
-/// array: `None` when the run recorded nothing, else its last
-/// [`FLIGHT_CAPACITY`] records, `seq` numbering them in the job's own
-/// order, then a `flight.truncated` marker counting any older ones
-/// dropped — the dump says how much history it lost.
+/// array: `None` when the run recorded nothing, else at most
+/// [`FLIGHT_CAPACITY`] records — the first (`job.start`, which names the
+/// job's deadline and budget) and the latest — `seq` numbering them in
+/// the job's own order, then a `flight.truncated` marker counting the
+/// records dropped between them, so the dump says how much history it
+/// lost.
 fn flight_json(records: &[FlightRecord]) -> Option<Json> {
     if records.is_empty() {
         return None;
@@ -192,7 +194,7 @@ fn flight_json(records: &[FlightRecord]) -> Option<Json> {
     let mut items: Vec<Json> = records
         .iter()
         .enumerate()
-        .skip(dropped)
+        .filter(|&(seq, _)| seq == 0 || seq > dropped)
         .map(|(seq, record)| {
             Json::obj([
                 ("fields".to_owned(), Json::Obj(record.fields.clone())),
@@ -2297,8 +2299,10 @@ mod tests {
             panic!("a non-empty run renders an array");
         };
         assert_eq!(items.len(), FLIGHT_CAPACITY + 1, "kept records + marker");
-        // seq numbers the job's own records, so the oldest kept is #6
-        for (item, seq) in items[..FLIGHT_CAPACITY].iter().zip(6..) {
+        // seq numbers the job's own records: the first (#0) stays, then
+        // #1–#6 are dropped and #7 is the oldest of the latest kept
+        let kept = std::iter::once(0).chain(7..FLIGHT_CAPACITY + 6);
+        for (item, seq) in items[..FLIGHT_CAPACITY].iter().zip(kept) {
             assert_eq!(item.get("seq").and_then(Json::as_f64), Some(seq as f64));
             assert_eq!(
                 item.get("fields")
