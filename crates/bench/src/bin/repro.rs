@@ -10,6 +10,8 @@
 //! repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--port-file PATH]
 //! repro loadgen --addr HOST:PORT [--jobs N] [--clients N] [--seed S] [--mix SPEC]
 //!               [--experiments a+b] [--size S] [--json out.json] [--gate] [--shutdown]
+//! repro loadgen --chaos SEED [--jobs N] [--experiments a+b] [--size S] [--json out.json] [--gate]
+//! repro loadgen --overload SEED [--jobs N] [--json out.json] [--gate]
 //!
 //! EXPERIMENT: table1 table2 table3 table4 table5
 //!             fig2 fig3 fig5 fig6 fig7 fig8
@@ -60,14 +62,17 @@
 //! daemon traces every request (`GET /jobs/<id>/trace` serves a job's
 //! span tree), exposes Prometheus-style counters on `GET /metrics`, and
 //! with `--log PATH` appends a structured JSONL access+app log
-//! (`--log-level` filters severities). `repro loadgen` replays a seeded
-//! mix of hit/miss/cancel/deadline jobs against a running daemon and
-//! emits a `foldic-serve-bench/2` report that embeds the daemon's own
-//! `/metrics` counter deltas; `--gate` exits nonzero when the run
-//! violated an invariant (client errors, failed jobs, rejected
-//! submissions, planned hits that missed, or server counters that
-//! disagree with the client view), and `--shutdown` asks the daemon to
-//! drain afterwards.
+//! (`--log-level` filters severities). `repro loadgen` runs one of the
+//! seeded scenarios in `foldic_serve::scenario` and emits its
+//! `foldic-serve-scenario/1` report. By default it replays a
+//! mix of hit/miss/cancel/deadline jobs against the daemon at `--addr`
+//! and compares the clients' counts with the daemon's own `/metrics`
+//! counter deltas (`--shutdown` asks the daemon to drain afterwards).
+//! `--chaos SEED` boots a journaled daemon from this binary, SIGKILLs it
+//! mid-load and restarts it twice; `--overload SEED` boots one with a
+//! small `--mem-limit` and floods it. `--gate` exits 1 when the report
+//! lists a violated invariant. A second scenario selector, or a flag the
+//! chosen scenario does not read, is a usage error (exit 2).
 //!
 //! `--deadline SECS` bounds the whole run's wall clock: a watchdog trips
 //! a cancellation token on expiry, in-flight blocks stop at their next
@@ -1037,109 +1042,27 @@ fn run_serve(args: &[String]) -> i32 {
     0
 }
 
-/// `repro loadgen --addr HOST:PORT [...]`. Exit code: 0 on success (and a
-/// passing gate when `--gate` is set), 1 on gate failure, 2 on usage or
-/// transport errors.
+/// `repro loadgen`: runs one seeded scenario (`foldic_serve::scenario`):
+/// load against `--addr`, or `--chaos SEED` / `--overload SEED` against
+/// a daemon it boots from this same binary. Exit code: 0 on success (and
+/// a passing gate when `--gate` is set), 1 on gate failure, 2 on usage
+/// or harness errors, including a second scenario selector or a flag the
+/// chosen scenario does not read.
 fn run_loadgen(args: &[String]) -> i32 {
-    let mut addr: Option<std::net::SocketAddr> = None;
-    let mut jobs: Option<usize> = None;
-    let mut clients: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut mix: Option<foldic_serve::loadgen::MixWeights> = None;
-    let mut experiments: Option<Vec<String>> = None;
-    let mut size: Option<String> = None;
-    let mut json_path: Option<PathBuf> = None;
-    let mut gate = false;
-    let mut shutdown = false;
-    let mut chaos: Option<u64> = None;
-    let mut overload: Option<u64> = None;
+    use foldic_serve::scenario::{self, Config, Daemon, MixWeights, Scenario, Target};
+    let mut flags: BTreeMap<&str, &str> = BTreeMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => {
+            flag @ ("--gate" | "--shutdown") => {
+                flags.insert(flag, "");
+            }
+            flag @ ("--addr" | "--jobs" | "--clients" | "--seed" | "--mix" | "--experiments"
+            | "--size" | "--json" | "--chaos" | "--overload") => {
                 let v = it
                     .next()
-                    .unwrap_or_else(|| usage_err("--addr needs HOST:PORT"));
-                addr =
-                    Some(v.parse().unwrap_or_else(|_| {
-                        usage_err(&format!("--addr needs HOST:PORT, got `{v}`"))
-                    }));
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--jobs needs a value"));
-                jobs = Some(v.parse().unwrap_or_else(|_| {
-                    usage_err(&format!("--jobs needs a positive integer, got `{v}`"))
-                }));
-            }
-            "--clients" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--clients needs a value"));
-                clients = Some(v.parse().unwrap_or_else(|_| {
-                    usage_err(&format!("--clients needs a positive integer, got `{v}`"))
-                }));
-            }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--seed needs a value"));
-                seed = Some(parse_u64_maybe_hex(v).unwrap_or_else(|| {
-                    usage_err(&format!(
-                        "--seed needs an integer (decimal or 0x hex), got `{v}`"
-                    ))
-                }));
-            }
-            "--mix" => {
-                let v = it.next().unwrap_or_else(|| {
-                    usage_err("--mix needs hit=..,miss=..,cancel=..,deadline=..")
-                });
-                mix = Some(
-                    foldic_serve::loadgen::MixWeights::parse(v)
-                        .unwrap_or_else(|e| usage_err(&format!("--mix: {e}"))),
-                );
-            }
-            "--experiments" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--experiments needs a +-separated list"));
-                experiments = Some(v.split('+').map(str::to_owned).collect());
-            }
-            "--size" => {
-                size = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_err("--size needs a value (full|small|tiny)"))
-                        .clone(),
-                );
-            }
-            "--json" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--json needs a path"));
-                json_path = Some(PathBuf::from(v));
-            }
-            "--gate" => gate = true,
-            "--shutdown" => shutdown = true,
-            "--chaos" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--chaos needs a seed"));
-                chaos = Some(parse_u64_maybe_hex(v).unwrap_or_else(|| {
-                    usage_err(&format!(
-                        "--chaos needs an integer seed (decimal or 0x hex), got `{v}`"
-                    ))
-                }));
-            }
-            "--overload" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_err("--overload needs a seed"));
-                overload = Some(parse_u64_maybe_hex(v).unwrap_or_else(|| {
-                    usage_err(&format!(
-                        "--overload needs an integer seed (decimal or 0x hex), got `{v}`"
-                    ))
-                }));
+                    .unwrap_or_else(|| usage_err(&format!("{flag} needs a value")));
+                flags.insert(flag, v);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -1148,233 +1071,143 @@ fn run_loadgen(args: &[String]) -> i32 {
             other => usage_err(&format!("unknown loadgen argument `{other}`")),
         }
     }
-    if let Some(chaos_seed) = chaos {
-        return run_chaos(chaos_seed, jobs, experiments, size, json_path, gate);
+    let (scenario, seed_flag, reads): (Scenario, &str, &[&str]) = match (
+        flags.contains_key("--chaos"),
+        flags.contains_key("--overload"),
+    ) {
+        (true, true) => usage_err("--chaos and --overload each select a scenario; give one"),
+        (true, false) => (Scenario::Chaos, "--chaos", &["--experiments", "--size"]),
+        (false, true) => (Scenario::Overload, "--overload", &[]),
+        (false, false) => (
+            Scenario::Load,
+            "--seed",
+            &[
+                "--addr",
+                "--clients",
+                "--mix",
+                "--experiments",
+                "--size",
+                "--shutdown",
+            ],
+        ),
+    };
+    let name = scenario.as_str();
+    if let Some(flag) = flags
+        .keys()
+        .find(|&&f| !reads.contains(&f) && ![seed_flag, "--jobs", "--json", "--gate"].contains(&f))
+    {
+        usage_err(&format!("the {name} scenario does not read {flag}"));
     }
-    if let Some(overload_seed) = overload {
-        return run_overload(overload_seed, jobs, json_path, gate);
+    let seed = flags.get(seed_flag).map(|v| {
+        parse_u64_maybe_hex(v).unwrap_or_else(|| {
+            usage_err(&format!(
+                "{seed_flag} needs an integer seed (decimal or 0x hex), got `{v}`"
+            ))
+        })
+    });
+    let target = if scenario == Scenario::Load {
+        let Some(v) = flags.get("--addr") else {
+            usage_err(
+                "loadgen needs --addr HOST:PORT (or --chaos SEED / --overload SEED for a harness)",
+            );
+        };
+        Target::Attach(
+            v.parse()
+                .unwrap_or_else(|_| usage_err(&format!("--addr needs HOST:PORT, got `{v}`"))),
+        )
+    } else {
+        let exe = match std::env::current_exe() {
+            Ok(exe) => exe.display().to_string(),
+            Err(e) => {
+                eprintln!("{name}: cannot locate own executable: {e}");
+                return 2;
+            }
+        };
+        // Kept on a failure so the journal and cache can be inspected; a
+        // passing run removes it.
+        let dir = std::env::temp_dir().join(format!(
+            "foldic-{name}-{:x}-{}",
+            seed.unwrap_or_default(),
+            std::process::id()
+        ));
+        Target::Spawn {
+            serve_cmd: vec![exe, "serve".to_owned()],
+            dir,
+        }
+    };
+    let mut cfg = Config::new(scenario, target);
+    cfg.seed = seed.unwrap_or(cfg.seed);
+    let positive = |flag: &str| -> Option<usize> {
+        flags.get(flag).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                usage_err(&format!("{flag} needs a positive integer, got `{v}`"))
+            })
+        })
+    };
+    cfg.jobs = positive("--jobs").unwrap_or(cfg.jobs);
+    cfg.clients = positive("--clients").unwrap_or(cfg.clients);
+    if let Some(v) = flags.get("--mix") {
+        cfg.mix = MixWeights::parse(v).unwrap_or_else(|e| usage_err(&format!("--mix: {e}")));
     }
-    let Some(addr) = addr else {
-        usage_err(
-            "loadgen needs --addr HOST:PORT (or --chaos SEED / --overload SEED for a harness)",
+    if let Some(v) = flags.get("--experiments") {
+        cfg.experiments = v.split('+').map(str::to_owned).collect();
+    }
+    if let Some(v) = flags.get("--size") {
+        cfg.size = (*v).to_owned();
+    }
+
+    let scratch = match &cfg.target {
+        Target::Spawn { dir, .. } => format!(", scratch {}", dir.display()),
+        Target::Attach(_) => String::new(),
+    };
+    println!("{name}: seed {:#x}, {} job(s){scratch}", cfg.seed, cfg.jobs);
+    let report = match scenario::run(&cfg) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            return 2;
+        }
+    };
+    let counts: Vec<String> = report
+        .counts
+        .iter()
+        .map(|(count, n)| format!("{count} {n}"))
+        .collect();
+    println!("{name}: {}", counts.join(", "));
+    if scenario == Scenario::Load {
+        let ms = |p| report.latency_ms.get(p).copied().unwrap_or(0.0);
+        println!(
+            "{name}: throughput {:.1} jobs/s, latency p50/p90/p99/max = {:.1}/{:.1}/{:.1}/{:.1} ms",
+            report.throughput_jps,
+            ms("p50"),
+            ms("p90"),
+            ms("p99"),
+            ms("max"),
         );
-    };
-    let mut cfg = foldic_serve::loadgen::LoadConfig::new(addr);
-    if let Some(jobs) = jobs {
-        cfg.jobs = jobs;
     }
-    if let Some(clients) = clients {
-        cfg.clients = clients;
-    }
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    if let Some(mix) = mix {
-        cfg.mix = mix;
-    }
-    if let Some(experiments) = experiments {
-        cfg.experiments = experiments;
-    }
-    if let Some(size) = size {
-        cfg.size = size;
-    }
-
-    let report = match foldic_serve::loadgen::run(&cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            return 2;
-        }
-    };
-    println!(
-        "loadgen: {} job(s) x {} client(s), seed {} — {} done, {} cancelled, {} failed, {} rejected, {} error(s)",
-        report.jobs,
-        report.clients,
-        report.seed,
-        report.done,
-        report.cancelled,
-        report.failed,
-        report.rejected,
-        report.errors.len()
-    );
-    println!(
-        "loadgen: hit ratio {:.2}, throughput {:.1} jobs/s, latency p50/p90/p99/max = {:.1}/{:.1}/{:.1}/{:.1} ms",
-        report.hit_ratio,
-        report.throughput_jps,
-        report.latency_ms.get("p50").copied().unwrap_or(0.0),
-        report.latency_ms.get("p90").copied().unwrap_or(0.0),
-        report.latency_ms.get("p99").copied().unwrap_or(0.0),
-        report.latency_ms.get("max").copied().unwrap_or(0.0),
-    );
-    if let Some(path) = json_path {
-        write_or_die(&path, &report.to_json().to_pretty());
-        println!("loadgen: report -> {}", path.display());
-    }
-    if shutdown {
-        match foldic_serve::client::post(addr, "/shutdown", std::time::Duration::from_secs(10)) {
-            Ok(_) => println!("loadgen: asked {addr} to shut down"),
-            Err(e) => eprintln!("loadgen: shutdown request failed: {e}"),
-        }
-    }
-    if gate {
-        if let Err(problems) = report.gate() {
-            eprintln!("loadgen: GATE FAILED: {problems}");
-            return 1;
-        }
-        println!("loadgen: gate passed");
-    }
-    0
-}
-
-/// `repro loadgen --chaos SEED [...]`: the deterministic crash harness.
-/// Boots this same binary as `repro serve --journal --cache-dir` in a
-/// scratch directory, drives seeded load (including slow-loris headers
-/// and mid-request disconnects), SIGKILLs the daemon mid-flight, then
-/// restarts it twice to assert that no acknowledged job is lost,
-/// recovered bodies are byte-identical, and journal replay is
-/// idempotent. Exit code: 0 on a passing gate, 1 on a durability
-/// violation, 2 on harness errors.
-fn run_chaos(
-    seed: u64,
-    jobs: Option<usize>,
-    experiments: Option<Vec<String>>,
-    size: Option<String>,
-    json_path: Option<PathBuf>,
-    gate: bool,
-) -> i32 {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe.display().to_string(),
-        Err(e) => {
-            eprintln!("loadgen: cannot locate own executable for --chaos: {e}");
-            return 2;
-        }
-    };
-    let dir = std::env::temp_dir().join(format!(
-        "foldic-chaos-{seed:x}-{pid}",
-        pid = std::process::id()
-    ));
-    let cfg = foldic_serve::chaos::ChaosConfig {
-        serve_cmd: vec![exe, "serve".to_owned()],
-        seed,
-        jobs: jobs.unwrap_or(12),
-        experiments: experiments.unwrap_or_else(|| vec!["table1".to_owned(), "table2".to_owned()]),
-        size: size.unwrap_or_else(|| "tiny".to_owned()),
-        dir: dir.clone(),
-        timeout: std::time::Duration::from_secs(120),
-    };
-    println!(
-        "chaos: seed {seed}, {} job(s), scratch {}",
-        cfg.jobs,
-        dir.display()
-    );
-    let report = match foldic_serve::chaos::run(&cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            return 2;
-        }
-    };
-    println!(
-        "chaos: {} acked ({} done pre-kill), {} slow-loris, {} disconnect(s); lost {}, unrecovered {}, mismatched {}, replay re-enqueued {}",
-        report.acked,
-        report.done_before_kill,
-        report.slowloris,
-        report.disconnects,
-        report.lost.len(),
-        report.unrecovered.len(),
-        report.mismatched.len(),
-        report.reenqueued_after_clean
-    );
-    if let Some(path) = json_path {
-        write_or_die(&path, &report.to_json().to_pretty());
-        println!("chaos: report -> {}", path.display());
+    if let Some(path) = flags.get("--json") {
+        write_or_die(Path::new(path), &report.to_json().to_pretty());
+        println!("{name}: report -> {path}");
     }
     let verdict = report.gate();
-    if verdict.is_ok() {
-        // Keep the scratch directory around on failure so the journal
-        // and cache can be inspected; a passing run cleans up.
-        let _ = std::fs::remove_dir_all(&dir);
+    match &cfg.target {
+        Target::Attach(addr) if flags.contains_key("--shutdown") => {
+            match Daemon::attach(*addr).shutdown(Duration::from_secs(10)) {
+                Ok(()) => println!("{name}: asked {addr} to shut down"),
+                Err(e) => eprintln!("{name}: {e}"),
+            }
+        }
+        Target::Spawn { dir, .. } if verdict.is_ok() => {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        _ => {}
     }
-    if gate {
-        if let Err(problems) = verdict {
-            eprintln!("chaos: GATE FAILED: {}", problems.join("; "));
+    if flags.contains_key("--gate") {
+        if let Err(violations) = verdict {
+            eprintln!("{name}: GATE FAILED: {}", violations.join("; "));
             return 1;
         }
-        println!("chaos: gate passed");
-    }
-    0
-}
-
-/// `repro loadgen --overload SEED [...]`: the deterministic overload
-/// harness. Boots this same binary as `repro serve --mem-limit` with a
-/// deliberately tiny limit, floods it behind an oversized job that
-/// reserves the whole admission ledger, then asserts the daemon
-/// survives, every shed carries a usable `Retry-After`, every fitting
-/// job completes once clients honor it, and the oversized job degrades
-/// deterministically (byte-identical bodies with `resources`
-/// provenance). Exit code: 0 on a passing gate, 1 on a violated
-/// invariant, 2 on harness errors.
-fn run_overload(seed: u64, jobs: Option<usize>, json_path: Option<PathBuf>, gate: bool) -> i32 {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe.display().to_string(),
-        Err(e) => {
-            eprintln!("loadgen: cannot locate own executable for --overload: {e}");
-            return 2;
-        }
-    };
-    let dir = std::env::temp_dir().join(format!(
-        "foldic-overload-{seed:x}-{pid}",
-        pid = std::process::id()
-    ));
-    let cfg = foldic_serve::overload::OverloadConfig {
-        serve_cmd: vec![exe, "serve".to_owned()],
-        seed,
-        jobs: jobs.unwrap_or(6),
-        mem_limit: foldic_serve::overload::DEFAULT_MEM_LIMIT,
-        dir: dir.clone(),
-        timeout: std::time::Duration::from_secs(120),
-    };
-    println!(
-        "overload: seed {seed}, {} fitting job(s), mem limit {}, scratch {}",
-        cfg.jobs,
-        foldic::format_bytes(cfg.mem_limit),
-        dir.display()
-    );
-    let report = match foldic_serve::overload::run(&cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("overload: {e}");
-            return 2;
-        }
-    };
-    println!(
-        "overload: {}/{} fitting job(s) done, {} shed(s) ({} hintless), {} oversized ack(s) (mismatched: {}, missing resources: {}), daemon died: {}, ledger after drain: {} byte(s)",
-        report.completed,
-        report.fitting,
-        report.shed,
-        report.bad_retry_after,
-        report.oversized_acked,
-        report.oversized_mismatched,
-        report.oversized_missing_resources,
-        report.daemon_died,
-        report.stats_reserved_after
-    );
-    if let Some(path) = json_path {
-        write_or_die(&path, &report.to_json().to_pretty());
-        println!("overload: report -> {}", path.display());
-    }
-    let verdict = report.gate();
-    if verdict.is_ok() {
-        // Keep the scratch directory around on failure for inspection;
-        // a passing run cleans up.
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    if gate {
-        if let Err(problems) = verdict {
-            eprintln!("overload: GATE FAILED: {}", problems.join("; "));
-            return 1;
-        }
-        println!("overload: gate passed");
+        println!("{name}: gate passed");
     }
     0
 }
@@ -1458,6 +1291,7 @@ fn probe(
     seed: Option<u64>,
     shutdown: bool,
 ) -> Result<(), String> {
+    use foldic_serve::scenario::{self, Submitted};
     use foldic_serve::{client, telemetry};
     const T: Duration = Duration::from_secs(30);
     const POLL: Duration = Duration::from_secs(600);
@@ -1489,45 +1323,19 @@ fn probe(
             seed,
             ..foldic_serve::JobSpec::default()
         };
-        let response = client::post_json(addr, "/jobs", &spec.to_json(), T)
-            .map_err(|e| format!("submit: {e}"))?;
-        match response.status {
-            202 => {}
+        let id = match scenario::submit(addr, &spec) {
             // A hit never dispatches, so its trace has no execution
             // spans; the probe needs a config the daemon hasn't seen.
-            200 => {
+            Submitted::Hit(_) => {
                 return Err(
                     "submitted config was already cached; probe with a fresh --seed".to_owned(),
                 )
             }
-            status => {
-                return Err(format!(
-                    "submit returned {status}: {}",
-                    response.body_text().unwrap_or("<binary>")
-                ))
-            }
-        }
-        let id = response
-            .body_json()?
-            .get("job")
-            .and_then(Json::as_f64)
-            .ok_or("submit body lacks a job id")? as u64;
-        let deadline = Instant::now() + POLL;
-        loop {
-            let doc = client::get(addr, &format!("/jobs/{id}"), T)
-                .map_err(|e| format!("status poll: {e}"))?
-                .body_json()?;
-            match doc.get("state").and_then(Json::as_str) {
-                Some("done") => break,
-                Some(terminal @ ("failed" | "cancelled")) => {
-                    return Err(format!("job {id} ended {terminal}"))
-                }
-                _ => {}
-            }
-            if Instant::now() >= deadline {
-                return Err(format!("job {id} never finished"));
-            }
-            std::thread::sleep(Duration::from_millis(50));
+            other => other.acked()?,
+        };
+        let settled = scenario::settle(addr, id, POLL)?;
+        if settled.state != "done" {
+            return Err(format!("job {id} ended {}", settled.state));
         }
 
         let trace = client::get(addr, &format!("/jobs/{id}/trace"), T)

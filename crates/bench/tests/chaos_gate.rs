@@ -5,17 +5,18 @@
 //!   `--cache-dir`, compute a job, SIGKILL the daemon, restart on the
 //!   same state, and require the recovered result byte-identical plus
 //!   the restored lifetime counters in `/stats`;
-//! * the deterministic chaos harness itself ([`foldic_serve::chaos`]) —
-//!   seeded load with slow-loris headers and mid-request disconnects, a
+//! * the chaos scenario itself ([`foldic_serve::scenario`]) — seeded
+//!   load with slow-loris headers and mid-request disconnects, a
 //!   mid-flight SIGKILL, and the no-acked-job-lost / byte-identical /
 //!   idempotent-replay gate.
 
 use foldic_obs::json::Json;
 use foldic_serve::client;
+use foldic_serve::scenario::{self, Config, Daemon, Scenario, Target};
 use foldic_serve::JobSpec;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 /// Debug-build experiment runs are slow; completion polls get a
@@ -29,85 +30,37 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Kills the daemon subprocess if the test panics before shutdown.
-struct KillOnDrop(std::process::Child);
-
-impl Drop for KillOnDrop {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
+fn serve_cmd() -> Vec<String> {
+    vec![env!("CARGO_BIN_EXE_repro").to_owned(), "serve".to_owned()]
 }
 
 /// Boots `repro serve --journal --cache-dir` against `dir` and waits for
-/// its port file.
-fn boot(dir: &Path, boot_index: u32) -> (KillOnDrop, SocketAddr) {
+/// its port file. Dropping the handle SIGKILLs the daemon.
+fn boot(dir: &Path, boot_index: u32) -> Daemon {
+    let (journal, cache) = (dir.join("journal.jsonl"), dir.join("cache"));
+    let flags = [
+        "--workers",
+        "1",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--cache-dir",
+        cache.to_str().unwrap(),
+    ];
     let port_file = dir.join(format!("addr-{boot_index}.txt"));
-    let _ = std::fs::remove_file(&port_file);
-    let child = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--journal",
-            dir.join("journal.jsonl").to_str().unwrap(),
-            "--cache-dir",
-            dir.join("cache").to_str().unwrap(),
-            "--port-file",
-            port_file.to_str().unwrap(),
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("daemon spawns");
-    let mut child = KillOnDrop(child);
-    let deadline = Instant::now() + TIMEOUT;
-    let addr = loop {
-        if let Some(addr) = std::fs::read_to_string(&port_file)
-            .ok()
-            .and_then(|t| t.trim().parse().ok())
-        {
-            break addr;
-        }
-        assert!(
-            child.0.try_wait().expect("wait").is_none(),
-            "daemon exited before writing its port file"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "daemon never wrote its port file"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    (child, addr)
+    Daemon::spawn(&serve_cmd(), &flags, &port_file, TIMEOUT).expect("daemon boots")
 }
 
 fn await_result(addr: SocketAddr, id: u64) -> String {
-    let deadline = Instant::now() + POLL;
-    loop {
-        let doc = client::get(addr, &format!("/jobs/{id}"), TIMEOUT)
-            .expect("status")
-            .body_json()
-            .expect("status is JSON");
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") | Some("cancelled") => panic!("job {id} ended {:?}", doc.get("state")),
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "job {id} never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let result = client::get(addr, &format!("/jobs/{id}/result"), TIMEOUT).expect("result");
-    assert_eq!(result.status, 200);
-    String::from_utf8(result.body).expect("manifest is UTF-8")
+    let settled = scenario::settle(addr, id, POLL).expect("job settles");
+    assert_eq!(settled.state, "done", "job {id} ended {}", settled.state);
+    String::from_utf8(settled.body.expect("done job has a body")).expect("manifest is UTF-8")
 }
 
 #[test]
 fn sigkilled_daemon_restarts_with_identical_bytes_and_restored_counters() {
     let dir = tmp_dir("smoke");
-    let (child, addr) = boot(&dir, 1);
+    let daemon = boot(&dir, 1);
+    let addr = daemon.addr();
 
     let spec = JobSpec {
         experiments: vec!["fig2".to_owned()],
@@ -126,9 +79,10 @@ fn sigkilled_daemon_restarts_with_identical_bytes_and_restored_counters() {
 
     // SIGKILL: no drain, no flush beyond what the journal already
     // fsync'd before acks.
-    drop(child);
+    drop(daemon);
 
-    let (child, addr) = boot(&dir, 2);
+    let mut daemon = boot(&dir, 2);
+    let addr = daemon.addr();
     // The finished job survives with byte-identical bytes…
     assert_eq!(
         client::get(addr, &format!("/jobs/{id}"), TIMEOUT)
@@ -179,8 +133,7 @@ fn sigkilled_daemon_restarts_with_identical_bytes_and_restored_counters() {
 
     let down = client::post(addr, "/shutdown", TIMEOUT).unwrap();
     assert_eq!(down.status, 200);
-    let mut child = child;
-    let status = child.0.wait().expect("daemon exits");
+    let status = daemon.wait(POLL).expect("daemon exits");
     assert!(status.success(), "daemon exit: {status:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -188,17 +141,25 @@ fn sigkilled_daemon_restarts_with_identical_bytes_and_restored_counters() {
 #[test]
 fn chaos_harness_gate_holds_under_seeded_kill() {
     let dir = tmp_dir("harness");
-    let cfg = foldic_serve::chaos::ChaosConfig {
-        serve_cmd: vec![env!("CARGO_BIN_EXE_repro").to_owned(), "serve".to_owned()],
+    let cfg = Config {
         seed: 42,
         jobs: 5,
         experiments: vec!["fig2".to_owned()],
-        size: "tiny".to_owned(),
-        dir: dir.clone(),
         timeout: POLL,
+        ..Config::new(
+            Scenario::Chaos,
+            Target::Spawn {
+                serve_cmd: serve_cmd(),
+                dir: dir.clone(),
+            },
+        )
     };
-    let report = foldic_serve::chaos::run(&cfg).expect("chaos harness runs");
-    assert!(report.acked >= 5, "harness acked {} jobs", report.acked);
+    let report = scenario::run(&cfg).expect("chaos harness runs");
+    assert!(
+        report.count("acked") >= 5,
+        "harness acked {} jobs",
+        report.count("acked")
+    );
     if let Err(problems) = report.gate() {
         panic!("chaos gate failed: {}", problems.join("; "));
     }
@@ -206,7 +167,7 @@ fn chaos_harness_gate_holds_under_seeded_kill() {
     let doc = report.to_json();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some(foldic_serve::chaos::CHAOS_REPORT_SCHEMA)
+        Some(scenario::SCHEMA)
     );
     assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
     let _ = std::fs::remove_dir_all(&dir);

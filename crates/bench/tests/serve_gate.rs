@@ -11,12 +11,13 @@ use foldic_bench::serve::BenchRunner;
 use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
 use foldic_serve::client;
+use foldic_serve::scenario::{self, Config, Daemon, MixWeights, Scenario, Target};
 use foldic_serve::{JobSpec, SchedulerConfig, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -58,25 +59,9 @@ fn submit(addr: SocketAddr, spec: &JobSpec) -> (u16, Json) {
 
 /// Polls a job to `done` and returns its result body.
 fn await_result(addr: SocketAddr, id: u64) -> String {
-    let deadline = Instant::now() + POLL;
-    loop {
-        let doc = client::get(addr, &format!("/jobs/{id}"), TIMEOUT)
-            .expect("status")
-            .body_json()
-            .expect("status is JSON");
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") | Some("cancelled") => {
-                panic!("job {id} ended {:?}", doc.get("state"))
-            }
-            _ => {}
-        }
-        assert!(Instant::now() < deadline, "job {id} never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let result = client::get(addr, &format!("/jobs/{id}/result"), TIMEOUT).expect("result");
-    assert_eq!(result.status, 200);
-    String::from_utf8(result.body).expect("manifest is UTF-8")
+    let settled = scenario::settle(addr, id, POLL).expect("job settles");
+    assert_eq!(settled.state, "done", "job {id} ended {}", settled.state);
+    String::from_utf8(settled.body.expect("done job has a body")).expect("manifest is UTF-8")
 }
 
 #[test]
@@ -289,21 +274,73 @@ fn deadline_job_degrades_with_timed_out_provenance_and_skips_the_cache() {
 }
 
 #[test]
-fn loadgen_report_parses_and_gates_against_a_live_daemon() {
+fn loadgen_report_gates_against_a_live_daemon() {
     let server = boot();
     let addr = server.local_addr();
 
-    let mut cfg = foldic_serve::loadgen::LoadConfig::new(addr);
-    cfg.jobs = 8;
-    cfg.clients = 2;
-    cfg.poll_timeout = POLL;
-    let report = foldic_serve::loadgen::run(&cfg).expect("loadgen runs");
-    let text = report.to_json().to_pretty();
-    let parsed = foldic_serve::loadgen::LoadReport::parse(&text).expect("report round-trips");
-    assert_eq!(parsed, report);
-    parsed.gate().expect("loadgen gate");
-    assert!(parsed.hits >= parsed.planned.get("hit").copied().unwrap_or(0));
+    let cfg = Config {
+        jobs: 8,
+        clients: 2,
+        timeout: POLL,
+        ..Config::new(Scenario::Load, Target::Attach(addr))
+    };
+    let report = scenario::run(&cfg).expect("loadgen runs");
+    report.gate().expect("loadgen gate");
+    assert!(report.count("hits") >= report.planned.get("hit").copied().unwrap_or(0));
     server.shutdown();
+}
+
+#[test]
+fn loadgen_refuses_conflicting_unread_and_missing_flags() {
+    // Each of these is a usage or harness error (exit 2) before any
+    // daemon is spawned: a second scenario selector, a flag the chosen
+    // scenario does not read, an unknown flag, a selector without its
+    // seed, a load run without --addr, and an unreachable --addr.
+    let cases: [&[&str]; 14] = [
+        &[
+            "--overload",
+            "1",
+            "--chaos",
+            "2",
+            "--addr",
+            "127.0.0.1:1",
+            "--clients",
+            "9",
+            "--mix",
+            "hit=1",
+            "--jobs",
+            "1",
+            "--experiments",
+            "fig2",
+        ],
+        &["--chaos", "1", "--overload", "2"],
+        &["--chaos", "1", "--addr", "127.0.0.1:1"],
+        &["--chaos", "1", "--clients", "9"],
+        &["--chaos", "1", "--mix", "hit=1"],
+        &["--chaos", "1", "--seed", "3"],
+        &["--chaos", "1", "--shutdown"],
+        &["--overload", "1", "--addr", "127.0.0.1:1"],
+        &["--overload", "1", "--experiments", "fig2"],
+        &["--overload", "1", "--size", "tiny"],
+        &["--bogus"],
+        &["--chaos"],
+        &["--jobs", "1"],
+        &["--addr", "127.0.0.1:1", "--jobs", "1"],
+    ];
+    for args in cases {
+        let out = repro()
+            .arg("loadgen")
+            .args(args)
+            .output()
+            .expect("repro runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "loadgen {args:?}:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
@@ -372,21 +409,23 @@ fn metrics_are_deterministic_across_worker_counts() {
         };
         let server = Server::bind("127.0.0.1:0", Arc::new(BenchRunner), cfg).expect("bind");
         let addr = server.local_addr();
-        let mut lc = foldic_serve::loadgen::LoadConfig::new(addr);
-        lc.jobs = 8;
-        lc.clients = 1;
-        lc.mix = foldic_serve::loadgen::MixWeights {
-            hit: 5.0,
-            miss: 2.0,
-            cancel: 0.0,
-            deadline: 1.0,
+        let lc = Config {
+            jobs: 8,
+            clients: 1,
+            mix: MixWeights {
+                hit: 5.0,
+                miss: 2.0,
+                cancel: 0.0,
+                deadline: 1.0,
+            },
+            timeout: POLL,
+            ..Config::new(Scenario::Load, Target::Attach(addr))
         };
-        lc.poll_timeout = POLL;
-        let report = foldic_serve::loadgen::run(&lc).expect("loadgen runs");
+        let report = scenario::run(&lc).expect("loadgen runs");
         report.gate().expect("gate cross-checks server counters");
         assert!(
-            report.server.is_some(),
-            "bench/2 reports embed the final scrape"
+            !report.scrape.is_empty(),
+            "load reports embed the final scrape"
         );
         let scrape = client::get(addr, "/metrics", TIMEOUT)
             .expect("metrics scrape")
@@ -404,16 +443,6 @@ fn metrics_are_deterministic_across_worker_counts() {
     );
 }
 
-/// Kills the daemon subprocess if the test panics before shutdown.
-struct KillOnDrop(std::process::Child);
-
-impl Drop for KillOnDrop {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 #[test]
 fn daemon_serves_traces_metrics_logs_and_health() {
     use std::collections::BTreeMap;
@@ -424,43 +453,18 @@ fn daemon_serves_traces_metrics_logs_and_health() {
     // them as strays).
     let port_file = tmp("telemetry.port");
     let log_file = tmp("telemetry.log.jsonl");
-    let _ = std::fs::remove_file(&port_file);
     let _ = std::fs::remove_file(&log_file);
-    let child = repro()
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--port-file",
-            port_file.to_str().unwrap(),
-            "--log",
-            log_file.to_str().unwrap(),
-            "--log-level",
-            "debug",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("daemon spawns");
-    let mut child = KillOnDrop(child);
-    let deadline = Instant::now() + TIMEOUT;
-    let addr: SocketAddr = loop {
-        match std::fs::read_to_string(&port_file)
-            .ok()
-            .and_then(|t| t.trim().parse().ok())
-        {
-            Some(addr) => break addr,
-            None => {
-                assert!(
-                    Instant::now() < deadline,
-                    "daemon never wrote its port file"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    };
+    let serve_cmd = [env!("CARGO_BIN_EXE_repro").to_owned(), "serve".to_owned()];
+    let flags = [
+        "--workers",
+        "1",
+        "--log",
+        log_file.to_str().unwrap(),
+        "--log-level",
+        "debug",
+    ];
+    let mut daemon = Daemon::spawn(&serve_cmd, &flags, &port_file, TIMEOUT).expect("daemon boots");
+    let addr = daemon.addr();
 
     // /healthz: liveness plus version, uptime and build profile.
     let health = client::get(addr, "/healthz", TIMEOUT).unwrap();
@@ -583,7 +587,7 @@ fn daemon_serves_traces_metrics_logs_and_health() {
     // events reference it too.
     let down = client::post(addr, "/shutdown", TIMEOUT).unwrap();
     assert_eq!(down.status, 200);
-    let status = child.0.wait().expect("daemon exits");
+    let status = daemon.wait(POLL).expect("daemon exits");
     assert!(status.success(), "daemon exit: {status:?}");
     let log_text = std::fs::read_to_string(&log_file).expect("log file exists");
     let mut events_seen = Vec::new();

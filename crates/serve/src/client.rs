@@ -1,23 +1,13 @@
-//! A minimal blocking HTTP/1.1 client for the load generator and tests.
+//! A minimal blocking HTTP/1.1 client for the scenarios, `repro probe`
+//! and tests.
 //!
 //! One request per connection, matching the server's `Connection: close`
 //! model. The response parser is as bounded as the server's request
 //! parser: capped status/header lines, and a body read that trusts
 //! `Content-Length` when present but falls back to read-to-EOF (the
 //! server always closes after one response).
-//!
-//! For submissions that must survive flaky transport there is
-//! [`post_json_idempotent`]: bounded retry with deterministic seeded
-//! jittered exponential backoff, honoring the daemon's `Retry-After` on
-//! 429/503, and carrying the **spec digest as an idempotency key**
-//! ([`idempotency_key_for`]) so a retried POST whose first ack was lost
-//! on the wire resolves to the already-accepted job instead of
-//! double-enqueuing the study.
 
-use crate::job::JobSpec;
 use foldic_obs::json::Json;
-use foldic_obs::manifest::digest_report;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -225,250 +215,4 @@ pub fn post_json(
 /// See [`request`].
 pub fn post(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<HttpResponse> {
     request(addr, "POST", path, None, timeout)
-}
-
-/// Retry tuning for [`post_json_idempotent`]. (Named `RetryConfig`, not
-/// `RetryPolicy` — the latter is `foldic_fault`'s resume-layer type.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Total attempts, including the first (clamped to at least 1).
-    pub attempts: u32,
-    /// Backoff base: attempt `n` waits about `base · 2ⁿ`, jittered.
-    pub base: Duration,
-    /// Ceiling on any single wait (also caps an honored `Retry-After`).
-    pub cap: Duration,
-    /// Seed for the jitter stream — same seed, same waits.
-    pub seed: u64,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self {
-            attempts: 4,
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(5),
-            seed: 0,
-        }
-    }
-}
-
-/// The wait before retry number `attempt` (0-based): seeded equal-jitter
-/// exponential backoff — half the exponential step is guaranteed, the
-/// other half is drawn from `rng` — capped at `cfg.cap` and floored by
-/// the server's `Retry-After` hint when one was given (the server knows
-/// better than the client when capacity returns). Pure function of
-/// `(cfg, attempt, rng state, retry_after)`, so retry schedules are
-/// reproducible in tests and load reports.
-fn backoff_delay(
-    cfg: &RetryConfig,
-    attempt: u32,
-    rng: &mut StdRng,
-    retry_after: Option<Duration>,
-) -> Duration {
-    let step = cfg
-        .base
-        .saturating_mul(1u32 << attempt.min(16))
-        .min(cfg.cap);
-    let half = step / 2;
-    let jitter_ns = if half.as_nanos() == 0 {
-        0
-    } else {
-        rng.gen_range(0..half.as_nanos() as u64)
-    };
-    let jittered = half + Duration::from_nanos(jitter_ns);
-    jittered
-        .max(retry_after.unwrap_or(Duration::ZERO))
-        .min(cfg.cap)
-}
-
-/// The idempotency key for a spec: its digest, reformatted to the
-/// daemon's token charset (`spec-<16 hex>`). Identical specs — identical
-/// studies — always carry the identical key, which is exactly the
-/// dedupe granularity a lost-ack retry needs.
-pub fn idempotency_key_for(spec: &JobSpec) -> String {
-    let digest = digest_report(&spec.to_json().to_compact());
-    format!("spec-{}", digest.strip_prefix("fnv64:").unwrap_or(&digest))
-}
-
-/// Submits `spec` with bounded retry. Transport errors and 429/503
-/// responses are retried (waiting per [`backoff_delay`], honoring
-/// `Retry-After`); any other response returns immediately. Every attempt
-/// carries the spec's idempotency key, so an attempt that was actually
-/// accepted — but whose ack was lost — is answered on retry with the
-/// original job (`idempotent_replay`) instead of a duplicate.
-///
-/// # Errors
-///
-/// The last attempt's transport error, when all attempts failed to get
-/// an HTTP response at all.
-pub fn post_json_idempotent(
-    addr: SocketAddr,
-    spec: &JobSpec,
-    cfg: &RetryConfig,
-    timeout: Duration,
-) -> std::io::Result<HttpResponse> {
-    let key = idempotency_key_for(spec);
-    let body = spec.to_json().to_compact();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let attempts = cfg.attempts.max(1);
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        match request_with_headers(
-            addr,
-            "POST",
-            "/jobs",
-            &[("x-idempotency-key", &key)],
-            Some(&body),
-            timeout,
-        ) {
-            Ok(response) if matches!(response.status, 429 | 503) => {
-                if attempt + 1 == attempts {
-                    return Ok(response);
-                }
-                let retry_after = response
-                    .header("retry-after")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .map(Duration::from_secs);
-                std::thread::sleep(backoff_delay(cfg, attempt, &mut rng, retry_after));
-            }
-            Ok(response) => return Ok(response),
-            Err(e) => {
-                if attempt + 1 == attempts {
-                    return Err(e);
-                }
-                last_err = Some(e);
-                std::thread::sleep(backoff_delay(cfg, attempt, &mut rng, None));
-            }
-        }
-    }
-    // Unreachable: the loop always returns on its last attempt.
-    Err(last_err.unwrap_or_else(|| std::io::Error::other("no attempts made")))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::TcpListener;
-
-    #[test]
-    fn idempotency_keys_are_stable_and_token_safe() {
-        let spec = JobSpec {
-            experiments: vec!["table1".to_owned()],
-            size: "tiny".to_owned(),
-            ..JobSpec::default()
-        };
-        let a = idempotency_key_for(&spec);
-        let b = idempotency_key_for(&spec);
-        assert_eq!(a, b, "same spec, same key");
-        assert!(a.starts_with("spec-"), "{a}");
-        assert!(
-            a.bytes()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, b'.' | b'_' | b'-')),
-            "key must pass the daemon's token validation: {a}"
-        );
-        let mut other = spec.clone();
-        other.seed = Some(9);
-        assert_ne!(
-            a,
-            idempotency_key_for(&other),
-            "different study, different key"
-        );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_honors_retry_after() {
-        let cfg = RetryConfig {
-            attempts: 5,
-            base: Duration::from_millis(8),
-            cap: Duration::from_millis(100),
-            seed: 42,
-        };
-        let delays: Vec<Duration> = {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            (0..4)
-                .map(|a| backoff_delay(&cfg, a, &mut rng, None))
-                .collect()
-        };
-        let replay: Vec<Duration> = {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            (0..4)
-                .map(|a| backoff_delay(&cfg, a, &mut rng, None))
-                .collect()
-        };
-        assert_eq!(delays, replay, "same seed, same schedule");
-        for (attempt, d) in delays.iter().enumerate() {
-            let step = cfg.base * (1 << attempt as u32);
-            assert!(*d >= step.min(cfg.cap) / 2, "at least half the step");
-            assert!(*d <= cfg.cap, "never beyond the cap");
-        }
-        // Retry-After floors the wait (still capped)
-        let mut rng = StdRng::seed_from_u64(1);
-        let floored = backoff_delay(&cfg, 0, &mut rng, Some(Duration::from_secs(3)));
-        assert_eq!(floored, cfg.cap, "3s hint capped at 100ms");
-    }
-
-    #[test]
-    fn retried_post_recovers_from_shed_responses() {
-        // A stub daemon: sheds the first submission with 503 + Retry-After,
-        // accepts the second. The retrying client must land on 202 and
-        // send its idempotency key both times.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let mut keys = Vec::new();
-            for (i, stream) in listener.incoming().take(2).enumerate() {
-                let mut stream = stream.unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    reader.read_line(&mut line).unwrap();
-                    let trimmed = line.trim_end();
-                    if let Some(v) = trimmed
-                        .to_ascii_lowercase()
-                        .strip_prefix("x-idempotency-key:")
-                    {
-                        keys.push(v.trim().to_owned());
-                    }
-                    if trimmed.is_empty() {
-                        break;
-                    }
-                }
-                let body = if i == 0 {
-                    "{\"error\":\"shed\"}"
-                } else {
-                    "{\"job\":1}"
-                };
-                let status = if i == 0 {
-                    "503 Service Unavailable\r\nRetry-After: 0"
-                } else {
-                    "202 Accepted"
-                };
-                write!(
-                    stream,
-                    "HTTP/1.1 {status}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                )
-                .unwrap();
-            }
-            keys
-        });
-        let spec = JobSpec {
-            experiments: vec!["table1".to_owned()],
-            size: "tiny".to_owned(),
-            ..JobSpec::default()
-        };
-        let cfg = RetryConfig {
-            attempts: 3,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(5),
-            seed: 7,
-        };
-        let response = post_json_idempotent(addr, &spec, &cfg, Duration::from_secs(5)).unwrap();
-        assert_eq!(response.status, 202);
-        let keys = server.join().unwrap();
-        assert_eq!(keys.len(), 2, "both attempts carried the key");
-        assert_eq!(keys[0], keys[1]);
-        assert_eq!(keys[0], idempotency_key_for(&spec));
-    }
 }

@@ -30,19 +30,17 @@
 //!   (`foldic-serve-journal/1`): fsync-before-ack acceptance records and
 //!   torn-tail-tolerant replay, so a SIGKILLed daemon loses no
 //!   acknowledged job;
-//! * [`chaos`] — the deterministic chaos harness behind
-//!   `repro loadgen --chaos`: seeded mid-load SIGKILL, client
-//!   disconnects and slow-loris submissions against a real subprocess
-//!   daemon, gating on the durability invariants;
 //! * [`server`] — the TCP daemon tying it together: job submission,
 //!   status/result/cancel endpoints, stats, graceful shutdown;
-//! * [`client`] — a minimal blocking HTTP client for tests and the load
-//!   generator;
-//! * [`loadgen`] — a seeded multi-client load generator replaying
-//!   hit/miss/cancel/deadline job mixes and emitting a
-//!   `foldic-serve-bench/2` report (throughput, latency percentiles, hit
-//!   ratio, server-side counter deltas), so "heavy traffic" is a tested
-//!   property;
+//! * [`client`] — a minimal blocking HTTP client for tests, the
+//!   scenarios and `repro probe`;
+//! * [`scenario`] — the seeded scenarios behind `repro loadgen`:
+//!   a load mix cross-checked against the daemon's own counters, a
+//!   SIGKILL-and-restart chaos run and a ledger-overload run, sharing one
+//!   daemon handle, one submit-and-settle path and one
+//!   `foldic-serve-scenario/1` report whose gate lists every violated
+//!   invariant, so "heavy traffic", crash safety and graceful
+//!   degradation are tested properties;
 //! * [`telemetry`] — the live-telemetry hub: the
 //!   `foldic-serve-metrics/1` exposition contract behind `GET /metrics`,
 //!   request-id allocation, structured-log plumbing and the per-job
@@ -53,15 +51,13 @@
 //! lives in `foldic-bench`, keeping this crate free of flow dependencies.
 
 pub mod cache;
-pub mod chaos;
 pub mod client;
 pub mod cost;
 pub mod http;
 pub mod job;
 pub mod journal;
-pub mod loadgen;
-pub mod overload;
 pub mod queue;
+pub mod scenario;
 pub mod server;
 pub mod supervise;
 pub mod telemetry;
