@@ -2,8 +2,8 @@
 //!
 //! Times the hot kernels of the flow — sequence-pair packing (the SA
 //! inner loop), one SA temperature step, one quadratic-system solve, one
-//! FM bipartition and one wiring analysis — with the same built-in
-//! harness the `cargo bench` targets use
+//! FM bipartition, one wiring analysis and one opt call's STA rounds —
+//! with the same built-in harness the `cargo bench` targets use
 //! (fixed sample count, median/min/max; Criterion is a registry
 //! dependency and this workspace is offline-first). `--json` emits a
 //! `foldic-kernel-bench/1` document so CI can gate on the run completing
@@ -15,12 +15,16 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use foldic_floorplan::seqpair::{anneal_floorplan, FpBlock, Packer, SaConfig, SeqPair};
+use foldic_netlist::{InstId, InstMaster};
 use foldic_obs::json::Json;
+use foldic_opt::{insert_buffers, OptConfig};
 use foldic_partition::{bipartition, PartitionConfig};
 use foldic_place::{place_block, PlacerConfig, QuadraticSystem};
 use foldic_route::wiring::DEFAULT_DETOUR;
 use foldic_route::BlockWiring;
 use foldic_t2::T2Config;
+use foldic_tech::VthClass;
+use foldic_timing::{StaConfig, TimingBudgets, TimingGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -186,16 +190,89 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
         black_box(bipartition(&l2t.netlist, &tech, &PartitionConfig::default()).cut);
     }));
 
-    // One wiring analysis of the same block, placed once at `quality()`:
-    // the analysis opt runs after buffering.
-    if selected(filter, "wiring_analyze_l2t") {
+    // The same block placed once at `quality()`, for the kernels opt runs.
+    let placed = || {
         let mut nl = l2t.netlist.clone();
         place_block(&mut nl, &tech, l2t.outline, &PlacerConfig::quality()).unwrap_or_else(|e| {
             eprintln!("placing l2t0 failed: {e}");
             std::process::exit(2);
         });
+        nl
+    };
+
+    // One wiring analysis of the placed block: the analysis opt runs
+    // after buffering.
+    if selected(filter, "wiring_analyze_l2t") {
+        let nl = placed();
         push(time_kernel(filter, "wiring_analyze_l2t", 10, || {
             let _ = black_box(BlockWiring::analyze(&nl, &tech, DEFAULT_DETOUR, None));
+        }));
+    }
+
+    // One opt call's STA on the placed, buffered block: a timing-graph
+    // build, a first timing, then five rounds that each resize a fixed
+    // random eighth of the cells (a drive up or down, to HVT or back)
+    // and re-time. Each sample restores the starting masters at the end.
+    if selected(filter, "sta_rounds_l2t") {
+        let mut nl = placed();
+        let opt = OptConfig::default();
+        insert_buffers(&mut nl, &tech, &opt, None).unwrap_or_else(|e| {
+            eprintln!("buffering l2t0 failed: {e}");
+            std::process::exit(2);
+        });
+        let wiring = BlockWiring::analyze(&nl, &tech, opt.detour, None).unwrap_or_else(|e| {
+            eprintln!("analysing l2t0 failed: {e}");
+            std::process::exit(2);
+        });
+        let budgets = TimingBudgets::relaxed(&nl, &tech);
+        let sta = StaConfig {
+            max_layer: opt.max_layer,
+            via_kind: None,
+        };
+        let start: Vec<(InstId, InstMaster)> =
+            nl.insts().map(|(id, inst)| (id, inst.master)).collect();
+        let mut rng = StdRng::seed_from_u64(0xDAC2_0157);
+        let rounds: Vec<Vec<(InstId, InstMaster)>> = (0..5)
+            .map(|_| {
+                let mut moves = Vec::new();
+                for (id, inst) in nl.insts() {
+                    let InstMaster::Cell(m) = inst.master else {
+                        continue;
+                    };
+                    if !rng.gen_bool(0.125) {
+                        continue;
+                    }
+                    let next = match rng.gen_range(0..4) {
+                        0 => tech.cells.upsize(m),
+                        1 => tech.cells.downsize(m),
+                        2 => Some(tech.cells.with_vth(m, VthClass::Hvt)),
+                        _ => Some(tech.cells.with_vth(m, VthClass::Rvt)),
+                    };
+                    if let Some(next) = next {
+                        moves.push((id, InstMaster::Cell(next)));
+                    }
+                }
+                for &(id, master) in &moves {
+                    nl.inst_mut(id).master = master;
+                }
+                moves
+            })
+            .collect();
+        for &(id, master) in &start {
+            nl.inst_mut(id).master = master;
+        }
+        push(time_kernel(filter, "sta_rounds_l2t", 10, || {
+            let mut graph = TimingGraph::build(&nl, &tech, &wiring, &budgets, &sta);
+            let _ = black_box(graph.time(&nl, &tech));
+            for moves in &rounds {
+                for &(id, master) in moves {
+                    nl.inst_mut(id).master = master;
+                }
+                let _ = black_box(graph.time(&nl, &tech));
+            }
+            for &(id, master) in &start {
+                nl.inst_mut(id).master = master;
+            }
         }));
     }
 

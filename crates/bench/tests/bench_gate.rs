@@ -46,6 +46,7 @@ fn bench_json_is_well_formed_and_complete() {
         "quadratic_solve_l2t",
         "fm_bipartition_l2t",
         "wiring_analyze_l2t",
+        "sta_rounds_l2t",
     ] {
         let k = kernels
             .get(name)

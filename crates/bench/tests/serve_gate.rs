@@ -287,6 +287,26 @@ fn loadgen_report_gates_against_a_live_daemon() {
     let report = scenario::run(&cfg).expect("loadgen runs");
     report.gate().expect("loadgen gate");
     assert!(report.count("hits") >= report.planned.get("hit").copied().unwrap_or(0));
+
+    // A run that submits no measured job measured nothing: its gate fails.
+    let out = repro()
+        .args([
+            "loadgen",
+            "--addr",
+            &addr.to_string(),
+            "--jobs",
+            "0",
+            "--gate",
+        ])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "loadgen --jobs 0 --gate:\n{stderr}"
+    );
+    assert!(stderr.contains("scenario did not run"), "{stderr}");
     server.shutdown();
 }
 

@@ -24,7 +24,7 @@ use foldic_fault::{
     fault_point, isolate, job_scope, log_fault, CancelToken, CheckpointStore, Disposition,
     FaultRecord, FlowError, FlowStage, RetryPolicy,
 };
-use foldic_floorplan::{floorplan_t2, plan_chip_tsvs, ChipPlan, FloorplanStyle};
+use foldic_floorplan::{check_coverage, floorplan_t2, plan_chip_tsvs, ChipPlan, FloorplanStyle};
 use foldic_geom::{Point, Rect, Tier};
 use foldic_netlist::{Block, BlockId, BlockKind, ClockDomain, Design};
 use foldic_obs::json::Json;
@@ -409,8 +409,10 @@ fn restore_block(block: &mut Block, value: &Json) -> Option<(DesignMetrics, Opti
 ///
 /// # Errors
 ///
-/// Returns [`FlowError`] only for chip-level failures (currently just an
-/// injected floorplan fault).
+/// Returns [`FlowError`] only for chip-level failures: an injected
+/// floorplan fault, or an invalid-input error at the floorplan when the
+/// style's recipe does not cover the design's blocks (a design the T2
+/// recipes were not written for).
 pub fn run_fullchip(
     design: &mut Design,
     tech: &Technology,
@@ -542,6 +544,8 @@ pub fn run_fullchip(
         let _span = foldic_obs::span!("floorplan");
         let _scope = chip_stage_scope(FlowStage::Floorplan)?;
         fault_point(FlowStage::Floorplan, "chip", 0)?;
+        check_coverage(design, fp_style)
+            .map_err(|msg| FlowError::invalid(FlowStage::Floorplan, msg))?;
         Ok(floorplan_t2(design, fp_style, tech))
     })?;
     if style.folded() {
@@ -926,6 +930,24 @@ mod tests {
             r2.interblock_wl_um
         );
         assert!(r3.chip.footprint_um2 < r2.chip.footprint_um2);
+    }
+
+    /// A design the T2 recipes do not cover fails at the floorplan with a
+    /// typed invalid-input error naming the block, in every style.
+    #[test]
+    fn uncovered_design_is_a_typed_floorplan_error() {
+        let tech = foldic_tech::Technology::cmos28();
+        let scale = foldic_t2::ScaleConfig::new(foldic_t2::MIN_CELLS, 7);
+        for style in DesignStyle::ALL {
+            let mut design = scale.design(&tech);
+            let err = run_fullchip(&mut design, &tech, style, &FullChipConfig::fast())
+                .expect_err("no recipe places scale blocks");
+            assert_eq!(err.stage, FlowStage::Floorplan, "{style:?}");
+            assert!(
+                matches!(&err.cause, foldic_fault::FaultCause::Invalid(m) if m.contains("scale/blk00")),
+                "{style:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

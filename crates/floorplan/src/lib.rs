@@ -33,6 +33,7 @@ pub mod seqpair;
 mod styles;
 
 pub use seqpair::{anneal_floorplan, SaConfig, SeqPair};
+pub use styles::check_coverage;
 
 use foldic_geom::{ring_of, spiral_sites, Point, Rect, Tier};
 use foldic_netlist::Design;
@@ -79,6 +80,11 @@ impl ChipPlan {
 
 /// Floorplans the T2 design in the requested style: assigns every block's
 /// chip position and tier, then plans chip-level TSVs for 3D styles.
+///
+/// # Panics
+///
+/// Panics when [`check_coverage`] fails: the style's recipe does not
+/// place exactly the design's blocks.
 pub fn floorplan_t2(design: &mut Design, style: FloorplanStyle, tech: &Technology) -> ChipPlan {
     let die = styles::place_blocks(design, style);
     let tsvs = if style.is_3d() {

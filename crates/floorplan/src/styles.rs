@@ -138,10 +138,10 @@ fn recentre(design: &mut Design, tier: Tier, array_w: f64, array_h: f64, die: Re
 
 /// Places all blocks per the style's recipe and returns the die outline.
 pub fn place_blocks(design: &mut Design, style: FloorplanStyle) -> Rect {
+    assert_coverage(design, style);
     match style {
         FloorplanStyle::Flat2d => {
             let rows = rows_2d();
-            assert_coverage(design, std::iter::once(&rows));
             let (w, h) = pack_rows(design, &rows, Tier::Bottom);
             let die = Rect::new(0.0, 0.0, w + 2.0 * MARGIN, h + 2.0 * MARGIN);
             recentre(design, Tier::Bottom, w, h, die);
@@ -153,7 +153,6 @@ pub fn place_blocks(design: &mut Design, style: FloorplanStyle) -> Rect {
             } else {
                 rows_core_core()
             };
-            assert_coverage(design, [&bottom, &top].into_iter());
             let (wb, hb) = pack_rows(design, &bottom, Tier::Bottom);
             let (wt, ht) = pack_rows(design, &top, Tier::Top);
             let die = Rect::new(
@@ -169,22 +168,50 @@ pub fn place_blocks(design: &mut Design, style: FloorplanStyle) -> Rect {
     }
 }
 
-/// Every block must appear exactly once across the recipe.
-fn assert_coverage<'a>(design: &Design, recipes: impl Iterator<Item = &'a Rows>) {
-    let mut seen = std::collections::HashSet::new();
-    for rows in recipes {
-        for row in rows {
-            for name in row {
-                assert!(seen.insert(*name), "block {name} placed twice");
-            }
+/// Checks that `style`'s recipe places every block of `design` exactly
+/// once and names no block the design lacks. The error names the first
+/// offending block.
+///
+/// # Errors
+///
+/// A message naming a block the recipe places twice, one of the design's
+/// blocks it leaves out, or a block it names that the design lacks.
+pub fn check_coverage(design: &Design, style: FloorplanStyle) -> Result<(), String> {
+    let recipe: Vec<&str> = match style {
+        FloorplanStyle::Flat2d => rows_2d().into_iter().flatten().collect(),
+        FloorplanStyle::CoreCache | FloorplanStyle::CoreCore => {
+            let (bottom, top) = if style == FloorplanStyle::CoreCache {
+                rows_core_cache()
+            } else {
+                rows_core_core()
+            };
+            bottom.into_iter().chain(top).flatten().collect()
         }
+    };
+    let mut seen = std::collections::HashSet::new();
+    if let Some(name) = recipe.iter().find(|name| !seen.insert(**name)) {
+        return Err(format!("block {name} placed twice"));
     }
-    for (_, b) in design.blocks() {
-        assert!(
-            seen.contains(b.name.as_str()),
+    if let Some((_, b)) = design
+        .blocks()
+        .find(|(_, b)| !seen.contains(b.name.as_str()))
+    {
+        return Err(format!(
             "block {} missing from the floorplan recipe",
             b.name
-        );
+        ));
+    }
+    match recipe.iter().find(|name| design.find_block(name).is_none()) {
+        Some(name) => Err(format!("floorplan references unknown block {name}")),
+        None => Ok(()),
+    }
+}
+
+/// Panics unless [`check_coverage`] passes: the T2 flow only floorplans
+/// designs the recipes cover.
+fn assert_coverage(design: &Design, style: FloorplanStyle) {
+    if let Err(msg) = check_coverage(design, style) {
+        panic!("{msg}");
     }
 }
 

@@ -48,7 +48,7 @@ use foldic_netlist::{InstId, InstMaster, NetId, Netlist, PinRef};
 use foldic_route::{BlockWiring, ViaPlacement};
 use foldic_tech::units::RC_TO_PS;
 use foldic_tech::{CellKind, Drive, Technology, Via3dKind, VthClass};
-use foldic_timing::{analyze, StaConfig, TimingBudgets, TimingReport};
+use foldic_timing::{StaConfig, TimingBudgets, TimingGraph, TimingReport};
 
 /// Optimizer knobs.
 #[derive(Debug, Clone)]
@@ -456,7 +456,10 @@ pub fn optimize_block_analyzed(
         max_layer: cfg.max_layer,
         via_kind: cfg.via_kind,
     };
-    let sta = |netlist: &Netlist| analyze(netlist, tech, &wiring, budgets, &sta_cfg);
+    // For the same reason one timing graph serves every STA round: a round
+    // re-times only the nets whose cells were resized since the last.
+    let mut graph = TimingGraph::build(netlist, tech, &wiring, budgets, &sta_cfg);
+    let mut sta = |netlist: &Netlist| graph.time(netlist, tech);
 
     // Per-round WNS trajectory, accumulated locally and flushed once at
     // the end (sampled observability — no hook inside the fix loops).
@@ -550,6 +553,7 @@ pub fn optimize_block_analyzed(
 mod tests {
     use super::*;
     use foldic_t2::T2Config;
+    use foldic_timing::analyze;
 
     fn block(name: &str) -> (Netlist, Technology) {
         let (design, tech) = T2Config::tiny().generate();

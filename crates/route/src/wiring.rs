@@ -48,8 +48,10 @@ impl BlockWiring {
     /// # Errors
     ///
     /// Returns a [`FlowError`] at [`FlowStage::Route`] when the analysis
-    /// produces a non-finite total length (NaN coordinates from an
-    /// upstream stage, or a non-finite `detour`).
+    /// produces a non-finite total length or sink path (NaN or infinite
+    /// coordinates from an upstream stage, or a non-finite `detour`).
+    /// Prim leaves a non-finite pin out of the tree, so the total can stay
+    /// finite while that pin's path does not.
     pub fn analyze(
         netlist: &Netlist,
         tech: &Technology,
@@ -92,13 +94,16 @@ impl BlockWiring {
             let is_3d = sinks.iter().any(|&(_, t)| t != dtier);
 
             let (length, sink_paths) = match (is_3d, vias.and_then(|v| v.via_of(nid))) {
-                (true, Some(via)) => route_3d(&mut prim, dpos, dtier, &sinks, via.pos, detour),
+                (true, Some(via)) => route_3d(&mut prim, dpos, dtier, &sinks, via.pos, detour)?,
                 _ => {
                     // coplanar (2D net, or ideal 3D interconnect)
                     prim.start(dpos);
                     prim.points.extend(sinks.iter().map(|&(p, _)| p));
                     let mst_len = prim.build();
-                    let paths = prim.path_len[1..].iter().map(|&l| l * detour).collect();
+                    let paths = prim.path_len[1..]
+                        .iter()
+                        .map(|&l| finite(l * detour))
+                        .collect::<Result<_, _>>()?;
                     (steiner_length(mst_len, prim.points.len()) * detour, paths)
                 }
             };
@@ -119,12 +124,7 @@ impl BlockWiring {
                 is_3d,
             });
         }
-        if !total.is_finite() {
-            return Err(FlowError::stage(
-                FlowStage::Route,
-                "wiring analysis produced a non-finite total length",
-            ));
-        }
+        finite(total)?;
         if obs_on {
             foldic_obs::metrics::add("route.analyses", 1);
             foldic_obs::metrics::observe_all("route.net_length_um", &lengths);
@@ -148,6 +148,18 @@ impl BlockWiring {
     }
 }
 
+/// `x`, or the Route-stage error when it is NaN or infinite.
+fn finite(x: f64) -> Result<f64, FlowError> {
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(FlowError::stage(
+            FlowStage::Route,
+            "wiring analysis produced a non-finite length",
+        ))
+    }
+}
+
 /// Routes a tier-crossing net through its via: one subtree per tier with
 /// the via as the crossing point.
 fn route_3d(
@@ -157,7 +169,7 @@ fn route_3d(
     sinks: &[(Point, Tier)],
     via: Point,
     detour: f64,
-) -> (f64, Vec<f64>) {
+) -> Result<(f64, Vec<f64>), FlowError> {
     // near tree: driver + near sinks + the via
     prim.start(dpos);
     prim.points
@@ -173,12 +185,12 @@ fn route_3d(
         .map(|&(_, t)| {
             if t == dtier {
                 k += 1;
-                prim.path_len[k] * detour
+                finite(prim.path_len[k] * detour)
             } else {
-                0.0
+                Ok(0.0)
             }
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     // far tree: via acts as the driver
     prim.start(via);
     prim.points
@@ -188,10 +200,10 @@ fn route_3d(
     for (path, &(_, t)) in paths.iter_mut().zip(sinks) {
         if t != dtier {
             k += 1;
-            *path = (via_path + prim.path_len[k]) * detour;
+            *path = finite((via_path + prim.path_len[k]) * detour)?;
         }
     }
-    ((near_len + far_len) * detour, paths)
+    Ok(((near_len + far_len) * detour, paths))
 }
 
 #[cfg(test)]
@@ -199,7 +211,7 @@ mod tests {
     use super::*;
     use crate::steiner::SteinerTree;
     use crate::via::place_vias;
-    use foldic_netlist::{InstMaster, PinRef};
+    use foldic_netlist::{ClockDomain, InstMaster, PinRef, PortDir};
     use foldic_tech::{CellKind, Drive, VthClass};
 
     fn tech() -> Technology {
@@ -334,6 +346,51 @@ mod tests {
             }
             assert_eq!(w.total_um.to_bits(), total.to_bits());
         }
+    }
+
+    /// A port drives an inverter that drives two flops, one at `(NaN, 0)`.
+    /// Prim leaves that flop out of the tree, so the total stays finite
+    /// (33 µm) while its path is NaN: the analysis must refuse it rather
+    /// than hand STA a path no comparison can see. Coplanar and through a
+    /// via alike.
+    #[test]
+    fn non_finite_sink_path_is_a_route_error() {
+        let t = tech();
+        let inv = InstMaster::Cell(t.cells.id_of(CellKind::Inv, Drive::X1, VthClass::Rvt));
+        let dff = InstMaster::Cell(t.cells.id_of(CellKind::Dff, Drive::X1, VthClass::Rvt));
+        let mut nl = Netlist::new("nan");
+        let pin = nl.add_port("in", PortDir::Input, ClockDomain::Cpu);
+        let a = nl.add_inst("a", inv);
+        let f = nl.add_inst("f", dff);
+        let g = nl.add_inst("g", dff);
+        nl.inst_mut(a).pos = Point::new(10.0, 0.0);
+        nl.inst_mut(f).pos = Point::new(f64::NAN, 0.0);
+        nl.inst_mut(g).pos = Point::new(30.0, 0.0);
+        let n0 = nl.add_net("n0");
+        nl.connect_driver(n0, PinRef::port(pin));
+        nl.connect_sink(n0, PinRef::input(a, 0));
+        let n1 = nl.add_net("n1");
+        nl.connect_driver(n1, PinRef::output(a));
+        nl.connect_sink(n1, PinRef::input(f, 0));
+        nl.connect_sink(n1, PinRef::input(g, 0));
+        let err = BlockWiring::analyze(&nl, &t, 1.1, None).unwrap_err();
+        assert_eq!(err.stage, FlowStage::Route);
+
+        // the same flop across the tiers, routed through a via
+        nl.inst_mut(f).tier = Tier::Top;
+        let vias = ViaPlacement::from_pairs(
+            &nl,
+            vec![(n1, Point::new(20.0, 0.0))],
+            foldic_tech::Via3dKind::F2fVia,
+        );
+        let err = BlockWiring::analyze(&nl, &t, 1.1, Some(&vias)).unwrap_err();
+        assert_eq!(err.stage, FlowStage::Route);
+
+        // with the flop back at a finite spot both analyses pass
+        nl.inst_mut(f).pos = Point::new(20.0, 5.0);
+        assert!(BlockWiring::analyze(&nl, &t, 1.1, Some(&vias)).is_ok());
+        nl.inst_mut(f).tier = Tier::Bottom;
+        assert!(BlockWiring::analyze(&nl, &t, 1.1, None).is_ok());
     }
 
     #[test]

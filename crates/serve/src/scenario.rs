@@ -606,7 +606,7 @@ impl Report {
         self.ids.entry(list).or_default().insert(id);
     }
 
-    /// One message per violated invariant: 13 for load, 5 for chaos and
+    /// One message per violated invariant: 14 for load, 5 for chaos and
     /// 12 for overload.
     pub fn violations(&self) -> Vec<String> {
         let n = |name| self.count(name);
@@ -718,6 +718,10 @@ impl Report {
         let planned = |kind| self.planned.get(kind).copied().unwrap_or(0);
         let terminal = n("done") + n("cancelled") + n("failed");
         let mut checks = vec![
+            (
+                n("jobs") == 0,
+                "no measured job was submitted; scenario did not run".to_owned(),
+            ),
             (
                 !self.errors.is_empty(),
                 format!(
@@ -1548,7 +1552,10 @@ mod tests {
             (telemetry::requests_series("submit", "POST", 202), 4),
         ]
         .into();
-        let cases: [Case; 13] = [
+        let cases: [Case; 14] = [
+            ("scenario did not run", |r| {
+                *r = Report::new(Scenario::Load, 0xF01D_1C5E)
+            }),
             ("client error(s), first: hit: boom", |r| {
                 r.errors.push("hit: boom".to_owned())
             }),

@@ -36,11 +36,16 @@
 //! assert!(report.max_arrival_ps > 0.0);
 //! ```
 
-use foldic_fault::{FlowError, FlowStage};
-use foldic_netlist::{InstMaster, Netlist, PinRef};
+mod graph;
+#[cfg(test)]
+mod oracle;
+
+pub use graph::TimingGraph;
+
+use foldic_fault::FlowError;
+use foldic_netlist::Netlist;
 use foldic_route::BlockWiring;
-use foldic_tech::units::RC_TO_PS;
-use foldic_tech::{CellKind, Technology, Via3dKind};
+use foldic_tech::{Technology, Via3dKind};
 
 /// Setup margin at capturing endpoints in ps.
 pub const SETUP_PS: f64 = 30.0;
@@ -133,27 +138,20 @@ fn via_rc(tech: &Technology, kind: Via3dKind) -> (f64, f64) {
     }
 }
 
-/// Input pin capacitance of a sink pin in fF.
-fn sink_cap(netlist: &Netlist, tech: &Technology, pin: PinRef) -> f64 {
-    match pin {
-        PinRef::InstIn(i, _) => match netlist.inst(i).master {
-            InstMaster::Cell(m) => tech.cells.master(m).input_cap_ff,
-            InstMaster::Macro(k) => tech.macros.get(k).pin_cap_ff,
-        },
-        PinRef::Port(_) => 2.0, // boundary load (next block's input)
-        PinRef::InstOut(_) => 0.0,
-    }
-}
-
 /// Runs STA and returns the report. `wiring` must come from the same
 /// placement state (it supplies routed per-sink path lengths); pass the
 /// via placement through `wiring` for folded blocks and set
 /// `cfg.via_kind` so tier-crossing nets get their via RC.
 ///
+/// This builds a [`TimingGraph`] and times it once; a caller that
+/// re-times the same block after sizing moves keeps the graph instead.
+///
 /// # Errors
 ///
 /// Returns a [`FlowError`] at [`FlowStage::Sta`] when delay propagation
 /// produces a non-finite worst slack (broken RC inputs upstream).
+///
+/// [`FlowStage::Sta`]: foldic_fault::FlowStage::Sta
 pub fn analyze(
     netlist: &Netlist,
     tech: &Technology,
@@ -161,256 +159,15 @@ pub fn analyze(
     budgets: &TimingBudgets,
     cfg: &StaConfig,
 ) -> Result<TimingReport, FlowError> {
-    foldic_obs::trace::add_iters(netlist.num_nets() as u64);
-    foldic_obs::metrics::add("sta.runs", 1);
-    let n_insts = netlist.num_insts();
-    let (r_um, c_um) = wire_rc(tech, cfg.max_layer);
-
-    // ---- per-net load and edge delays --------------------------------------
-    // node = instance output; edges net-driver -> each sink
-    #[derive(Clone, Copy)]
-    struct Edge {
-        from: u32,
-        to: u32,
-        delay: f64,
-    }
-    // endpoint records: (arrival source node, delay, required, domain)
-    struct Endpoint {
-        from: u32,
-        delay: f64,
-        required: f64,
-    }
-    const PORT_BASE: u32 = u32::MAX / 2;
-
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut endpoints: Vec<Endpoint> = Vec::new();
-    let mut source_arrival: Vec<Option<f64>> = vec![None; n_insts];
-
-    for (nid, net) in netlist.nets() {
-        if net.is_clock {
-            continue; // ideal clocks: skew-free
-        }
-        let Some(driver) = net.driver else { continue };
-        let rec = wiring.net(nid);
-        // total load on the driver
-        let wire_cap = rec.length_um * c_um;
-        let via = cfg.via_kind.filter(|_| rec.is_3d).map(|k| via_rc(tech, k));
-        let pins_cap: f64 = net.sinks().map(|s| sink_cap(netlist, tech, s)).sum();
-        let load = wire_cap + pins_cap + via.map(|(_, c)| c).unwrap_or(0.0);
-
-        // driver delay and source node
-        let (from, drive_delay) = match driver {
-            PinRef::InstOut(i) => {
-                let d = match netlist.inst(i).master {
-                    InstMaster::Cell(m) => {
-                        let master = tech.cells.master(m);
-                        if master.kind == CellKind::Dff {
-                            // clocked source: clk->q absorbs the load delay
-                            source_arrival[i.index()] = Some(master.delay_ps(load));
-                        }
-                        master.delay_ps(load)
-                    }
-                    InstMaster::Macro(k) => {
-                        let m = tech.macros.get(k);
-                        let d = m.access_delay_ps + m.output_res_ohm * load * RC_TO_PS;
-                        source_arrival[i.index()] = Some(d);
-                        d
-                    }
-                };
-                (i.0, d)
-            }
-            PinRef::Port(p) => {
-                // input port: arrival budget + a boundary driver delay
-                (PORT_BASE + p.0, 500.0 * load * RC_TO_PS)
-            }
-            PinRef::InstIn(..) => continue, // malformed; skip
-        };
-
-        for (k, s) in net.sinks().enumerate() {
-            let path = rec.sink_paths.get(k).copied().unwrap_or(0.0);
-            let scap = sink_cap(netlist, tech, s);
-            // Elmore along the path: distributed wire + sink pin, plus the
-            // via resistance midway for 3D nets.
-            let mut wire_delay =
-                (0.5 * r_um * path * (c_um * path) + r_um * path * scap) * RC_TO_PS;
-            if let Some((rv, cv)) = via {
-                wire_delay += rv * (scap + 0.5 * c_um * path + 0.5 * cv) * RC_TO_PS;
-            }
-            let delay = drive_delay + wire_delay;
-            match s {
-                PinRef::InstIn(i, pin) => {
-                    let inst = netlist.inst(i);
-                    match inst.master {
-                        InstMaster::Cell(m) if tech.cells.master(m).kind == CellKind::Dff => {
-                            if pin == 0 {
-                                // data endpoint
-                                endpoints.push(Endpoint {
-                                    from,
-                                    delay,
-                                    required: net.domain.period_ps(tech) - SETUP_PS,
-                                });
-                            }
-                        }
-                        InstMaster::Cell(_) => {
-                            edges.push(Edge {
-                                from,
-                                to: i.0,
-                                delay,
-                            });
-                        }
-                        InstMaster::Macro(_) => {
-                            endpoints.push(Endpoint {
-                                from,
-                                delay,
-                                required: net.domain.period_ps(tech) - SETUP_PS,
-                            });
-                        }
-                    }
-                }
-                PinRef::Port(p) => {
-                    endpoints.push(Endpoint {
-                        from,
-                        delay,
-                        required: budgets.output_required_ps[p.index()],
-                    });
-                }
-                PinRef::InstOut(_) => {}
-            }
-        }
-    }
-
-    // ---- forward propagation (Kahn with loop-breaking) ---------------------
-    let mut arrival = vec![0.0f64; n_insts];
-    for (i, a) in source_arrival.iter().enumerate() {
-        if let Some(a) = a {
-            arrival[i] = *a;
-        }
-    }
-    let port_arrival = |p: u32| budgets.input_arrival_ps[(p - PORT_BASE) as usize];
-
-    // adjacency + in-degrees over combinational inst->inst edges
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n_insts];
-    let mut indeg = vec![0u32; n_insts];
-    for (ei, e) in edges.iter().enumerate() {
-        if e.from < PORT_BASE && source_arrival[e.from as usize].is_none() {
-            adj[e.from as usize].push(ei as u32);
-            indeg[e.to as usize] += 1;
-        } else {
-            // source-driven edge: apply immediately
-            let base = if e.from >= PORT_BASE {
-                port_arrival(e.from)
-            } else {
-                arrival[e.from as usize]
-            };
-            let a = base + e.delay;
-            if a > arrival[e.to as usize] {
-                arrival[e.to as usize] = a;
-            }
-        }
-    }
-    // adj and the in-degrees cover comb-driven edges only; source-driven
-    // edges were resolved above and never hold a node back.
-    let mut queue: Vec<u32> = (0..n_insts as u32)
-        .filter(|&i| indeg[i as usize] == 0)
-        .collect();
-    let mut head = 0;
-    let mut processed = vec![false; n_insts];
-    while head < queue.len() {
-        let u = queue[head] as usize;
-        head += 1;
-        if processed[u] {
-            continue;
-        }
-        processed[u] = true;
-        for &ei in &adj[u] {
-            let e = edges[ei as usize];
-            let a = arrival[u] + e.delay;
-            let v = e.to as usize;
-            if a > arrival[v] {
-                arrival[v] = a;
-            }
-            indeg[v] = indeg[v].saturating_sub(1);
-            if indeg[v] == 0 {
-                queue.push(e.to);
-            }
-        }
-    }
-    // loop remainder: process unvisited nodes once in id order
-    for u in 0..n_insts {
-        if !processed[u] {
-            for &ei in &adj[u] {
-                let e = edges[ei as usize];
-                let a = arrival[u] + e.delay;
-                if a > arrival[e.to as usize] {
-                    arrival[e.to as usize] = a;
-                }
-            }
-        }
-    }
-
-    // ---- backward required propagation --------------------------------------
-    let mut required = vec![f64::INFINITY; n_insts];
-    let mut wns: f64 = 0.0;
-    let mut tns = 0.0;
-    let mut violations = 0;
-    let mut max_arrival: f64 = 0.0;
-    for ep in &endpoints {
-        let a = if ep.from >= PORT_BASE {
-            port_arrival(ep.from)
-        } else {
-            arrival[ep.from as usize]
-        } + ep.delay;
-        max_arrival = max_arrival.max(a);
-        let slack = ep.required - a;
-        if slack < 0.0 {
-            violations += 1;
-            tns += -slack;
-            wns = wns.max(-slack);
-        }
-        if ep.from < PORT_BASE {
-            let r = ep.required - ep.delay;
-            if r < required[ep.from as usize] {
-                required[ep.from as usize] = r;
-            }
-        }
-    }
-    // propagate required backward through comb edges, in reverse topo order
-    for &u in queue.iter().rev() {
-        let u = u as usize;
-        for &ei in &adj[u] {
-            let e = edges[ei as usize];
-            let r = required[e.to as usize] - e.delay;
-            if r < required[u] {
-                required[u] = r;
-            }
-        }
-    }
-    let slack: Vec<f64> = (0..n_insts).map(|i| required[i] - arrival[i]).collect();
-
-    if !wns.is_finite() {
-        return Err(FlowError::stage(
-            FlowStage::Sta,
-            "timing analysis produced a non-finite worst slack",
-        ));
-    }
-    foldic_obs::metrics::observe("sta.wns_ps", wns);
-    Ok(TimingReport {
-        arrival_ps: arrival,
-        slack_ps: slack,
-        wns_ps: wns,
-        tns_ps: tns,
-        violations,
-        endpoints: endpoints.len(),
-        max_arrival_ps: max_arrival,
-    })
+    TimingGraph::build(netlist, tech, wiring, budgets, cfg).time(netlist, tech)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use foldic_geom::Point;
-    use foldic_netlist::{ClockDomain as CD, InstId, InstMaster, PortDir};
-    use foldic_tech::{CellLibrary, Drive, VthClass};
+    use foldic_netlist::{ClockDomain as CD, InstId, InstMaster, PinRef, PortDir};
+    use foldic_tech::{CellKind, CellLibrary, Drive, VthClass};
 
     fn tech() -> Technology {
         Technology::cmos28()
