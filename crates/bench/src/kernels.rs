@@ -2,7 +2,8 @@
 //!
 //! Times the hot kernels of the flow — sequence-pair packing (the SA
 //! inner loop), one SA temperature step, one quadratic-system solve, one
-//! FM bipartition, one wiring analysis and one opt call's STA rounds —
+//! FM bipartition, one SPC's folded-FUB partition, one wiring analysis
+//! and one opt call's STA rounds —
 //! with the same built-in harness the `cargo bench` targets use
 //! (fixed sample count, median/min/max; Criterion is a registry
 //! dependency and this workspace is offline-first). `--json` emits a
@@ -18,7 +19,7 @@ use foldic_floorplan::seqpair::{anneal_floorplan, FpBlock, Packer, SaConfig, Seq
 use foldic_netlist::{InstId, InstMaster};
 use foldic_obs::json::Json;
 use foldic_opt::{insert_buffers, OptConfig};
-use foldic_partition::{bipartition, PartitionConfig};
+use foldic_partition::{bipartition, bipartition_subsets, PartitionConfig};
 use foldic_place::{place_block, PlacerConfig, QuadraticSystem};
 use foldic_route::wiring::DEFAULT_DETOUR;
 use foldic_route::BlockWiring;
@@ -189,6 +190,33 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
     push(time_kernel(filter, "fm_bipartition_l2t", 1, || {
         black_box(bipartition(&l2t.netlist, &tech, &PartitionConfig::default()).cut);
     }));
+
+    // The six folded FUBs of the tiny T2's spc0, min-cut as the SPC's
+    // second-level fold does: one walk over the block's nets, then FM on
+    // each FUB's hypergraph.
+    if selected(filter, "fm_fubs_spc0") {
+        let spc = design
+            .find_block("spc0")
+            .map(|id| &design.block(id).netlist)
+            .unwrap_or_else(|| {
+                eprintln!("tiny T2 design lost its spc0 block");
+                std::process::exit(2);
+            });
+        let fubs: Vec<Vec<InstId>> = foldic_t2::SPC_FUBS
+            .iter()
+            .filter(|&&(_, _, folded)| folded)
+            .map(|&(name, _, _)| {
+                spc.insts()
+                    .filter(|(_, inst)| inst.group.is_some_and(|g| spc.group_name(g) == name))
+                    .map(|(id, _)| id)
+                    .collect()
+            })
+            .collect();
+        push(time_kernel(filter, "fm_fubs_spc0", 10, || {
+            let parts = bipartition_subsets(spc, &tech, &PartitionConfig::default(), &fubs);
+            black_box(parts.iter().map(|p| p.cut).sum::<usize>());
+        }));
+    }
 
     // The same block placed once at `quality()`, for the kernels opt runs.
     let placed = || {

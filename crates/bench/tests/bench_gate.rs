@@ -45,6 +45,7 @@ fn bench_json_is_well_formed_and_complete() {
         "sa_temp_step_n46",
         "quadratic_solve_l2t",
         "fm_bipartition_l2t",
+        "fm_fubs_spc0",
         "wiring_analyze_l2t",
         "sta_rounds_l2t",
     ] {

@@ -108,6 +108,56 @@ fn injected_route_panic_degrades_one_block_and_stays_thread_invariant() {
     );
 }
 
+/// Observability bookkeeping is charged to no job. The metrics registry
+/// and the trace buffers allocate (key inserts, histogram buckets, shard
+/// growth, span attributes) on whichever job thread records first, and
+/// memory budgets used to charge that job, so `--manifest` could flip a
+/// block flow sitting near a retry threshold. At a budget where some
+/// block flows recover or degrade and the rest run clean, `table2` must
+/// print the same budget events with and without `--manifest`, on 1
+/// thread and on 4.
+#[test]
+fn budget_events_do_not_depend_on_manifest_or_threads() {
+    let events = |threads: &str, manifest: Option<&str>| -> Vec<String> {
+        let path = manifest.map(|name| tmp(name).to_str().unwrap().to_owned());
+        let mut args = vec!["table2", "--size", "tiny", "--mem-budget", "246k"];
+        args.extend(["--threads", threads]);
+        if let Some(path) = &path {
+            args.extend(["--manifest", path]);
+        }
+        run_ok(&args)
+            .lines()
+            .filter(|l| l.starts_with("!! "))
+            .map(str::to_owned)
+            .collect()
+    };
+    let base = events("1", None);
+    assert!(
+        base.iter().any(|l| l.contains("degraded after")),
+        "246k must degrade some block flow: {base:#?}"
+    );
+    assert!(
+        base.iter().any(|l| l.contains("recovered after")),
+        "246k must let some block flow recover: {base:#?}"
+    );
+    assert!(
+        base.len() < 46,
+        "246k must leave most block flows clean: {} events",
+        base.len()
+    );
+    for (threads, manifest) in [
+        ("1", Some("budget-t1.json")),
+        ("4", None),
+        ("4", Some("budget-t4.json")),
+    ] {
+        assert_eq!(
+            events(threads, manifest),
+            base,
+            "--threads {threads}, manifest {manifest:?}"
+        );
+    }
+}
+
 /// `--retries 0` disables retrying: a transient fault that the first
 /// retry would have recovered degrades the block instead, after exactly
 /// one attempt.

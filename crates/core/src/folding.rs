@@ -25,8 +25,8 @@ use foldic_geom::{Point, Rect, Tier};
 use foldic_netlist::{Block, GroupId, InstId, Netlist, PinRef};
 use foldic_opt::{optimize_block_with_vias, OptStats};
 use foldic_partition::{
-    apply_partition, bipartition, bipartition_seeded, partition_by_groups, partition_with_quality,
-    Partition, PartitionConfig,
+    apply_partition, bipartition, bipartition_seeded, bipartition_subsets, partition_by_groups,
+    partition_with_quality, Partition, PartitionConfig,
 };
 use foldic_place::{place_folded, Obstacle, PlacerConfig};
 use foldic_power::{analyze_block, PowerConfig};
@@ -633,93 +633,53 @@ pub fn fold_spc_second_level(
 /// The die assignment of [`fold_spc_second_level`]: the six large FUBs
 /// min-cut one by one, the small ones wholesale per Fig. 3.
 fn spc_second_level_partition(nl: &Netlist, tech: &Technology, cfg: &FoldConfig) -> Partition {
-    let mut tier_of = vec![Tier::Bottom; nl.num_insts()];
-
+    /// What the fold does with one group's instances.
+    #[derive(Clone, Copy)]
+    enum Fub {
+        /// An unfolded FUB, assigned wholesale.
+        Wholesale(Tier),
+        /// A folded FUB: index of its member list.
+        MinCut(usize),
+    }
     // group membership lookup
     let group_of_name = |name: &str| -> Option<GroupId> {
         (0..nl.num_groups())
             .map(|i| GroupId(i as u32))
             .find(|&g| nl.group_name(g) == name)
     };
-
-    // unfolded FUBs: wholesale assignment
+    let mut role: Vec<Option<Fub>> = vec![None; nl.num_groups()];
     for (name, tier) in UNFOLDED_FUB_TIERS {
         if let Some(g) = group_of_name(name) {
-            for (id, inst) in nl.insts() {
-                if inst.group == Some(g) {
-                    tier_of[id.index()] = tier;
-                }
-            }
+            role[g.index()] = Some(Fub::Wholesale(tier));
+        }
+    }
+    let mut members: Vec<Vec<InstId>> = Vec::new();
+    for &(name, _, folded) in foldic_t2::SPC_FUBS.iter() {
+        if let (true, Some(g)) = (folded, group_of_name(name)) {
+            role[g.index()] = Some(Fub::MinCut(members.len()));
+            members.push(Vec::new());
         }
     }
 
-    // folded FUBs: per-FUB min-cut on the induced sub-netlist
-    for &(name, _, folded) in foldic_t2::SPC_FUBS.iter() {
-        if !folded {
-            continue;
+    let mut tier_of = vec![Tier::Bottom; nl.num_insts()];
+    for (id, inst) in nl.insts() {
+        match inst.group.and_then(|g| role[g.index()]) {
+            Some(Fub::Wholesale(tier)) => tier_of[id.index()] = tier,
+            Some(Fub::MinCut(k)) => members[k].push(id),
+            None => {}
         }
-        let Some(g) = group_of_name(name) else {
-            continue;
-        };
-        let members: Vec<InstId> = nl
-            .insts()
-            .filter(|(_, i)| i.group == Some(g))
-            .map(|(id, _)| id)
-            .collect();
-        let (sub, back) = induced_subnetlist(nl, &members);
-        let part = bipartition(&sub, tech, &cfg.partition);
-        for (sub_idx, &orig) in back.iter().enumerate() {
-            tier_of[orig.index()] = part.tier_of[sub_idx];
+    }
+    // folded FUBs: per-FUB min-cut of the nets inside each FUB
+    let parts = bipartition_subsets(nl, tech, &cfg.partition, &members);
+    for (fub, part) in members.iter().zip(&parts) {
+        for (&id, &tier) in fub.iter().zip(&part.tier_of) {
+            tier_of[id.index()] = tier;
         }
     }
 
     let mut part = Partition { tier_of, cut: 0 };
     part.cut = part.cut_size(nl);
     part
-}
-
-/// Extracts the sub-netlist induced by `members`: their instances plus the
-/// nets whose pins all lie inside the set (boundary nets are dropped — the
-/// per-FUB fold only balances intra-FUB wiring). Returns the sub-netlist
-/// and the original id of each sub-instance.
-fn induced_subnetlist(nl: &Netlist, members: &[InstId]) -> (Netlist, Vec<InstId>) {
-    let member_set: std::collections::HashSet<InstId> = members.iter().copied().collect();
-    let mut sub = Netlist::new("fub");
-    let mut back = Vec::with_capacity(members.len());
-    let mut map: std::collections::HashMap<InstId, InstId> = Default::default();
-    for &id in members {
-        let inst = nl.inst(id);
-        // resolve through the parent interner: symbols are per-netlist
-        let new = sub.add_inst(nl.name_of(inst.name).to_string(), inst.master);
-        sub.inst_mut(new).pos = inst.pos;
-        map.insert(id, new);
-        back.push(id);
-    }
-    for (_, net) in nl.nets() {
-        if net.is_clock {
-            continue;
-        }
-        let pins: Vec<PinRef> = net.pins().collect();
-        let all_inside = pins
-            .iter()
-            .all(|p| p.inst().is_some_and(|i| member_set.contains(&i)));
-        if !all_inside || pins.len() < 2 {
-            continue;
-        }
-        let nid = sub.add_net(nl.name_of(net.name).to_string());
-        let remap = |p: PinRef| match p {
-            PinRef::InstOut(i) => PinRef::InstOut(map[&i]),
-            PinRef::InstIn(i, k) => PinRef::InstIn(map[&i], k),
-            PinRef::Port(_) => unreachable!("ports filtered above"),
-        };
-        if let Some(d) = net.driver {
-            sub.connect_driver(nid, remap(d));
-        }
-        for s in net.sinks() {
-            sub.connect_sink(nid, remap(s));
-        }
-    }
-    (sub, back)
 }
 
 // ---------------------------------------------------------------------------
@@ -802,10 +762,178 @@ pub fn fold_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foldic_netlist::InstMaster;
     use foldic_t2::T2Config;
+    use foldic_tech::{CellKind, Drive, VthClass};
 
     fn design() -> (foldic_netlist::Design, Technology) {
         T2Config::tiny().generate()
+    }
+
+    /// The sub-netlist the per-FUB fold partitioned before
+    /// `bipartition_subsets`: `members`' instances plus the nets whose pins
+    /// all lie inside the set (boundary and clock nets are dropped).
+    /// Returns the sub-netlist and the original id of each sub-instance.
+    fn induced_subnetlist(nl: &Netlist, members: &[InstId]) -> (Netlist, Vec<InstId>) {
+        let member_set: std::collections::HashSet<InstId> = members.iter().copied().collect();
+        let mut sub = Netlist::new("fub");
+        let mut back = Vec::with_capacity(members.len());
+        let mut map: std::collections::HashMap<InstId, InstId> = Default::default();
+        for &id in members {
+            let inst = nl.inst(id);
+            // resolve through the parent interner: symbols are per-netlist
+            let new = sub.add_inst(nl.name_of(inst.name).to_string(), inst.master);
+            sub.inst_mut(new).pos = inst.pos;
+            map.insert(id, new);
+            back.push(id);
+        }
+        for (_, net) in nl.nets() {
+            if net.is_clock {
+                continue;
+            }
+            let pins: Vec<PinRef> = net.pins().collect();
+            let all_inside = pins
+                .iter()
+                .all(|p| p.inst().is_some_and(|i| member_set.contains(&i)));
+            if !all_inside || pins.len() < 2 {
+                continue;
+            }
+            let nid = sub.add_net(nl.name_of(net.name).to_string());
+            let remap = |p: PinRef| match p {
+                PinRef::InstOut(i) => PinRef::InstOut(map[&i]),
+                PinRef::InstIn(i, k) => PinRef::InstIn(map[&i], k),
+                PinRef::Port(_) => unreachable!("ports filtered above"),
+            };
+            if let Some(d) = net.driver {
+                sub.connect_driver(nid, remap(d));
+            }
+            for s in net.sinks() {
+                sub.connect_sink(nid, remap(s));
+            }
+        }
+        (sub, back)
+    }
+
+    /// `bipartition_subsets` against `bipartition` of each subset's
+    /// induced sub-netlist: every tier and the cut.
+    fn assert_subsets_match_oracle(
+        nl: &Netlist,
+        tech: &Technology,
+        cfg: &PartitionConfig,
+        subsets: &[Vec<InstId>],
+        case: &str,
+    ) {
+        let direct = bipartition_subsets(nl, tech, cfg, subsets);
+        assert_eq!(direct.len(), subsets.len());
+        for (k, (members, got)) in subsets.iter().zip(&direct).enumerate() {
+            let (sub, back) = induced_subnetlist(nl, members);
+            assert_eq!(&back, members);
+            let want = bipartition(&sub, tech, cfg);
+            assert_eq!(got.tier_of, want.tier_of, "{case} subset {k}: tiers differ");
+            assert_eq!(got.cut, want.cut, "{case} subset {k}: cut differs");
+        }
+    }
+
+    /// The direct FUB partitions equal `induced_subnetlist` + `bipartition`
+    /// on every folded FUB of every tiny-T2 SPC, and on random disjoint
+    /// member subsets of random netlists with ports, clock nets,
+    /// driverless and one-pin nets, repeated pins and nets that cross
+    /// subsets (seeded by `FOLDIC_FUZZ_SEED`).
+    #[test]
+    fn fub_partitions_match_the_induced_subnetlist_oracle() {
+        use rand::{Rng, SeedableRng};
+        let (design, tech) = design();
+        let cfg = PartitionConfig::default();
+        let mut spcs = 0;
+        for (_, b) in design.blocks() {
+            if b.kind != foldic_netlist::BlockKind::Spc {
+                continue;
+            }
+            let nl = &b.netlist;
+            let subsets: Vec<Vec<InstId>> = foldic_t2::SPC_FUBS
+                .iter()
+                .filter(|fub| fub.2)
+                .filter_map(|&(name, _, _)| {
+                    let g = (0..nl.num_groups())
+                        .map(|i| GroupId(i as u32))
+                        .find(|&g| nl.group_name(g) == name)?;
+                    Some(
+                        nl.insts()
+                            .filter(|(_, i)| i.group == Some(g))
+                            .map(|(id, _)| id)
+                            .collect(),
+                    )
+                })
+                .collect();
+            assert_eq!(subsets.len(), 6, "{}", b.name);
+            assert_subsets_match_oracle(nl, &tech, &cfg, &subsets, &b.name);
+            spcs += 1;
+        }
+        assert!(spcs > 0);
+
+        let seed = std::env::var("FOLDIC_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xF0B5_u64);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let lib = &tech.cells;
+        let masters = [
+            lib.id_of(CellKind::Nand2, Drive::X1, VthClass::Rvt),
+            lib.id_of(CellKind::Inv, Drive::X2, VthClass::Rvt),
+            lib.id_of(CellKind::Dff, Drive::X1, VthClass::Rvt),
+        ];
+        for case in 0..300 {
+            let n = rng.gen_range(0..40usize);
+            let mut nl = Netlist::new("fuzz");
+            let ids: Vec<InstId> = (0..n)
+                .map(|i| {
+                    let m = masters[rng.gen_range(0..masters.len())];
+                    nl.add_inst(format!("u{i}"), InstMaster::Cell(m))
+                })
+                .collect();
+            let ports: Vec<_> = (0..3)
+                .map(|i| {
+                    nl.add_port(
+                        format!("p{i}"),
+                        foldic_netlist::PortDir::Input,
+                        foldic_netlist::ClockDomain::Cpu,
+                    )
+                })
+                .collect();
+            let pin = |rng: &mut rand::rngs::StdRng, input: bool| {
+                if n == 0 || rng.gen_bool(0.05) {
+                    PinRef::port(ports[rng.gen_range(0..ports.len())])
+                } else if input {
+                    PinRef::input(ids[rng.gen_range(0..n)], rng.gen_range(0..2u16))
+                } else {
+                    PinRef::output(ids[rng.gen_range(0..n)])
+                }
+            };
+            for k in 0..rng.gen_range(0..3 * n + 2) {
+                let net = nl.add_net(format!("n{k}"));
+                if rng.gen_bool(0.9) {
+                    let d = pin(&mut rng, false);
+                    nl.connect_driver(net, d);
+                }
+                for _ in 0..rng.gen_range(0..6usize) {
+                    let s = pin(&mut rng, true);
+                    nl.connect_sink(net, s);
+                }
+                if rng.gen_bool(0.05) {
+                    nl.net_mut(net).is_clock = true;
+                }
+            }
+            // each instance joins one of `k` subsets, or none
+            let k = rng.gen_range(1..4usize);
+            let mut subsets = vec![Vec::new(); k];
+            for &id in &ids {
+                let s = rng.gen_range(0..k + 1);
+                if s < k {
+                    subsets[s].push(id);
+                }
+            }
+            assert_subsets_match_oracle(&nl, &tech, &cfg, &subsets, &format!("case {case}"));
+        }
     }
 
     /// Digest of the tiny T2's chip fold pass partitions, in block order.

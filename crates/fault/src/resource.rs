@@ -90,7 +90,9 @@ impl Drop for Tracking {
 
 #[inline]
 fn count(delta: i64) {
-    if TRACKING.load(Ordering::Relaxed) == 0 {
+    // observability bookkeeping is charged to no job: whether metrics or
+    // traces record must not change a budget decision
+    if TRACKING.load(Ordering::Relaxed) == 0 || foldic_obs::in_bookkeeping() {
         return;
     }
     // try_with: the allocator runs during TLS teardown too.
@@ -98,7 +100,7 @@ fn count(delta: i64) {
 }
 
 // SAFETY: defers every allocation decision to `System`; the bookkeeping
-// around it touches only a const-initialized thread-local Cell and never
+// around it touches only const-initialized thread-local Cells and never
 // allocates, so it cannot recurse or change allocation behavior.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {

@@ -823,6 +823,20 @@ impl Netlist {
         }
     }
 
+    /// Position of the instance behind `id` (its `pos`, read from the
+    /// position column alone).
+    #[inline]
+    pub fn pos(&self, id: InstId) -> Point {
+        self.inst_pos[id.index()]
+    }
+
+    /// Moves the instance behind `id` to `pos`, writing the position
+    /// column alone (an [`InstMut`] guard rewrites every column).
+    #[inline]
+    pub fn set_pos(&mut self, id: InstId, pos: Point) {
+        self.inst_pos[id.index()] = pos;
+    }
+
     /// Write-back guard for the instance behind `id`.
     pub fn inst_mut(&mut self, id: InstId) -> InstMut<'_> {
         let view = self.inst(id);

@@ -25,8 +25,14 @@
 //!
 //! Every hook costs one relaxed atomic load while its layer is disabled
 //! and allocates nothing, so instrumentation stays in release builds.
+//! While a layer records, its bookkeeping runs inside [`Bookkeeping`],
+//! which memory accounting skips: what the registry, the trace buffers
+//! and span attributes allocate is charged to no job.
 
 #![warn(missing_docs)]
+
+use std::cell::Cell;
+use std::marker::PhantomData;
 
 pub mod expo;
 pub mod json;
@@ -39,6 +45,44 @@ pub mod trace;
 pub use manifest::{compare, CompareConfig, CompareOutcome, RunManifest};
 pub use metrics::{Registry, Snapshot};
 pub use trace::SpanGuard;
+
+thread_local! {
+    /// Depth of [`Bookkeeping`] guards open on this thread. Const-initialized
+    /// `Cell`: reading it never allocates, so a global allocator may.
+    static BOOKKEEPING: Cell<u32> = const { Cell::new(0) };
+}
+
+/// `true` while this thread runs observability bookkeeping (inside a
+/// [`Bookkeeping`] guard). A memory accountant skips allocations made
+/// here, so whether metrics or traces record never changes what a job is
+/// charged. Never allocates.
+#[inline]
+pub fn in_bookkeeping() -> bool {
+    BOOKKEEPING
+        .try_with(|depth| depth.get() > 0)
+        .unwrap_or(false)
+}
+
+/// Marks observability bookkeeping on this thread until dropped; nests.
+/// Allocations and frees inside must pair up inside (the layers keep what
+/// they allocate until they drain it), or accounting drifts.
+#[must_use = "bookkeeping ends when the guard drops"]
+pub struct Bookkeeping(PhantomData<*const ()>);
+
+impl Bookkeeping {
+    /// Opens a bookkeeping section on this thread.
+    #[inline]
+    pub fn enter() -> Self {
+        BOOKKEEPING.with(|depth| depth.set(depth.get() + 1));
+        Self(PhantomData)
+    }
+}
+
+impl Drop for Bookkeeping {
+    fn drop(&mut self) {
+        let _ = BOOKKEEPING.try_with(|depth| depth.set(depth.get() - 1));
+    }
+}
 
 /// Opens a span that closes when the returned guard drops.
 ///
@@ -55,6 +99,7 @@ pub use trace::SpanGuard;
 macro_rules! span {
     ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
         if $crate::trace::is_enabled() {
+            let _bookkeeping = $crate::Bookkeeping::enter();
             $crate::trace::SpanGuard::begin(
                 $name,
                 vec![$((stringify!($key), $crate::trace::AttrValue::from($value))),*],

@@ -22,6 +22,10 @@
 //!
 //! Gauges are last-write-wins and belong in serial roll-up code (or under
 //! keys only one job writes, e.g. per-style full-chip summaries).
+//!
+//! Recording runs inside [`crate::Bookkeeping`]: a key insert or a new
+//! histogram bucket allocates on whichever job thread records it first,
+//! and a memory budget must not charge that job for it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -85,6 +89,7 @@ impl Registry {
         if !self.is_enabled() || n == 0 {
             return;
         }
+        let _bookkeeping = crate::Bookkeeping::enter();
         let mut reg = self.metrics.lock().unwrap();
         match reg.entry(name.to_owned()).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += n,
@@ -98,6 +103,7 @@ impl Registry {
         if !self.is_enabled() {
             return;
         }
+        let _bookkeeping = crate::Bookkeeping::enter();
         let mut reg = self.metrics.lock().unwrap();
         match reg.entry(name.to_owned()).or_insert(Metric::Gauge(0.0)) {
             Metric::Gauge(g) => *g = v,
@@ -111,6 +117,7 @@ impl Registry {
         if !self.is_enabled() {
             return;
         }
+        let _bookkeeping = crate::Bookkeeping::enter();
         let mut reg = self.metrics.lock().unwrap();
         match reg.entry(name.to_owned()).or_insert(Metric::Gauge(v)) {
             Metric::Gauge(g) => *g = g.max(v),
@@ -128,6 +135,7 @@ impl Registry {
         if !self.is_enabled() || values.is_empty() {
             return;
         }
+        let _bookkeeping = crate::Bookkeeping::enter();
         let mut reg = self.metrics.lock().unwrap();
         match reg
             .entry(name.to_owned())

@@ -211,6 +211,7 @@ pub fn synthetic_event(
 }
 
 fn record(event: Event) {
+    let _bookkeeping = crate::Bookkeeping::enter();
     let shard = (event.tid as usize) % NUM_SHARDS;
     SHARDS[shard].lock().unwrap().push(event);
 }
@@ -308,6 +309,7 @@ impl SpanGuard {
     /// Opens a span with attributes. Callers should check [`is_enabled`]
     /// first (the `span!` macro does); this records unconditionally.
     pub fn begin(name: &'static str, attrs: Vec<(&'static str, AttrValue)>) -> Self {
+        let _bookkeeping = crate::Bookkeeping::enter();
         let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
         let parent = current_span();
         STACK.with(|s| s.borrow_mut().push((id, 0)));
@@ -348,6 +350,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(id) = self.id else { return };
+        let _bookkeeping = crate::Bookkeeping::enter();
         let iters = STACK.with(|s| {
             let top = s.borrow_mut().pop();
             debug_assert_eq!(top.map(|(open, _)| open), Some(id), "span drop order");

@@ -96,13 +96,73 @@ impl Partition {
     }
 }
 
+/// The cut objective's hypergraph in two CSR arrays.
 struct Hypergraph {
-    /// nets as lists of vertex (inst) indices, deduplicated
-    nets: Vec<Vec<u32>>,
-    /// incident net lists per vertex
-    incident: Vec<Vec<u32>>,
-    /// vertex areas
+    /// Net `k`'s distinct vertices, ascending, are
+    /// `net_verts[net_off[k]..net_off[k + 1]]`.
+    net_off: Vec<u32>,
+    net_verts: Vec<u32>,
+    /// Vertex `v`'s nets, ascending, are `inc_nets[inc_off[v]..inc_off[v + 1]]`.
+    inc_off: Vec<u32>,
+    inc_nets: Vec<u32>,
+    /// Vertex areas.
     area: Vec<f64>,
+}
+
+impl Hypergraph {
+    /// An empty hypergraph over vertices of the given areas; add nets with
+    /// [`Self::push_net`], then [`Self::finish`].
+    fn with_areas(area: Vec<f64>) -> Self {
+        Self {
+            net_off: vec![0],
+            net_verts: Vec::new(),
+            inc_off: Vec::new(),
+            inc_nets: Vec::new(),
+            area,
+        }
+    }
+
+    /// Appends a net over `verts` (distinct, ascending).
+    fn push_net(&mut self, verts: &[u32]) {
+        self.net_verts.extend_from_slice(verts);
+        self.net_off.push(self.net_verts.len() as u32);
+    }
+
+    /// Builds the vertex → nets side from the nets, by counting sort in
+    /// net order.
+    fn finish(mut self) -> Self {
+        let n = self.area.len();
+        let mut off = vec![0u32; n + 1];
+        for &v in &self.net_verts {
+            off[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        let mut cursor = off[..n].to_vec();
+        let mut inc_nets = vec![0; self.net_verts.len()];
+        for k in 0..self.num_nets() {
+            for &v in self.net(k) {
+                inc_nets[cursor[v as usize] as usize] = k as u32;
+                cursor[v as usize] += 1;
+            }
+        }
+        self.inc_off = off;
+        self.inc_nets = inc_nets;
+        self
+    }
+
+    fn num_nets(&self) -> usize {
+        self.net_off.len() - 1
+    }
+
+    fn net(&self, k: usize) -> &[u32] {
+        &self.net_verts[self.net_off[k] as usize..self.net_off[k + 1] as usize]
+    }
+
+    fn incident(&self, v: usize) -> &[u32] {
+        &self.inc_nets[self.inc_off[v] as usize..self.inc_off[v + 1] as usize]
+    }
 }
 
 /// The one net filter of the cut objective, shared by FM's hypergraph and
@@ -115,35 +175,30 @@ fn cut_net_vertices(net: Net<'_>, verts: &mut Vec<u32>) -> bool {
         return false;
     }
     verts.extend(net.pins().filter_map(|p| p.inst()).map(|i| i.0));
+    distinct_in_range(verts)
+}
+
+/// Sorts and dedups `verts` and returns whether 2 to [`MAX_NET_DEGREE`]
+/// remain.
+fn distinct_in_range(verts: &mut Vec<u32>) -> bool {
     verts.sort_unstable();
     verts.dedup();
     (2..=MAX_NET_DEGREE).contains(&verts.len())
 }
 
 fn build_hypergraph(netlist: &Netlist, tech: &Technology) -> Hypergraph {
-    let n = netlist.num_insts();
-    let mut nets = Vec::new();
-    let mut incident = vec![Vec::new(); n];
-    let mut verts = Vec::new();
-    for (_, net) in netlist.nets() {
-        if !cut_net_vertices(net, &mut verts) {
-            continue;
-        }
-        let nid = nets.len() as u32;
-        for &v in &verts {
-            incident[v as usize].push(nid);
-        }
-        nets.push(verts.clone());
-    }
     let area = netlist
         .insts()
         .map(|(_, inst)| inst.area_um2(tech))
         .collect();
-    Hypergraph {
-        nets,
-        incident,
-        area,
+    let mut hg = Hypergraph::with_areas(area);
+    let mut verts = Vec::new();
+    for (_, net) in netlist.nets() {
+        if cut_net_vertices(net, &mut verts) {
+            hg.push_net(&verts);
+        }
     }
+    hg.finish()
 }
 
 /// One FM refinement run over a hypergraph: updates `side` in place and
@@ -172,6 +227,81 @@ pub fn bipartition_seeded(
     partition_with(netlist, tech, cfg, locked, fm_refine)
 }
 
+/// Min-cut bipartitions of disjoint instance subsets of one netlist, each
+/// exactly the partition [`bipartition`] finds for the subset's induced
+/// sub-netlist: the subset's instances in ascending `InstId` order, and
+/// the nets that are not clock nets, have at least two pins and whose
+/// every pin is an instance pin inside the subset. Entry `i` of a
+/// result's `tier_of` is the subset's `i`-th instance. One walk over the
+/// netlist's nets builds every subset's hypergraph; no sub-netlist is
+/// built.
+///
+/// Local ids follow the ascending member order, so each net's sorted
+/// vertex list, each vertex's area and the net order are the
+/// sub-netlist's (DESIGN §9).
+///
+/// # Panics
+///
+/// Panics when a subset is not strictly ascending or two subsets share
+/// an instance.
+pub fn bipartition_subsets(
+    netlist: &Netlist,
+    tech: &Technology,
+    cfg: &PartitionConfig,
+    subsets: &[Vec<InstId>],
+) -> Vec<Partition> {
+    const NONE: u32 = u32::MAX;
+    // owner subset and local id of every instance
+    let mut owner = vec![(NONE, 0u32); netlist.num_insts()];
+    let mut graphs: Vec<Hypergraph> = subsets
+        .iter()
+        .enumerate()
+        .map(|(s, members)| {
+            for (i, &id) in members.iter().enumerate() {
+                assert!(i == 0 || members[i - 1] < id, "subset {s} not ascending");
+                assert!(owner[id.index()].0 == NONE, "subsets overlap at {id:?}");
+                owner[id.index()] = (s as u32, i as u32);
+            }
+            Hypergraph::with_areas(
+                members
+                    .iter()
+                    .map(|&id| netlist.inst(id).area_um2(tech))
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut verts = Vec::new();
+    'nets: for (_, net) in netlist.nets() {
+        if net.is_clock {
+            continue;
+        }
+        verts.clear();
+        let mut subset = NONE;
+        for pin in net.pins() {
+            let Some((s, local)) = pin.inst().map(|i| owner[i.index()]) else {
+                continue 'nets; // a port
+            };
+            if s == NONE || (subset != NONE && s != subset) {
+                continue 'nets;
+            }
+            subset = s;
+            verts.push(local);
+        }
+        // `distinct_in_range` also drops nets of fewer than two pins
+        if subset != NONE && distinct_in_range(&mut verts) {
+            graphs[subset as usize].push_net(&verts);
+        }
+    }
+    graphs
+        .into_iter()
+        .map(|hg| {
+            let hg = hg.finish();
+            let unlocked = vec![None; hg.area.len()];
+            partition_hypergraph(&hg, cfg, &unlocked, fm_refine)
+        })
+        .collect()
+}
+
 fn partition_with(
     netlist: &Netlist,
     tech: &Technology,
@@ -180,8 +310,21 @@ fn partition_with(
     refine: Refine,
 ) -> Partition {
     let hg = build_hypergraph(netlist, tech);
-    let n = netlist.num_insts();
-    if n == 0 {
+    let locked_tier: Vec<Option<Tier>> = (0..netlist.num_insts())
+        .map(|i| locked.and_then(|f| f(InstId::from(i))))
+        .collect();
+    partition_hypergraph(&hg, cfg, &locked_tier, refine)
+}
+
+/// Multi-start FM on a built hypergraph; vertex `i` of `hg` is entry `i`
+/// of the returned `tier_of`.
+fn partition_hypergraph(
+    hg: &Hypergraph,
+    cfg: &PartitionConfig,
+    locked_tier: &[Option<Tier>],
+    refine: Refine,
+) -> Partition {
+    if hg.area.is_empty() {
         return Partition {
             tier_of: Vec::new(),
             cut: 0,
@@ -191,15 +334,11 @@ fn partition_with(
     let lo = total_area * (0.5 - cfg.balance_tol);
     let hi = total_area * (0.5 + cfg.balance_tol);
 
-    let locked_tier: Vec<Option<Tier>> = (0..n)
-        .map(|i| locked.and_then(|f| f(InstId::from(i))))
-        .collect();
-
     let mut best: Option<(usize, Vec<bool>)> = None;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.starts.max(1) {
-        let mut side = random_balanced(&hg, &locked_tier, total_area, &mut rng);
-        let cut = refine(&hg, &mut side, &locked_tier, lo, hi, cfg.max_passes);
+        let mut side = random_balanced(hg, locked_tier, total_area, &mut rng);
+        let cut = refine(hg, &mut side, locked_tier, lo, hi, cfg.max_passes);
         if best.as_ref().is_none_or(|(c, _)| cut < *c) {
             best = Some((cut, side));
         }
@@ -245,11 +384,28 @@ fn random_balanced(
     side
 }
 
-/// An FM move candidate: `(gain, stamp, vertex)`, ordered as a tuple. The
-/// stamp counts the (move, shared net) updates the vertex received this
-/// pass, so among equal gains the most recently touched vertex wins, and
-/// the id breaks what is left.
-type Key = (i64, u32, u32);
+/// An FM move candidate `(gain, stamp, vertex)` packed into one integer
+/// that orders as the tuple does: `(gain + 2^40) << 64 | stamp << 32 |
+/// vertex`. The stamp counts the (move, shared net) updates the vertex
+/// received this pass, so among equal gains the most recently touched
+/// vertex wins, and the id breaks what is left. A gain is bounded by the
+/// vertex's net count, far inside ±2^40.
+type Key = u128;
+
+const GAIN_BIAS: i64 = 1 << 40;
+
+fn key(gain: i64, stamp: u32, v: u32) -> Key {
+    debug_assert!(gain.abs() < GAIN_BIAS);
+    ((gain + GAIN_BIAS) as u128) << 64 | u128::from(stamp) << 32 | u128::from(v)
+}
+
+fn key_gain(k: Key) -> i64 {
+    (k >> 64) as i64 - GAIN_BIAS
+}
+
+fn key_vertex(k: Key) -> usize {
+    (k as u32) as usize
+}
 
 const ABSENT: u32 = u32::MAX;
 
@@ -270,13 +426,13 @@ impl KeyHeap {
 
     /// Replaces the contents with `keys` (one per vertex at most).
     fn rebuild(&mut self, keys: impl Iterator<Item = Key>) {
-        for &(_, _, v) in &self.heap {
-            self.slot[v as usize] = ABSENT;
+        for &k in &self.heap {
+            self.slot[key_vertex(k)] = ABSENT;
         }
         self.heap.clear();
         self.heap.extend(keys);
-        for (i, &(_, _, v)) in self.heap.iter().enumerate() {
-            self.slot[v as usize] = i as u32;
+        for (i, &k) in self.heap.iter().enumerate() {
+            self.slot[key_vertex(k)] = i as u32;
         }
         for i in (0..self.heap.len() / 2).rev() {
             self.sift_down(i);
@@ -285,7 +441,7 @@ impl KeyHeap {
 
     /// Inserts `key`, or replaces its vertex's key.
     fn set(&mut self, key: Key) {
-        let v = key.2 as usize;
+        let v = key_vertex(key);
         if self.slot[v] == ABSENT {
             self.slot[v] = self.heap.len() as u32;
             self.heap.push(key);
@@ -307,51 +463,64 @@ impl KeyHeap {
             return None;
         }
         let top = self.heap.swap_remove(0);
-        self.slot[top.2 as usize] = ABSENT;
-        if let Some(&(_, _, v)) = self.heap.first() {
-            self.slot[v as usize] = 0;
+        self.slot[key_vertex(top)] = ABSENT;
+        if let Some(&k) = self.heap.first() {
+            self.slot[key_vertex(k)] = 0;
             self.sift_down(0);
         }
         Some(top)
     }
 
+    /// Moves the key at `i` up to its place, shifting the smaller keys on
+    /// its path down one level each (a hole, not a swap per level).
     fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[i] <= self.heap[parent] {
+            if key <= self.heap[parent] {
                 break;
             }
-            self.swap(i, parent);
+            self.place(i, self.heap[parent]);
             i = parent;
         }
+        self.place(i, key);
     }
 
+    /// Moves the key at `i` down to its place, shifting the larger child
+    /// on its path up one level each.
     fn sift_down(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        let len = self.heap.len();
         loop {
             let left = 2 * i + 1;
-            if left >= self.heap.len() {
+            if left >= len {
                 break;
             }
             let right = left + 1;
-            let child = if right < self.heap.len() && self.heap[right] > self.heap[left] {
+            let child = if right < len && self.heap[right] > self.heap[left] {
                 right
             } else {
                 left
             };
-            if self.heap[child] <= self.heap[i] {
+            if self.heap[child] <= key {
                 break;
             }
-            self.swap(i, child);
+            self.place(i, self.heap[child]);
             i = child;
         }
+        self.place(i, key);
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.slot[self.heap[a].2 as usize] = a as u32;
-        self.slot[self.heap[b].2 as usize] = b as u32;
+    /// Stores `key` in heap slot `i` and records the slot.
+    fn place(&mut self, i: usize, key: Key) {
+        self.heap[i] = key;
+        self.slot[key_vertex(key)] = i as u32;
     }
 }
+
+/// Passes [`fm_refine`] ended at the exact cut-off with moves left.
+#[cfg(test)]
+static CUT_OFF_PASSES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// One FM run: repeated passes until a pass yields no improvement.
 /// Returns the final cut size.
@@ -361,6 +530,12 @@ impl KeyHeap {
 /// pops the same vertex sequence as a lazy heap that recomputes a
 /// neighbour's gain and pushes a fresh entry per (move, shared net)
 /// (DESIGN §9).
+///
+/// A pass ends as soon as no later prefix can beat the best one: a cut
+/// net with locked cells (moved this pass, or seed-locked) on both sides
+/// is dead, it stays cut until the pass ends, so no prefix reaches a cut
+/// below the dead count. Once `cut₀ − dead ≤ best` the rest of the pass
+/// could only be undone.
 fn fm_refine(
     hg: &Hypergraph,
     side: &mut [bool],
@@ -374,24 +549,35 @@ fn fm_refine(
     let mut heap = KeyHeap::new(n);
     let mut gain = vec![0i64; n];
     let mut stamp = vec![0u32; n];
-    let mut moved = vec![false; n];
+    // locked or moved this pass: no gain update, no key
+    let mut frozen = vec![false; n];
     let mut touched: Vec<u32> = Vec::new();
     let mut is_touched = vec![false; n];
+    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(hg.num_nets());
+    // Per net, the locked cells on each side `[bottom, top]`: seed locks
+    // never move, so their counts are set once; a pass adds its moves.
+    let mut seed_locked = vec![[0u32; 2]; hg.num_nets()];
+    for v in (0..n).filter(|&v| locked[v].is_some()) {
+        for &nid in hg.incident(v) {
+            seed_locked[nid as usize][usize::from(side[v])] += 1;
+        }
+    }
+    let seed_dead = seed_locked.iter().filter(|c| c[0] > 0 && c[1] > 0).count();
+    let mut locked_on = seed_locked.clone();
+    let mut order: Vec<usize> = Vec::new();
     for _ in 0..max_passes {
         // per-net side counts
-        let mut counts: Vec<(u32, u32)> = hg
-            .nets
-            .iter()
-            .map(|verts| {
-                let top = verts.iter().filter(|&&v| side[v as usize]).count() as u32;
-                (verts.len() as u32 - top, top)
-            })
-            .collect();
+        counts.clear();
+        counts.extend((0..hg.num_nets()).map(|k| {
+            let verts = hg.net(k);
+            let top = verts.iter().filter(|&&v| side[v as usize]).count() as u32;
+            (verts.len() as u32 - top, top)
+        }));
         let mut top_area: f64 = (0..n).filter(|&i| side[i]).map(|i| hg.area[i]).sum();
 
         let gain_of = |v: usize, side: &[bool], counts: &[(u32, u32)]| -> i64 {
             let mut g = 0i64;
-            for &nid in &hg.incident[v] {
+            for &nid in hg.incident(v) {
                 let (b, t) = counts[nid as usize];
                 let (from, to) = if side[v] { (t, b) } else { (b, t) };
                 if from == 1 {
@@ -405,7 +591,11 @@ fn fm_refine(
         };
 
         stamp.fill(0);
-        moved.fill(false);
+        for (f, l) in frozen.iter_mut().zip(locked) {
+            *f = l.is_some();
+        }
+        locked_on.copy_from_slice(&seed_locked);
+        let mut dead = seed_dead;
         for v in 0..n {
             if locked[v].is_none() {
                 gain[v] = gain_of(v, side, &counts);
@@ -414,11 +604,12 @@ fn fm_refine(
         heap.rebuild(
             (0..n)
                 .filter(|&v| locked[v].is_none())
-                .map(|v| (gain[v], 0, v as u32)),
+                .map(|v| key(gain[v], 0, v as u32)),
         );
-        let mut order: Vec<(usize, i64)> = Vec::new();
-        while let Some((g, _, v)) = heap.pop() {
-            let v = v as usize;
+        order.clear();
+        let (mut running, mut best_gain, mut best_k) = (0i64, 0i64, 0usize);
+        while let Some(k) = heap.pop() {
+            let (g, v) = (key_gain(k), key_vertex(k));
             // balance feasibility
             let new_top = if side[v] {
                 top_area - hg.area[v]
@@ -433,17 +624,17 @@ fn fm_refine(
             // other side before the move, a neighbour on v's side gains
             // [a == 2] + [b == 0] and one on the other side (so b >= 1)
             // gains −[a == 1] − [b == 1]
-            moved[v] = true;
-            order.push((v, g));
+            frozen[v] = true;
+            order.push(v);
             let from_top = side[v];
-            for &nid in &hg.incident[v] {
+            for &nid in hg.incident(v) {
                 let c = &mut counts[nid as usize];
                 let (a, b) = if from_top { (c.1, c.0) } else { (c.0, c.1) };
                 let same = i64::from(a == 2) + i64::from(b == 0);
                 let other = -i64::from(a == 1) - i64::from(b == 1);
-                for &u in &hg.nets[nid as usize] {
+                for &u in hg.net(nid as usize) {
                     let u = u as usize;
-                    if moved[u] || locked[u].is_some() {
+                    if frozen[u] {
                         continue;
                     }
                     gain[u] += if side[u] == from_top { same } else { other };
@@ -460,27 +651,36 @@ fn fm_refine(
                     c.0 -= 1;
                     c.1 += 1;
                 }
+                // v now sits locked on side `to`: a net locked on both
+                // sides for the first time is dead
+                let (l, to) = (&mut locked_on[nid as usize], usize::from(!from_top));
+                l[to] += 1;
+                if l[to] == 1 && l[1 - to] > 0 {
+                    dead += 1;
+                }
             }
             side[v] = !from_top;
             top_area = new_top;
             for u in touched.drain(..) {
                 is_touched[u as usize] = false;
-                heap.set((gain[u as usize], stamp[u as usize], u));
+                heap.set(key(gain[u as usize], stamp[u as usize], u));
             }
-        }
-        // find the best prefix of the move sequence
-        let mut best_gain = 0i64;
-        let mut running = 0i64;
-        let mut best_k = 0usize;
-        for (k, &(_, g)) in order.iter().enumerate() {
+            // track the best prefix of the move sequence
             running += g;
             if running > best_gain {
                 best_gain = running;
-                best_k = k + 1;
+                best_k = order.len();
+            }
+            if cut as i64 - dead as i64 <= best_gain {
+                #[cfg(test)]
+                if !heap.heap.is_empty() {
+                    CUT_OFF_PASSES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                break;
             }
         }
         // undo moves beyond the best prefix
-        for &(v, _) in &order[best_k..] {
+        for &v in &order[best_k..] {
             side[v] = !side[v];
         }
         if best_gain <= 0 {
@@ -493,9 +693,9 @@ fn fm_refine(
 }
 
 fn count_cut(hg: &Hypergraph, side: &[bool]) -> usize {
-    hg.nets
-        .iter()
-        .filter(|verts| {
+    (0..hg.num_nets())
+        .filter(|&k| {
+            let verts = hg.net(k);
             let first = side[verts[0] as usize];
             verts.iter().any(|&v| side[v as usize] != first)
         })
@@ -642,10 +842,9 @@ mod tests {
         let n = side.len();
         let mut cut = count_cut(hg, side);
         for _ in 0..max_passes {
-            let mut counts: Vec<(u32, u32)> = hg
-                .nets
-                .iter()
-                .map(|verts| {
+            let mut counts: Vec<(u32, u32)> = (0..hg.num_nets())
+                .map(|k| {
+                    let verts = hg.net(k);
                     let top = verts.iter().filter(|&&v| side[v as usize]).count() as u32;
                     (verts.len() as u32 - top, top)
                 })
@@ -654,7 +853,7 @@ mod tests {
 
             let gain_of = |v: usize, side: &[bool], counts: &[(u32, u32)]| -> i64 {
                 let mut g = 0i64;
-                for &nid in &hg.incident[v] {
+                for &nid in hg.incident(v) {
                     let (b, t) = counts[nid as usize];
                     let (from, to) = if side[v] { (t, b) } else { (b, t) };
                     if from == 1 {
@@ -696,7 +895,7 @@ mod tests {
                 }
                 moved[v] = true;
                 order.push((v, g));
-                for &nid in &hg.incident[v] {
+                for &nid in hg.incident(v) {
                     let c = &mut counts[nid as usize];
                     if side[v] {
                         c.1 -= 1;
@@ -708,8 +907,8 @@ mod tests {
                 }
                 side[v] = !side[v];
                 top_area = new_top;
-                for &nid in &hg.incident[v] {
-                    for &u in &hg.nets[nid as usize] {
+                for &nid in hg.incident(v) {
+                    for &u in hg.net(nid as usize) {
                         let u = u as usize;
                         if !moved[u] && locked[u].is_none() {
                             stamp[u] += 1;
@@ -809,6 +1008,7 @@ mod tests {
         let tech = Technology::cmos28();
         let mut rng = StdRng::seed_from_u64(fuzz_seed());
         let before = REKEYED_AFTER_REJECT.load(Relaxed);
+        let cut_offs = CUT_OFF_PASSES.load(Relaxed);
         for iter in 0..ITERS {
             let nl = random_netlist(&mut rng, &tech, iter);
             let cfg = PartitionConfig {
@@ -843,6 +1043,10 @@ mod tests {
         assert!(
             REKEYED_AFTER_REJECT.load(Relaxed) > before,
             "no case re-keyed a vertex after a balance rejection"
+        );
+        assert!(
+            CUT_OFF_PASSES.load(Relaxed) > cut_offs,
+            "no pass ended at the exact cut-off with moves left"
         );
     }
 

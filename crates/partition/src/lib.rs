@@ -11,7 +11,8 @@
 //! Three entry points cover the paper's folding scenarios:
 //!
 //! * [`bipartition`] — area-balanced min-cut FM with multi-start, used for
-//!   generic blocks (L2T, RTX, and each folded FUB of the SPC).
+//!   generic blocks (L2T, RTX); [`bipartition_subsets`] runs it on each
+//!   folded FUB of the SPC without building the FUB's sub-netlist.
 //! * [`partition_by_groups`] — the *natural split* of §4.3: assign whole
 //!   instance groups to dies (PCX vs CPX needs only four 3D wires).
 //! * [`partition_with_quality`] — degrades a min-cut solution toward a
@@ -32,7 +33,7 @@
 
 mod fm;
 
-pub use fm::{bipartition, bipartition_seeded, Partition, PartitionConfig};
+pub use fm::{bipartition, bipartition_seeded, bipartition_subsets, Partition, PartitionConfig};
 
 use foldic_geom::Tier;
 use foldic_netlist::{GroupId, Netlist};

@@ -155,7 +155,7 @@ pub fn legalize_tier(
                     (outline.urx - half).max(outline.llx + half),
                 );
                 let y = outline.lly + (want_row as f64 + 0.5) * row_h;
-                netlist.inst_mut(id).pos = Point::new(x, y);
+                netlist.set_pos(id, Point::new(x, y));
             }
         }
     }
@@ -204,7 +204,7 @@ pub fn legalize_tier(
                 let mut x = cluster_pos(c, seg);
                 for k in 0..c.n {
                     let (id, _, w) = seg.cells[c.first + k];
-                    netlist.inst_mut(id).pos = Point::new(x + w / 2.0, y);
+                    netlist.set_pos(id, Point::new(x + w / 2.0, y));
                     x += w;
                 }
             }

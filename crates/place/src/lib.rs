@@ -160,7 +160,10 @@ pub fn place_folded(
 ///
 /// # Errors
 ///
-/// See [`place_block`].
+/// See [`place_block`]. An instance or port that enters at a non-finite
+/// position is an invalid input ([`FlowError::invalid`]): the solve would
+/// carry it into every anchor, and legalization would pack the result
+/// into legal-looking rows.
 pub fn place_with_obstacles(
     netlist: &mut Netlist,
     tech: &Technology,
@@ -169,6 +172,23 @@ pub fn place_with_obstacles(
     obstacles: &[Obstacle],
     per_tier: bool,
 ) -> Result<(), FlowError> {
+    let non_finite = |what: &str, name| {
+        FlowError::invalid(
+            FlowStage::Place,
+            format!("{what} `{name}` enters placement at a non-finite position"),
+        )
+    };
+    for id in netlist.inst_ids() {
+        if !netlist.pos(id).is_finite() {
+            let name = netlist.name_of(netlist.inst(id).name);
+            return Err(non_finite("instance", name));
+        }
+    }
+    for (_, port) in netlist.ports() {
+        if !port.pos.is_finite() {
+            return Err(non_finite("port", netlist.name_of(port.name)));
+        }
+    }
     let tiers: &[Option<Tier>] = if per_tier {
         &[Some(Tier::Bottom), Some(Tier::Top)]
     } else {
@@ -179,7 +199,7 @@ pub fn place_with_obstacles(
     if system.num_movable() == 0 {
         return Ok(());
     }
-    let spreaders: Vec<spread::TierSpreader> = tiers
+    let mut spreaders: Vec<spread::TierSpreader> = tiers
         .iter()
         .map(|&tier| spread::TierSpreader::new(netlist, tech, outline, cfg, obstacles, tier))
         .collect();
@@ -189,7 +209,7 @@ pub fn place_with_obstacles(
         foldic_fault::deadline::poll()?;
         let anchor_w = cfg.anchor_growth * (iter as f64 + 0.3);
         system.solve(netlist, outline, cfg.cg_iterations, anchor_w);
-        for spreader in &spreaders {
+        for spreader in &mut spreaders {
             spreader.equalize(netlist);
         }
     }
@@ -280,6 +300,56 @@ mod tests {
             after < 1.75 * seed_wl,
             "placer far off the seed embedding: {after} vs {seed_wl}"
         );
+    }
+
+    /// A three-inverter chain with its middle cell at `(NaN, 5)`: the solve
+    /// would spread the NaN into the anchors and legalization would pack
+    /// all three cells into one row, so placement must refuse it up front.
+    /// A port at a non-finite position is refused the same way.
+    #[test]
+    fn non_finite_start_position_is_an_invalid_input() {
+        use foldic_fault::FaultCause;
+        use foldic_geom::Point;
+        use foldic_netlist::PinRef;
+        use foldic_tech::{CellKind, Drive, VthClass};
+        let tech = Technology::cmos28();
+        let inv = InstMaster::Cell(tech.cells.id_of(CellKind::Inv, Drive::X1, VthClass::Rvt));
+        let outline = Rect::new(0.0, 0.0, 40.0, 40.0);
+        let mut nl = foldic_netlist::Netlist::new("nan_chain");
+        let cells: Vec<_> = (0..3).map(|i| nl.add_inst(format!("u{i}"), inv)).collect();
+        for (i, &c) in cells.iter().enumerate() {
+            nl.set_pos(c, Point::new(10.0 * (i as f64 + 1.0), 5.0));
+        }
+        for (k, pair) in cells.windows(2).enumerate() {
+            let n = nl.add_net(format!("n{k}"));
+            nl.connect_driver(n, PinRef::output(pair[0]));
+            nl.connect_sink(n, PinRef::input(pair[1], 0));
+        }
+        let placed = nl.clone();
+        nl.set_pos(cells[1], Point::new(f64::NAN, 5.0));
+        let err = place_block(&mut nl, &tech, outline, &PlacerConfig::fast()).unwrap_err();
+        assert_eq!(err.stage, FlowStage::Place);
+        assert!(
+            matches!(&err.cause, FaultCause::Invalid(m) if m.contains("`u1`")),
+            "{err:?}"
+        );
+
+        let mut nl = placed.clone();
+        let p = nl.add_port(
+            "in",
+            foldic_netlist::PortDir::Input,
+            foldic_netlist::ClockDomain::Cpu,
+        );
+        nl.port_mut(p).pos = Point::new(0.0, f64::INFINITY);
+        let err = place_block(&mut nl, &tech, outline, &PlacerConfig::fast()).unwrap_err();
+        assert!(
+            matches!(&err.cause, FaultCause::Invalid(m) if m.contains("port `in`")),
+            "{err:?}"
+        );
+
+        // the same chain at finite positions places
+        let mut nl = placed;
+        place_block(&mut nl, &tech, outline, &PlacerConfig::fast()).unwrap();
     }
 
     #[test]

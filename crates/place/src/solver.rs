@@ -316,7 +316,7 @@ impl QuadraticSystem {
         scratch.anchors.clear();
         scratch
             .anchors
-            .extend(movable.iter().map(|&id| netlist.inst(id).pos));
+            .extend(movable.iter().map(|&id| netlist.pos(id)));
         for (i, p) in scratch.anchors.iter().enumerate() {
             diag[i] += anchor_w;
             b[i][0] += anchor_w * p.x;
@@ -343,7 +343,7 @@ impl QuadraticSystem {
         for (i, &id) in movable.iter().enumerate() {
             let [x, y] = scratch.v[i];
             let p = Point::new(x, y).clamped(outline);
-            netlist.inst_mut(id).pos = if p.is_finite() { p } else { scratch.anchors[i] };
+            netlist.set_pos(id, if p.is_finite() { p } else { scratch.anchors[i] });
         }
         *solves += 1;
         if foldic_obs::metrics::is_enabled() {

@@ -16,18 +16,42 @@ use foldic_tech::Technology;
 const DAMP: f64 = 0.65;
 
 /// One tier's spreading state for a placement call. The bin grid, the
-/// hole-punched density map and the movable cells with their areas depend
-/// only on the outline, the config, the obstacles and the fixed macros,
-/// and neither the solves nor the spreading passes change anything but
-/// movable positions, so the placer builds this once per call and runs
-/// every iteration's pass on it.
+/// bin capacities (the hole-punched density map's supply) and the movable
+/// cells with their areas depend only on the outline, the config, the
+/// obstacles and the fixed macros, and neither the solves nor the
+/// spreading passes change anything but movable positions, so the placer
+/// builds this once per call and runs every iteration's pass on it. The
+/// passes' work buffers live here too and are refilled per pass.
 #[derive(Debug)]
 pub(crate) struct TierSpreader {
     /// Bins over the outline (its region *is* the outline).
     grid: BinGrid,
-    dm: DensityMap,
+    /// Bin capacities lane by lane, for the x pass (lanes are bin rows)
+    /// and the y pass (lanes are bin columns).
+    cap: [Vec<f64>; 2],
     /// The tier's movable cells and their areas, in instance order.
     cells: Vec<(InstId, f64)>,
+    work: Work,
+}
+
+/// The per-pass buffers of [`TierSpreader`].
+#[derive(Debug, Default)]
+struct Work {
+    /// Cell positions, in `cells` order.
+    pos: Vec<Point>,
+    /// Demand per (lane, bin), lane-major.
+    demand: Vec<f64>,
+    /// Lane membership as a CSR: lane `l`'s cells, in cell order, are
+    /// `members[lane_off[l]..lane_off[l + 1]]`.
+    lane_off: Vec<u32>,
+    members: Vec<u32>,
+    /// Each cell's lane, and the fill cursor of each lane.
+    lane_of: Vec<u32>,
+    cursor: Vec<u32>,
+    /// One lane's water-filled demand and both cumulative profiles.
+    dp: Vec<f64>,
+    d_cum: Vec<f64>,
+    dp_cum: Vec<f64>,
 }
 
 impl TierSpreader {
@@ -68,33 +92,49 @@ impl TierSpreader {
                 dm.punch_hole(ob.rect);
             }
         }
+        let cap = [Axis::X, Axis::Y].map(|axis| {
+            let (lanes, bins_per_lane) = axis.shape(&grid);
+            (0..lanes)
+                .flat_map(|lane| (0..bins_per_lane).map(move |b| axis.bin(lane, b)))
+                .map(|(c, r)| dm.supply(c, r))
+                .collect()
+        });
         let cells = netlist
             .insts()
             .filter(|(_, i)| !i.fixed && tier.is_none_or(|t| i.tier == t))
             .map(|(id, i)| (id, i.area_um2(tech)))
             .collect();
-        Self { grid, dm, cells }
+        Self {
+            grid,
+            cap,
+            cells,
+            work: Work::default(),
+        }
     }
 
     /// Runs one x+y equalization pass from the cells' current positions.
-    pub(crate) fn equalize(&self, netlist: &mut Netlist) {
+    pub(crate) fn equalize(&mut self, netlist: &mut Netlist) {
         if self.cells.is_empty() {
             return;
         }
-        let mut pos: Vec<Point> = self
-            .cells
-            .iter()
-            .map(|&(id, _)| netlist.inst(id).pos)
-            .collect();
+        let Self {
+            grid,
+            cap,
+            cells,
+            work,
+        } = self;
+        work.pos.clear();
+        work.pos
+            .extend(cells.iter().map(|&(id, _)| netlist.pos(id)));
 
         // --- x pass: equalize within each bin row ---------------------------
-        remap_axis(&self.grid, &self.dm, &self.cells, &mut pos, Axis::X);
+        work.remap_axis(grid, &cap[0], cells, Axis::X);
         // --- y pass: equalize within each bin column ------------------------
-        remap_axis(&self.grid, &self.dm, &self.cells, &mut pos, Axis::Y);
+        work.remap_axis(grid, &cap[1], cells, Axis::Y);
 
-        let outline = self.grid.region();
-        for (&(id, _), p) in self.cells.iter().zip(&pos) {
-            netlist.inst_mut(id).pos = p.clamped(outline);
+        let outline = grid.region();
+        for (&(id, _), p) in cells.iter().zip(&work.pos) {
+            netlist.set_pos(id, p.clamped(outline));
         }
     }
 }
@@ -105,122 +145,157 @@ enum Axis {
     Y,
 }
 
-/// Equalizes one axis with **overflow-driven** transport: for every lane
-/// of bins perpendicular to `axis`, overflow (demand beyond capacity) is
-/// water-filled into the nearest bins with spare capacity, and cells are
-/// remapped monotonically from the old cumulative demand profile onto the
-/// feasible one. Bins below capacity keep their cells in place — an
-/// under-utilized region (e.g. the sparse logic channels of a
-/// macro-dominated block) is never stretched to fill its whitespace.
-fn remap_axis(
-    grid: &BinGrid,
-    dm: &DensityMap,
-    cells: &[(InstId, f64)],
-    pos: &mut [Point],
-    axis: Axis,
-) {
-    let (lanes, bins_per_lane) = match axis {
-        Axis::X => (grid.rows(), grid.cols()),
-        Axis::Y => (grid.cols(), grid.rows()),
-    };
-    // demand per (lane, bin) from current positions
-    let mut demand = vec![0.0f64; lanes * bins_per_lane];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    for (k, p) in pos.iter().enumerate() {
-        let (c, r) = grid.bin_of(*p);
-        let (lane, b) = match axis {
-            Axis::X => (r, c),
-            Axis::Y => (c, r),
-        };
-        demand[lane * bins_per_lane + b] += cells[k].1;
-        members[lane].push(k);
+impl Axis {
+    /// `(lanes, bins per lane)` of a pass along this axis.
+    fn shape(self, grid: &BinGrid) -> (usize, usize) {
+        match self {
+            Axis::X => (grid.rows(), grid.cols()),
+            Axis::Y => (grid.cols(), grid.rows()),
+        }
     }
-    let region = grid.region();
-    for lane in 0..lanes {
-        if members[lane].is_empty() {
-            continue;
+
+    /// The `(column, row)` of bin `b` of `lane`.
+    fn bin(self, lane: usize, b: usize) -> (usize, usize) {
+        match self {
+            Axis::X => (b, lane),
+            Axis::Y => (lane, b),
         }
-        let cap: Vec<f64> = (0..bins_per_lane)
-            .map(|b| {
-                let (c, r) = match axis {
-                    Axis::X => (b, lane),
-                    Axis::Y => (lane, b),
+    }
+}
+
+impl Work {
+    /// Equalizes one axis with **overflow-driven** transport: for every
+    /// lane of bins perpendicular to `axis`, overflow (demand beyond
+    /// capacity `cap`) is water-filled into the nearest bins with spare
+    /// capacity, and cells are remapped monotonically from the old
+    /// cumulative demand profile onto the feasible one. Bins below
+    /// capacity keep their cells in place — an under-utilized region
+    /// (e.g. the sparse logic channels of a macro-dominated block) is
+    /// never stretched to fill its whitespace.
+    fn remap_axis(&mut self, grid: &BinGrid, cap: &[f64], cells: &[(InstId, f64)], axis: Axis) {
+        let (lanes, bins_per_lane) = axis.shape(grid);
+        let Self {
+            pos,
+            demand,
+            lane_off,
+            members,
+            lane_of,
+            cursor,
+            dp,
+            d_cum,
+            dp_cum,
+        } = self;
+        // demand per (lane, bin) from current positions, summed in cell
+        // order, and each lane's cells by counting sort (cell order kept)
+        demand.clear();
+        demand.resize(lanes * bins_per_lane, 0.0);
+        lane_off.clear();
+        lane_off.resize(lanes + 1, 0);
+        lane_of.clear();
+        for (k, p) in pos.iter().enumerate() {
+            let (c, r) = grid.bin_of(*p);
+            let (lane, b) = match axis {
+                Axis::X => (r, c),
+                Axis::Y => (c, r),
+            };
+            demand[lane * bins_per_lane + b] += cells[k].1;
+            lane_of.push(lane as u32);
+            lane_off[lane + 1] += 1;
+        }
+        for lane in 0..lanes {
+            lane_off[lane + 1] += lane_off[lane];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&lane_off[..lanes]);
+        members.clear();
+        members.resize(pos.len(), 0);
+        for (k, &lane) in lane_of.iter().enumerate() {
+            members[cursor[lane as usize] as usize] = k as u32;
+            cursor[lane as usize] += 1;
+        }
+
+        let region = grid.region();
+        for lane in 0..lanes {
+            let lane_cells = &members[lane_off[lane] as usize..lane_off[lane + 1] as usize];
+            if lane_cells.is_empty() {
+                continue;
+            }
+            let bins = lane * bins_per_lane..(lane + 1) * bins_per_lane;
+            let (d, cap) = (&demand[bins.clone()], &cap[bins]);
+            if d.iter().zip(cap).all(|(di, ci)| di <= ci) {
+                continue; // lane already feasible: nothing moves
+            }
+            // water-fill the overflow into neighbouring spare capacity
+            dp.clear();
+            dp.extend_from_slice(d);
+            for _ in 0..2 {
+                // left -> right
+                for b in 0..bins_per_lane - 1 {
+                    let e = dp[b] - cap[b];
+                    if e > 0.0 {
+                        dp[b] -= e;
+                        dp[b + 1] += e;
+                    }
+                }
+                // right -> left
+                for b in (1..bins_per_lane).rev() {
+                    let e = dp[b] - cap[b];
+                    if e > 0.0 {
+                        dp[b] -= e;
+                        dp[b - 1] += e;
+                    }
+                }
+            }
+            // monotone remap: old cumulative demand -> new cumulative demand
+            d_cum.clear();
+            d_cum.resize(bins_per_lane + 1, 0.0);
+            dp_cum.clear();
+            dp_cum.resize(bins_per_lane + 1, 0.0);
+            for b in 0..bins_per_lane {
+                d_cum[b + 1] = d_cum[b] + d[b];
+                dp_cum[b + 1] = dp_cum[b] + dp[b];
+            }
+            let total = d_cum[bins_per_lane];
+            if total <= 0.0 {
+                continue;
+            }
+            let (lo, step) = match axis {
+                Axis::X => (region.llx, grid.bin_width()),
+                Axis::Y => (region.lly, grid.bin_height()),
+            };
+            for &k in lane_cells {
+                let k = k as usize;
+                let coord = match axis {
+                    Axis::X => pos[k].x,
+                    Axis::Y => pos[k].y,
                 };
-                dm.supply(c, r)
-            })
-            .collect();
-        let d: Vec<f64> = (0..bins_per_lane)
-            .map(|b| demand[lane * bins_per_lane + b])
-            .collect();
-        if d.iter().zip(&cap).all(|(di, ci)| di <= ci) {
-            continue; // lane already feasible: nothing moves
-        }
-        // water-fill the overflow into neighbouring spare capacity
-        let mut dp = d.clone();
-        for _ in 0..2 {
-            // left -> right
-            for b in 0..bins_per_lane - 1 {
-                let e = dp[b] - cap[b];
-                if e > 0.0 {
-                    dp[b] -= e;
-                    dp[b + 1] += e;
-                }
+                let fbin = ((coord - lo) / step).clamp(0.0, bins_per_lane as f64 - 1e-9);
+                let b = fbin as usize;
+                let frac = fbin - b as f64;
+                let here = d_cum[b] + frac * (d_cum[b + 1] - d_cum[b]);
+                // invert the new profile at the same cumulative mass: the
+                // first bin whose upper edge reaches `here`, else the last.
+                // `dp_cum` is non-decreasing (water-filling keeps every `dp`
+                // non-negative), so the test flips once and a binary search
+                // finds that bin; a NaN `here` reaches no bin.
+                let t = here - 1e-12;
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let nb = dp_cum[1..]
+                    .partition_point(|&c| !(c >= t))
+                    .min(bins_per_lane - 1);
+                let seg = dp_cum[nb + 1] - dp_cum[nb];
+                let f = if seg > 0.0 {
+                    ((here - dp_cum[nb]) / seg).clamp(0.0, 1.0)
+                } else {
+                    0.5
+                };
+                let new_coord = lo + (nb as f64 + f) * step;
+                let c = match axis {
+                    Axis::X => &mut pos[k].x,
+                    Axis::Y => &mut pos[k].y,
+                };
+                *c += DAMP * (new_coord - *c);
             }
-            // right -> left
-            for b in (1..bins_per_lane).rev() {
-                let e = dp[b] - cap[b];
-                if e > 0.0 {
-                    dp[b] -= e;
-                    dp[b - 1] += e;
-                }
-            }
-        }
-        // monotone remap: old cumulative demand -> new cumulative demand
-        let mut d_cum = vec![0.0; bins_per_lane + 1];
-        let mut dp_cum = vec![0.0; bins_per_lane + 1];
-        for b in 0..bins_per_lane {
-            d_cum[b + 1] = d_cum[b] + d[b];
-            dp_cum[b + 1] = dp_cum[b] + dp[b];
-        }
-        let total = d_cum[bins_per_lane];
-        if total <= 0.0 {
-            continue;
-        }
-        let (lo, step) = match axis {
-            Axis::X => (region.llx, grid.bin_width()),
-            Axis::Y => (region.lly, grid.bin_height()),
-        };
-        for &k in &members[lane] {
-            let coord = match axis {
-                Axis::X => pos[k].x,
-                Axis::Y => pos[k].y,
-            };
-            let fbin = ((coord - lo) / step).clamp(0.0, bins_per_lane as f64 - 1e-9);
-            let b = fbin as usize;
-            let frac = fbin - b as f64;
-            let here = d_cum[b] + frac * (d_cum[b + 1] - d_cum[b]);
-            // invert the new profile at the same cumulative mass: the
-            // first bin whose upper edge reaches `here`, else the last.
-            // `dp_cum` is non-decreasing (water-filling keeps every `dp`
-            // non-negative), so the test flips once and a binary search
-            // finds that bin; a NaN `here` reaches no bin.
-            let t = here - 1e-12;
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let nb = dp_cum[1..]
-                .partition_point(|&c| !(c >= t))
-                .min(bins_per_lane - 1);
-            let seg = dp_cum[nb + 1] - dp_cum[nb];
-            let f = if seg > 0.0 {
-                ((here - dp_cum[nb]) / seg).clamp(0.0, 1.0)
-            } else {
-                0.5
-            };
-            let new_coord = lo + (nb as f64 + f) * step;
-            let c = match axis {
-                Axis::X => &mut pos[k].x,
-                Axis::Y => &mut pos[k].y,
-            };
-            *c += DAMP * (new_coord - *c);
         }
     }
 }
@@ -433,7 +508,7 @@ mod tests {
             dm.overflow()
         };
         let before = overflow(&nl);
-        let spreader = TierSpreader::new(&nl, &tech, outline, &cfg, &[], None);
+        let mut spreader = TierSpreader::new(&nl, &tech, outline, &cfg, &[], None);
         for _ in 0..6 {
             spreader.equalize(&mut nl);
         }
@@ -459,7 +534,7 @@ mod tests {
             rect: hole,
             tier: None,
         }];
-        let spreader = TierSpreader::new(&nl, &tech, outline, &cfg, &obstacles, None);
+        let mut spreader = TierSpreader::new(&nl, &tech, outline, &cfg, &obstacles, None);
         for _ in 0..8 {
             spreader.equalize(&mut nl);
         }
@@ -508,7 +583,7 @@ mod tests {
             };
             let mut nl = nl.clone();
             let mut system = crate::QuadraticSystem::build(&nl, outline);
-            let spreaders: Vec<TierSpreader> = tiers[..2]
+            let mut spreaders: Vec<TierSpreader> = tiers[..2]
                 .iter()
                 .map(|&t| TierSpreader::new(&nl, &tech, outline, &cfg, &obstacles, t))
                 .collect();
@@ -516,7 +591,7 @@ mod tests {
                 let anchor_w = cfg.anchor_growth * (iter as f64 + 0.3);
                 system.solve(&mut nl, outline, cfg.cg_iterations, anchor_w);
                 let mut reference = nl.clone();
-                for spreader in &spreaders {
+                for spreader in &mut spreaders {
                     spreader.equalize(&mut nl);
                 }
                 for &t in &tiers[..2] {

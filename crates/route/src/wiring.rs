@@ -59,82 +59,85 @@ impl BlockWiring {
         vias: Option<&ViaPlacement>,
     ) -> Result<Self, FlowError> {
         foldic_obs::trace::add_iters(netlist.num_nets() as u64);
+        let mut scratch = NetScratch::default();
         let mut nets = Vec::with_capacity(netlist.num_nets());
-        let mut total = 0.0;
-        let mut long_wires = 0;
-        let mut num_3d = 0;
-        let threshold = tech.long_wire_threshold();
-        // batch the histogram: collect locally, flush under one lock
-        let obs_on = foldic_obs::metrics::is_enabled();
-        let mut lengths: Vec<f64> = Vec::new();
-        // per-call scratch, refilled per net
-        let mut prim = Prim::default();
-        let mut sinks: Vec<(Point, Tier)> = Vec::new();
-        for (nid, net) in netlist.nets() {
+        for nid in netlist.net_ids() {
             // cooperative deadline checkpoint, every 256 nets
             if nid.index() % 256 == 0 {
                 foldic_fault::deadline::poll()?;
             }
-            let Some(driver) = net.driver else {
-                nets.push(NetLength {
-                    net: nid,
-                    length_um: 0.0,
-                    sink_paths: Vec::new(),
-                    is_3d: false,
-                });
-                continue;
-            };
-            let dpos = netlist.pin_pos(driver);
-            let dtier = netlist.pin_tier(driver);
-            sinks.clear();
-            sinks.extend(
-                net.sinks()
-                    .map(|s| (netlist.pin_pos(s), netlist.pin_tier(s))),
-            );
-            let is_3d = sinks.iter().any(|&(_, t)| t != dtier);
-
-            let (length, sink_paths) = match (is_3d, vias.and_then(|v| v.via_of(nid))) {
-                (true, Some(via)) => route_3d(&mut prim, dpos, dtier, &sinks, via.pos, detour)?,
-                _ => {
-                    // coplanar (2D net, or ideal 3D interconnect)
-                    prim.start(dpos);
-                    prim.points.extend(sinks.iter().map(|&(p, _)| p));
-                    let mst_len = prim.build();
-                    let paths = prim.path_len[1..]
-                        .iter()
-                        .map(|&l| finite(l * detour))
-                        .collect::<Result<_, _>>()?;
-                    (steiner_length(mst_len, prim.points.len()) * detour, paths)
-                }
-            };
-            if is_3d {
-                num_3d += 1;
-            }
-            if length > threshold {
-                long_wires += 1;
-            }
-            total += length;
-            if obs_on {
-                lengths.push(length);
-            }
-            nets.push(NetLength {
-                net: nid,
-                length_um: length,
-                sink_paths,
-                is_3d,
-            });
+            nets.push(scratch.record(netlist, nid, detour, vias)?);
         }
-        finite(total)?;
-        if obs_on {
+        let mut wiring = Self {
+            nets,
+            total_um: 0.0,
+            long_wires: 0,
+            num_3d: 0,
+        };
+        wiring.sum(tech)?;
+        Ok(wiring)
+    }
+
+    /// Brings this analysis of `netlist` up to date, in place, after
+    /// buffer insertion: re-analyses the `rewired` nets (nets whose pins
+    /// changed) and appends records for the nets added since the analysis,
+    /// then re-sums the totals over every record in net order. It
+    /// equals a fresh [`Self::analyze`] bit for bit when every other net
+    /// kept its pins, their positions and tiers, and `detour` and `vias`
+    /// are the ones the analysis ran with: a net's record reads only
+    /// those. Counts as one analysis (`route.analyses`, `num_nets` span
+    /// iterations).
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::analyze`].
+    pub fn reanalyze(
+        &mut self,
+        netlist: &Netlist,
+        tech: &Technology,
+        detour: f64,
+        vias: Option<&ViaPlacement>,
+        rewired: &[NetId],
+    ) -> Result<(), FlowError> {
+        debug_assert!(rewired.iter().all(|n| n.index() < self.nets.len()));
+        foldic_obs::trace::add_iters(netlist.num_nets() as u64);
+        let mut scratch = NetScratch::default();
+        let added = self.nets.len()..netlist.num_nets();
+        self.nets.reserve_exact(added.len());
+        let nids = rewired.iter().copied().chain(added.map(NetId::from));
+        for (k, nid) in nids.enumerate() {
+            // cooperative deadline checkpoint, every 256 nets
+            if k % 256 == 0 {
+                foldic_fault::deadline::poll()?;
+            }
+            let rec = scratch.record(netlist, nid, detour, vias)?;
+            match self.nets.get_mut(nid.index()) {
+                Some(old) => *old = rec,
+                None => self.nets.push(rec),
+            }
+        }
+        self.sum(tech)
+    }
+
+    /// Sets the totals from the records, summed in net order.
+    fn sum(&mut self, tech: &Technology) -> Result<(), FlowError> {
+        let threshold = tech.long_wire_threshold();
+        let mut total = 0.0;
+        self.long_wires = 0;
+        self.num_3d = 0;
+        for rec in &self.nets {
+            self.num_3d += usize::from(rec.is_3d);
+            self.long_wires += usize::from(rec.length_um > threshold);
+            total += rec.length_um;
+        }
+        self.total_um = finite(total)?;
+        if foldic_obs::metrics::is_enabled() {
             foldic_obs::metrics::add("route.analyses", 1);
+            let _bookkeeping = foldic_obs::Bookkeeping::enter();
+            let lengths: Vec<f64> = self.nets.iter().map(|r| r.length_um).collect();
             foldic_obs::metrics::observe_all("route.net_length_um", &lengths);
         }
-        Ok(Self {
-            nets,
-            total_um: total,
-            long_wires,
-            num_3d,
-        })
+        Ok(())
     }
 
     /// The record of `net`.
@@ -145,6 +148,64 @@ impl BlockWiring {
     /// Total routed length in metres (the unit of the paper's tables).
     pub fn total_m(&self) -> f64 {
         self.total_um * 1e-6
+    }
+}
+
+/// Per-call scratch of the per-net analysis, refilled per net.
+#[derive(Default)]
+struct NetScratch {
+    prim: Prim,
+    sinks: Vec<(Point, Tier)>,
+}
+
+impl NetScratch {
+    /// The routed-length record of one net.
+    fn record(
+        &mut self,
+        netlist: &Netlist,
+        nid: NetId,
+        detour: f64,
+        vias: Option<&ViaPlacement>,
+    ) -> Result<NetLength, FlowError> {
+        let net = netlist.net(nid);
+        let Some(driver) = net.driver else {
+            return Ok(NetLength {
+                net: nid,
+                length_um: 0.0,
+                sink_paths: Vec::new(),
+                is_3d: false,
+            });
+        };
+        let Self { prim, sinks } = self;
+        let dpos = netlist.pin_pos(driver);
+        let dtier = netlist.pin_tier(driver);
+        sinks.clear();
+        sinks.extend(
+            net.sinks()
+                .map(|s| (netlist.pin_pos(s), netlist.pin_tier(s))),
+        );
+        let is_3d = sinks.iter().any(|&(_, t)| t != dtier);
+
+        let (length_um, sink_paths) = match (is_3d, vias.and_then(|v| v.via_of(nid))) {
+            (true, Some(via)) => route_3d(prim, dpos, dtier, sinks, via.pos, detour)?,
+            _ => {
+                // coplanar (2D net, or ideal 3D interconnect)
+                prim.start(dpos);
+                prim.points.extend(sinks.iter().map(|&(p, _)| p));
+                let mst_len = prim.build();
+                let paths = prim.path_len[1..]
+                    .iter()
+                    .map(|&l| finite(l * detour))
+                    .collect::<Result<_, _>>()?;
+                (steiner_length(mst_len, prim.points.len()) * detour, paths)
+            }
+        };
+        Ok(NetLength {
+            net: nid,
+            length_um,
+            sink_paths,
+            is_3d,
+        })
     }
 }
 
