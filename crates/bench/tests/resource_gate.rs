@@ -125,7 +125,6 @@ fn scheduler_admission_prices_sheds_and_budgets_real_jobs() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 2,
-            retry_after_secs: 1,
             mem_limit: Some(limit),
         },
     );
@@ -195,7 +194,6 @@ fn unlimited_scheduler_stats_stay_byte_identical() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 1,
-            retry_after_secs: 1,
             mem_limit: None,
         },
     );

@@ -38,7 +38,7 @@
 use foldic_obs::stages::{FANOUT, JOB};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -383,13 +383,6 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     par_map(threads, items.iter_mut().collect(), f)
-}
-
-/// A monotonically-increasing global counter handed to jobs that need a
-/// cheap unique id without threading state through closures.
-pub fn next_job_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -1,185 +1,73 @@
 //! Checkpoint/resume for long full-chip runs.
 //!
-//! A [`CheckpointStore`] persists completed per-block results as
-//! append-only JSONL: one header line naming the schema, then one
-//! compact-JSON line per entry (`{"key":…,"value":…}`). Appending after
-//! every completed block means an interrupted run loses at most the
-//! blocks that were in flight; a resumed run replays the finished ones
-//! from the store and recomputes only the rest. Values round-trip
-//! bit-exactly (the JSON writer uses shortest round-trip float
-//! formatting), which is what makes resumed output byte-identical to an
-//! uninterrupted run.
+//! A [`CheckpointStore`] persists completed per-block results in a
+//! [`Jsonl`] log (`foldic-checkpoint/1`), one compact line per entry
+//! (`{"key":…,"value":…}`). Appending after every completed block means
+//! an interrupted run loses at most the blocks that were in flight; a
+//! resumed run replays the finished ones from the store and recomputes
+//! only the rest. Values round-trip bit-exactly (the JSON writer uses
+//! shortest round-trip float formatting), which is what makes resumed
+//! output byte-identical to an uninterrupted run.
 //!
-//! Loading is tolerant of a torn tail: a process killed mid-append
-//! leaves a truncated final line, which is skipped (with everything
-//! after it) rather than rejected — those blocks are simply recomputed.
+//! Loading keeps the log's intact prefix: a torn, corrupt or non-UTF-8
+//! line (a killed append) is dropped with everything after it, and
+//! those blocks are simply recomputed.
 
+use crate::jsonl::{Jsonl, JsonlError};
 use foldic_obs::json::Json;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Schema tag written as the first line of every checkpoint file.
 pub const CHECKPOINT_SCHEMA: &str = "foldic-checkpoint/1";
 
-/// Why a checkpoint file was rejected at load time. Torn tails and
-/// mid-file corruption are *not* errors (the intact prefix loads and the
-/// rest recomputes); these are the cases where silently proceeding would
-/// corrupt a resumed run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// The file could not be read, created, trimmed, or appended to.
-    Io {
-        /// The checkpoint path.
-        path: PathBuf,
-        /// The underlying I/O error, stringified.
-        message: String,
-    },
-    /// The first line is not parseable JSON.
-    BadHeader(String),
-    /// The header names a different schema (a store written by an
-    /// incompatible version must not be replayed).
-    SchemaMismatch {
-        /// The schema this build writes and accepts.
-        want: &'static str,
-        /// The schema found in the file, when any.
-        got: Option<String>,
-    },
-    /// The same key appears twice with *different* values — two runs
-    /// with different configurations shared the file; replaying either
-    /// value silently would corrupt the resume. (Identical duplicates
-    /// are fine: re-running a block legitimately re-appends its entry.)
-    ConflictingDuplicate(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io { path, message } => {
-                write!(f, "checkpoint {}: {message}", path.display())
-            }
-            CheckpointError::BadHeader(msg) => write!(f, "bad checkpoint header: {msg}"),
-            CheckpointError::SchemaMismatch { want, got } => {
-                write!(f, "checkpoint schema mismatch: want {want}, got {got:?}")
-            }
-            CheckpointError::ConflictingDuplicate(key) => write!(
-                f,
-                "checkpoint key `{key}` appears twice with different values; \
-                 refusing to replay an ambiguous store"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-/// An append-only key→JSON store backed by a JSONL file (or memory).
+/// An append-only key→JSON store backed by a JSONL log (or memory).
 ///
 /// Keys are free-form strings; the flow uses `style_key/block` so one
 /// store covers every run scope of a full-chip experiment. Duplicate
 /// keys are last-wins, so re-running a block simply supersedes its
 /// earlier entry.
+#[derive(Debug)]
 pub struct CheckpointStore {
     entries: Mutex<BTreeMap<String, Json>>,
-    sink: Mutex<Option<File>>,
-    path: Option<PathBuf>,
+    /// The backing log; `None` for an in-memory store.
+    log: Option<Jsonl>,
     hits: AtomicU64,
 }
 
-impl std::fmt::Debug for CheckpointStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointStore")
-            .field("path", &self.path)
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .finish()
-    }
-}
-
 impl CheckpointStore {
-    /// Opens (or creates) a checkpoint file, loading any entries already
-    /// in it. A truncated final line — the signature of a killed run —
-    /// is tolerated: reading stops there, the torn entry is dropped, and
-    /// the file is trimmed back to its last intact line so later appends
-    /// start on a clean boundary.
+    /// Opens (or creates) a checkpoint file, loading the entries of its
+    /// intact prefix (see the module docs) and trimming the rest, so
+    /// later appends start on a clean boundary.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`CheckpointError`] when the file cannot be
-    /// created/read, carries a different schema tag, or holds the same
-    /// key twice with conflicting values.
-    pub fn open(path: &Path) -> Result<Self, CheckpointError> {
-        let io = |message: String| CheckpointError::Io {
-            path: path.to_owned(),
-            message,
-        };
+    /// A [`JsonlError`] when the file cannot be created or read, carries
+    /// a different schema tag, or holds the same key twice with
+    /// different values ([`JsonlError::Conflict`]: two runs with
+    /// different configurations shared the file; identical duplicates
+    /// are fine, since re-running a block re-appends its entry).
+    pub fn open(path: &Path) -> Result<Self, JsonlError> {
         let mut entries: BTreeMap<String, Json> = BTreeMap::new();
-        // byte length of the valid prefix (complete, parseable lines)
-        let mut valid_end = 0u64;
-        if path.exists() {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| io(format!("cannot read: {e}")))?;
-            let mut header_seen = false;
-            for line in text.split_inclusive('\n') {
-                if !line.ends_with('\n') {
-                    break; // torn tail from a killed append
-                }
-                let trimmed = line.trim();
-                if !header_seen && !trimmed.is_empty() {
-                    let header = Json::parse(trimmed)
-                        .map_err(|e| CheckpointError::BadHeader(e.to_string()))?;
-                    match header.get("schema").and_then(Json::as_str) {
-                        Some(CHECKPOINT_SCHEMA) => {}
-                        other => {
-                            return Err(CheckpointError::SchemaMismatch {
-                                want: CHECKPOINT_SCHEMA,
-                                got: other.map(str::to_owned),
-                            })
-                        }
-                    }
-                    header_seen = true;
-                } else if !trimmed.is_empty() {
-                    // An unparseable mid-file line means corruption; keep
-                    // the intact prefix and recompute the rest.
-                    let Ok(entry) = Json::parse(trimmed) else {
-                        break;
-                    };
-                    let (Some(key), Some(value)) =
-                        (entry.get("key").and_then(Json::as_str), entry.get("value"))
-                    else {
-                        break;
-                    };
-                    if entries.get(key).is_some_and(|prev| prev != value) {
-                        return Err(CheckpointError::ConflictingDuplicate(key.to_owned()));
-                    }
-                    entries.insert(key.to_owned(), value.clone());
-                }
-                valid_end += line.len() as u64;
+        let (log, _) = Jsonl::open(path, CHECKPOINT_SCHEMA, |line| {
+            let (Some(key), Some(value)) =
+                (line.get("key").and_then(Json::as_str), line.get("value"))
+            else {
+                return Ok(false);
+            };
+            if entries.get(key).is_some_and(|prev| prev != value) {
+                return Err(format!(
+                    "checkpoint key `{key}` appears twice with different values"
+                ));
             }
-        }
-        let mut sink = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| io(format!("cannot open: {e}")))?;
-        sink.set_len(valid_end)
-            .map_err(|e| io(format!("cannot trim: {e}")))?;
-        sink.seek(SeekFrom::End(0))
-            .map_err(|e| io(format!("cannot seek: {e}")))?;
-        if valid_end == 0 {
-            let header =
-                Json::obj([("schema".to_owned(), Json::Str(CHECKPOINT_SCHEMA.to_owned()))]);
-            writeln!(sink, "{}", header.to_compact())
-                .map_err(|e| io(format!("cannot write header: {e}")))?;
-        }
+            entries.insert(key.to_owned(), value.clone());
+            Ok(true)
+        })?;
         Ok(Self {
             entries: Mutex::new(entries),
-            sink: Mutex::new(Some(sink)),
-            path: Some(path.to_owned()),
+            log: Some(log),
             hits: AtomicU64::new(0),
         })
     }
@@ -189,15 +77,9 @@ impl CheckpointStore {
     pub fn in_memory() -> Self {
         Self {
             entries: Mutex::new(BTreeMap::new()),
-            sink: Mutex::new(None),
-            path: None,
+            log: None,
             hits: AtomicU64::new(0),
         }
-    }
-
-    /// The backing file, when there is one.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Looks up a completed entry; counts a resume hit when found.
@@ -215,23 +97,20 @@ impl CheckpointStore {
     }
 
     /// Records a completed entry and appends it to the backing file
-    /// (flushed immediately, so a kill right after loses nothing).
+    /// (written before returning, so a kill right after loses nothing).
     pub fn put(&self, key: &str, value: Json) {
         let line = Json::obj([
             ("key".to_owned(), Json::Str(key.to_owned())),
             ("value".to_owned(), value.clone()),
-        ])
-        .to_compact();
+        ]);
         self.entries
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key.to_owned(), value);
-        let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(file) = sink.as_mut() {
+        if let Some(log) = &self.log {
             // Checkpointing is best-effort: an unwritable disk degrades
             // resume, it must not fail the run.
-            let _ = writeln!(file, "{line}");
-            let _ = file.flush();
+            let _ = log.append([line], false);
         }
     }
 
@@ -255,6 +134,8 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("foldic-fault-tests");
@@ -307,13 +188,45 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// One byte set to 0xFF in the second entry, or a cut inside its
+    /// `—`: the first entry loads, the file is trimmed to it, and a
+    /// reopen sees the same store (both used to fail as I/O errors).
+    #[test]
+    fn non_utf8_second_entry_keeps_the_first() {
+        let path = tmp("utf8");
+        for flip in [true, false] {
+            let _ = std::fs::remove_file(&path);
+            {
+                let store = CheckpointStore::open(&path).unwrap();
+                store.put("a", Json::Num(1.0));
+                store.put("b", Json::Str("x — y".to_owned()));
+            }
+            let mut bytes = std::fs::read(&path).unwrap();
+            let dash = bytes.windows(3).position(|w| w == "—".as_bytes()).unwrap();
+            if flip {
+                bytes[dash - 2] = 0xFF;
+            } else {
+                bytes.truncate(dash + 1);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let first_end = bytes[..dash].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+            for _ in 0..2 {
+                let store = CheckpointStore::open(&path).unwrap();
+                assert_eq!(store.len(), 1, "flip {flip}");
+                assert_eq!(store.get("a"), Some(Json::Num(1.0)));
+                assert_eq!(std::fs::read(&path).unwrap(), bytes[..first_end]);
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn rejects_wrong_schema() {
         let path = tmp("schema");
         std::fs::write(&path, "{\"schema\":\"other/9\"}\n").unwrap();
         assert_eq!(
             CheckpointStore::open(&path).unwrap_err(),
-            CheckpointError::SchemaMismatch {
+            JsonlError::SchemaMismatch {
                 want: CHECKPOINT_SCHEMA,
                 got: Some("other/9".to_owned())
             }
@@ -321,7 +234,7 @@ mod tests {
         std::fs::write(&path, "{\"version\":1}\n").unwrap();
         assert_eq!(
             CheckpointStore::open(&path).unwrap_err(),
-            CheckpointError::SchemaMismatch {
+            JsonlError::SchemaMismatch {
                 want: CHECKPOINT_SCHEMA,
                 got: None
             }
@@ -335,7 +248,7 @@ mod tests {
         std::fs::write(&path, "not json at all\n").unwrap();
         assert!(matches!(
             CheckpointStore::open(&path).unwrap_err(),
-            CheckpointError::BadHeader(_)
+            JsonlError::BadHeader(_)
         ));
         let _ = std::fs::remove_file(&path);
     }
@@ -359,10 +272,10 @@ mod tests {
             format!("{header}{{\"key\":\"a\",\"value\":1}}\n{{\"key\":\"a\",\"value\":2}}\n"),
         )
         .unwrap();
-        assert_eq!(
+        assert!(matches!(
             CheckpointStore::open(&path).unwrap_err(),
-            CheckpointError::ConflictingDuplicate("a".to_owned())
-        );
+            JsonlError::Conflict(msg) if msg.contains("`a`")
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -373,7 +286,7 @@ mod tests {
         // opening a directory as a checkpoint file fails with Io
         assert!(matches!(
             CheckpointStore::open(&dir).unwrap_err(),
-            CheckpointError::Io { .. }
+            JsonlError::Io(_)
         ));
     }
 
@@ -383,6 +296,5 @@ mod tests {
         assert!(store.is_empty());
         store.put("k", Json::Bool(true));
         assert_eq!(store.get("k"), Some(Json::Bool(true)));
-        assert_eq!(store.path(), None);
     }
 }

@@ -21,7 +21,8 @@
 //!   in the fault log of the run's [`RunCtx`], which also carries its
 //!   deadline, memory budget and fault plan;
 //! * checkpoint/resume — [`CheckpointStore`] persists completed per-block
-//!   results as append-only JSONL so an interrupted full-chip run can be
+//!   results in an append-only JSONL log ([`jsonl`], which also carries
+//!   `foldic-serve`'s job journal) so an interrupted full-chip run can be
 //!   resumed byte-identically.
 //!
 //! Everything here is deterministic: injection decisions are pure
@@ -32,13 +33,15 @@ pub mod checkpoint;
 pub mod ctx;
 pub mod deadline;
 pub mod inject;
+pub mod jsonl;
 pub mod resource;
 pub mod retry;
 
-pub use checkpoint::{CheckpointError, CheckpointStore};
+pub use checkpoint::CheckpointStore;
 pub use ctx::{RunCtx, RunOutcome, StageGuard};
 pub use deadline::{BudgetSplit, CancelToken, Deadline, DeadlinePolicy};
 pub use inject::{fault_point, FaultKind, FaultPlan, PlanError};
+pub use jsonl::{Jsonl, JsonlError};
 pub use resource::{
     clear_resource, format_bytes, install_resource, job_scope, parse_bytes, parse_stage_mem,
     take_peaks, ResourcePolicy, TrackingAlloc,

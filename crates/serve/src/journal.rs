@@ -1,7 +1,6 @@
 //! The write-ahead job journal (`foldic-serve-journal/1`).
 //!
-//! An append-only JSONL file in the `CheckpointStore` discipline: one
-//! header line naming the schema, then one compact-JSON line per job
+//! A [`foldic_fault::jsonl`] log with one compact line per job
 //! transition. Three record kinds cover a job's lifetime:
 //!
 //! * `accepted` — written (and fsync'd) **before** `POST /jobs` returns,
@@ -9,7 +8,7 @@
 //!   request id and attempt count. The ack is the durability promise: a
 //!   daemon killed any time after responding can prove on restart that
 //!   the job existed and re-run it.
-//! * `started` — a worker picked the job up. Flushed but *not* fsync'd:
+//! * `started` — a worker picked the job up. Written but *not* fsync'd:
 //!   losing it merely means replay re-enqueues a job that had already
 //!   started, and the determinism contract makes the re-run
 //!   byte-identical.
@@ -18,75 +17,22 @@
 //!   persistent cache cannot (non-cacheable jobs or no `--cache-dir`);
 //!   otherwise the body lives in the cache under the recorded digest.
 //!
-//! Loading is torn-tail tolerant exactly like checkpoints: a process
-//! SIGKILLed mid-append leaves a truncated (or corrupt) final line, and
-//! the loader keeps the intact prefix, trims the file back to it, and
-//! drops the rest. Replaying the same file twice therefore yields the
-//! same [`Replay`] — the idempotence the chaos gate asserts. Records
-//! that reference a job id no accepted record introduced are skipped
-//! (not errors): they can only arise from a trimmed prefix of a foreign
-//! file, and skipping keeps the loader total.
+//! Loading keeps the log's intact prefix: a line torn or corrupted by a
+//! SIGKILL mid-append, or one that is not a well-formed record, ends it,
+//! and the file is trimmed back. Replaying the same file twice therefore
+//! yields the same [`Replay`] — the idempotence the chaos gate asserts.
+//! Records that reference a job id no accepted record introduced are
+//! skipped (not errors): they can only arise from a trimmed prefix of a
+//! foreign file, and skipping keeps the loader total.
 
 use crate::job::JobSpec;
+use foldic_fault::jsonl::{Jsonl, JsonlError};
 use foldic_obs::json::Json;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
 /// Schema tag written as the first line of every journal file.
 pub const JOURNAL_SCHEMA: &str = "foldic-serve-journal/1";
-
-/// Why a journal file was rejected at load time. Torn tails and mid-file
-/// corruption are *not* errors (the intact prefix replays and the file is
-/// trimmed); these are the cases where proceeding would corrupt recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalError {
-    /// The file could not be read, created, trimmed, or appended to.
-    Io {
-        /// The journal path.
-        path: PathBuf,
-        /// The underlying I/O error, stringified.
-        message: String,
-    },
-    /// The first line is not parseable JSON.
-    BadHeader(String),
-    /// The header names a different schema (a journal written by an
-    /// incompatible version must not be replayed).
-    SchemaMismatch {
-        /// The schema this build writes and accepts.
-        want: &'static str,
-        /// The schema found in the file, when any.
-        got: Option<String>,
-    },
-    /// The same job id was accepted twice with a *different* spec digest
-    /// — two daemons shared the file; replaying either silently would
-    /// hand a client the wrong study. (Identical re-accepts are fine:
-    /// restart re-enqueues legitimately re-append with `attempt+1`.)
-    ConflictingAccept(u64),
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io { path, message } => {
-                write!(f, "journal {}: {message}", path.display())
-            }
-            JournalError::BadHeader(msg) => write!(f, "bad journal header: {msg}"),
-            JournalError::SchemaMismatch { want, got } => {
-                write!(f, "journal schema mismatch: want {want}, got {got:?}")
-            }
-            JournalError::ConflictingAccept(id) => write!(
-                f,
-                "journal job {id} accepted twice with different spec digests; \
-                 refusing to replay an ambiguous journal"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
 
 /// One journal transition, ready to serialize or just deserialized.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,106 +260,35 @@ impl Replay {
 }
 
 /// An open write-ahead journal.
+#[derive(Debug)]
 pub struct Journal {
-    file: Mutex<File>,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal").field("path", &self.path).finish()
-    }
+    log: Jsonl,
 }
 
 impl Journal {
-    /// Opens (or creates) a journal, replaying any records already in
-    /// it. A truncated or corrupt tail — the signature of a SIGKILLed
-    /// daemon — is tolerated: reading stops there and the file is
-    /// trimmed back to its last intact line so later appends start on a
-    /// clean boundary. The header (when newly written) is fsync'd, so an
-    /// empty-but-created journal survives a crash too.
+    /// Opens (or creates) a journal, replaying the records of its intact
+    /// prefix (see the module docs) and trimming the rest, so later
+    /// appends start on a clean boundary.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`JournalError`] when the file cannot be
-    /// created/read, carries a different schema tag, or accepted the
-    /// same job id under two different spec digests.
-    pub fn open(path: &Path) -> Result<(Self, Replay), JournalError> {
-        let io = |message: String| JournalError::Io {
-            path: path.to_owned(),
-            message,
-        };
+    /// A [`JsonlError`] when the file cannot be created or read, carries
+    /// a different schema tag, or accepted the same job id under two
+    /// different spec digests ([`JsonlError::Conflict`]: two daemons
+    /// shared the file; identical re-accepts are fine, since restart
+    /// re-enqueues re-append them with `attempt+1`).
+    pub fn open(path: &Path) -> Result<(Self, Replay), JsonlError> {
         let mut replay = Replay::default();
-        let mut valid_end = 0u64;
-        let mut total_len = 0u64;
-        if path.exists() {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| io(format!("cannot read: {e}")))?;
-            total_len = text.len() as u64;
-            let mut header_seen = false;
-            for line in text.split_inclusive('\n') {
-                if !line.ends_with('\n') {
-                    break; // torn tail from a killed append
-                }
-                let trimmed = line.trim();
-                if !header_seen && !trimmed.is_empty() {
-                    let header =
-                        Json::parse(trimmed).map_err(|e| JournalError::BadHeader(e.to_string()))?;
-                    match header.get("schema").and_then(Json::as_str) {
-                        Some(JOURNAL_SCHEMA) => {}
-                        other => {
-                            return Err(JournalError::SchemaMismatch {
-                                want: JOURNAL_SCHEMA,
-                                got: other.map(str::to_owned),
-                            })
-                        }
-                    }
-                    header_seen = true;
-                } else if !trimmed.is_empty() {
-                    // An unparseable or malformed line means corruption;
-                    // keep the intact prefix and drop the rest.
-                    let Ok(doc) = Json::parse(trimmed) else {
-                        break;
-                    };
-                    let Some(record) = Record::parse(&doc) else {
-                        break;
-                    };
-                    replay.records += 1;
-                    apply(&mut replay, record)?;
-                }
-                valid_end += line.len() as u64;
-            }
-        }
-        replay.trimmed_bytes = total_len.saturating_sub(valid_end);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| io(format!("cannot open: {e}")))?;
-        file.set_len(valid_end)
-            .map_err(|e| io(format!("cannot trim: {e}")))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io(format!("cannot seek: {e}")))?;
-        if valid_end == 0 {
-            let header = Json::obj([("schema".to_owned(), Json::Str(JOURNAL_SCHEMA.to_owned()))]);
-            writeln!(file, "{}", header.to_compact())
-                .map_err(|e| io(format!("cannot write header: {e}")))?;
-            file.sync_data()
-                .map_err(|e| io(format!("cannot sync header: {e}")))?;
-        }
-        Ok((
-            Self {
-                file: Mutex::new(file),
-                path: path.to_owned(),
-            },
-            replay,
-        ))
-    }
-
-    /// The backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let (log, trimmed) = Jsonl::open(path, JOURNAL_SCHEMA, |line| {
+            let Some(record) = Record::parse(line) else {
+                return Ok(false);
+            };
+            replay.records += 1;
+            apply(&mut replay, record)?;
+            Ok(true)
+        })?;
+        replay.trimmed_bytes = trimmed;
+        Ok((Self { log }, replay))
     }
 
     /// Appends `records` as one batch and fsyncs once. This is the ack
@@ -422,34 +297,22 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] when writing or syncing fails; the caller
+    /// [`JsonlError::Io`] when writing or syncing fails; the caller
     /// rolls the transition back (e.g. sheds the submission).
-    pub fn append_sync(&self, records: &[Record]) -> Result<(), JournalError> {
-        let io = |message: String| JournalError::Io {
-            path: self.path.clone(),
-            message,
-        };
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        for record in records {
-            writeln!(file, "{}", record.to_json().to_compact())
-                .map_err(|e| io(format!("cannot append: {e}")))?;
-        }
-        file.sync_data()
-            .map_err(|e| io(format!("cannot sync: {e}")))
+    pub fn append_sync(&self, records: &[Record]) -> Result<(), JsonlError> {
+        self.log.append(records.iter().map(Record::to_json), true)
     }
 
-    /// Appends one record best-effort (flushed, not fsync'd). Used for
-    /// `started`: losing it across a crash only costs a re-run.
+    /// Appends one record best-effort (not fsync'd). Used for `started`:
+    /// losing it across a crash only costs a re-run.
     pub fn append(&self, record: &Record) {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(file, "{}", record.to_json().to_compact());
-        let _ = file.flush();
+        let _ = self.log.append([record.to_json()], false);
     }
 }
 
 /// Folds one record into the replay state (see module docs for the
 /// tolerance rules).
-fn apply(replay: &mut Replay, record: Record) -> Result<(), JournalError> {
+fn apply(replay: &mut Replay, record: Record) -> Result<(), String> {
     match record {
         Record::Accepted {
             job,
@@ -462,7 +325,9 @@ fn apply(replay: &mut Replay, record: Record) -> Result<(), JournalError> {
         } => {
             if let Some(existing) = replay.jobs.get_mut(&job) {
                 if existing.digest != digest {
-                    return Err(JournalError::ConflictingAccept(job));
+                    return Err(format!(
+                        "journal job {job} accepted twice with different spec digests"
+                    ));
                 }
                 // a restart's re-enqueue: keep the job, bump the attempt
                 existing.attempt = existing.attempt.max(attempt);
@@ -511,6 +376,7 @@ fn apply(replay: &mut Replay, record: Record) -> Result<(), JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("foldic-serve-tests");
@@ -606,6 +472,49 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// One byte set to 0xFF in the second record, or a cut inside its
+    /// `—`: the first record replays, the file is trimmed to it, and a
+    /// reopen replays the same (both used to fail as I/O errors, so
+    /// `repro serve --journal` refused to boot).
+    #[test]
+    fn non_utf8_second_record_keeps_the_first() {
+        let path = tmp("utf8");
+        for flip in [true, false] {
+            let _ = std::fs::remove_file(&path);
+            {
+                let (journal, _) = Journal::open(&path).unwrap();
+                journal.append_sync(&[accepted(1, 1, "table1")]).unwrap();
+                journal
+                    .append_sync(&[Record::Terminal {
+                        job: 1,
+                        attempt: 1,
+                        state: "done".to_owned(),
+                        error: None,
+                        body: Some("x — y".to_owned()),
+                    }])
+                    .unwrap();
+            }
+            let mut bytes = std::fs::read(&path).unwrap();
+            let dash = bytes.windows(3).position(|w| w == "—".as_bytes()).unwrap();
+            if flip {
+                bytes[dash - 2] = 0xFF;
+            } else {
+                bytes.truncate(dash + 1);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let first_end = bytes[..dash].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+            let (_, first) = Journal::open(&path).unwrap();
+            assert_eq!(first.records, 1, "flip {flip}");
+            assert!(first.jobs[&1].terminal.is_none());
+            assert_eq!(first.trimmed_bytes as usize, bytes.len() - first_end);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes[..first_end]);
+            let (_, second) = Journal::open(&path).unwrap();
+            assert_eq!(second.jobs, first.jobs);
+            assert_eq!(second.trimmed_bytes, 0);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn reaccept_bumps_attempt_and_reopens_terminal() {
         let path = tmp("reaccept");
@@ -641,10 +550,10 @@ mod tests {
             journal.append_sync(&[accepted(1, 1, "table1")]).unwrap();
             journal.append_sync(&[accepted(1, 1, "fig2")]).unwrap();
         }
-        assert_eq!(
+        assert!(matches!(
             Journal::open(&path).unwrap_err(),
-            JournalError::ConflictingAccept(1)
-        );
+            JsonlError::Conflict(msg) if msg.contains("job 1 ")
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -683,7 +592,7 @@ mod tests {
         std::fs::write(&path, "{\"schema\":\"other/9\"}\n").unwrap();
         assert_eq!(
             Journal::open(&path).unwrap_err(),
-            JournalError::SchemaMismatch {
+            JsonlError::SchemaMismatch {
                 want: JOURNAL_SCHEMA,
                 got: Some("other/9".to_owned())
             }
@@ -691,7 +600,7 @@ mod tests {
         std::fs::write(&path, "not json\n").unwrap();
         assert!(matches!(
             Journal::open(&path).unwrap_err(),
-            JournalError::BadHeader(_)
+            JsonlError::BadHeader(_)
         ));
         let _ = std::fs::remove_file(&path);
     }
@@ -702,7 +611,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         assert!(matches!(
             Journal::open(&dir).unwrap_err(),
-            JournalError::Io { .. }
+            JsonlError::Io(_)
         ));
     }
 }

@@ -64,7 +64,7 @@ pub mod telemetry;
 
 pub use cache::ResultCache;
 pub use job::JobSpec;
-pub use journal::{Journal, JournalError, Replay};
+pub use journal::{Journal, Replay};
 pub use queue::{Scheduler, SchedulerConfig, StudyRunner, Submission};
 pub use server::{Server, ServerConfig};
 pub use telemetry::{Telemetry, TelemetryConfig};

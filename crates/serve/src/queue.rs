@@ -43,13 +43,14 @@
 //! transition, run jobs, fill the cache, write the journal (every settled
 //! job's `terminal` record outside the lock) and log.
 //!
-//! The scheduler is telemetry-aware ([`Scheduler::with_telemetry`]): a
-//! traced submission carries its request's `http.request` span, dispatch
-//! synthesizes a `queue.wait` span covering the time in queue, the run
-//! executes under a `job.run` span (so the flow/stage spans the study
-//! runner opens nest beneath it), the provenance records a run returns
-//! ([`FlightRecord`]) land in its job's status document, and every
-//! transition writes a structured log line.
+//! The scheduler is telemetry-aware (the hub handed to
+//! [`Scheduler::with_durability`]): a traced submission carries its
+//! request's `http.request` span, dispatch synthesizes a `queue.wait`
+//! span covering the time in queue, the run executes under a `job.run`
+//! span (so the flow/stage spans the study runner opens nest beneath
+//! it), the provenance records a run returns ([`FlightRecord`]) land in
+//! its job's status document, and every transition writes a structured
+//! log line.
 //!
 //! # Durability & supervision
 //!
@@ -722,8 +723,6 @@ struct Shared {
     cache: ResultCache,
     /// Write-ahead journal, when durability is configured.
     journal: Option<Journal>,
-    /// `true` when a breaker was configured (for stats/metrics gating).
-    breaker_configured: bool,
     runner: Arc<dyn StudyRunner>,
     cfg: SchedulerConfig,
     telemetry: Arc<Telemetry>,
@@ -758,9 +757,6 @@ pub struct SchedulerConfig {
     pub queue_capacity: usize,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Base `Retry-After` hint handed out on admission rejection; the
-    /// actual hint scales with load (see [`retry_after_hint`]).
-    pub retry_after_secs: u32,
     /// Memory the scheduler may commit to admitted jobs at once, in
     /// bytes. When set, every submission is priced by
     /// [`crate::cost::estimate_cost`] and admitted only while the sum of
@@ -776,25 +772,27 @@ impl Default for SchedulerConfig {
         Self {
             queue_capacity: 64,
             workers: 2,
-            retry_after_secs: 1,
             mem_limit: None,
         }
     }
 }
 
-/// Load-derived `Retry-After` hint: the configured base, plus one second
-/// per worker-pool's worth of queued jobs, plus one second per quarter
-/// of the reservation ledger already committed. Deterministic in the
-/// scheduler state and bounded — a hammered daemon asks clients to back
-/// off harder, but never for more than a minute.
+/// Base of every load-derived `Retry-After` hint, in seconds.
+const RETRY_AFTER_BASE_SECS: u64 = 1;
+
+/// Load-derived `Retry-After` hint: [`RETRY_AFTER_BASE_SECS`], plus one
+/// second per worker-pool's worth of queued jobs, plus one second per
+/// quarter of the reservation ledger already committed. Deterministic in
+/// the scheduler state and bounded — a hammered daemon asks clients to
+/// back off harder, but never for more than a minute.
 fn retry_after_hint(cfg: &SchedulerConfig, state: &State) -> u32 {
-    let base = u64::from(cfg.retry_after_secs.max(1));
     let queue_pressure = state.queued as u64 / cfg.workers.max(1) as u64;
     let mem_pressure = match cfg.mem_limit {
         Some(limit) if limit > 0 => 4 * state.reserved / limit,
         _ => 0,
     };
-    base.saturating_add(queue_pressure)
+    RETRY_AFTER_BASE_SECS
+        .saturating_add(queue_pressure)
         .saturating_add(mem_pressure)
         .min(60) as u32
 }
@@ -833,6 +831,70 @@ impl Default for Durability {
     }
 }
 
+/// Breaker states in `foldic_serve_breaker_state` gauge order.
+const BREAKER_GAUGE: [BreakerState; 3] = [
+    BreakerState::Closed,
+    BreakerState::HalfOpen,
+    BreakerState::Open,
+];
+
+/// Every `/stats` field fed by a series, as (dotted JSON path, series).
+/// A field whose series is absent, because its pay-for-use family is not
+/// configured, is left out.
+const STATS_FIELDS: &[(&str, &str)] = {
+    use telemetry::*;
+    &[
+        ("jobs.queued", SERIES_QUEUE_DEPTH),
+        ("jobs.running", SERIES_WORKERS_BUSY),
+        ("jobs.done", SERIES_JOBS_DONE),
+        ("jobs.failed", SERIES_JOBS_FAILED),
+        ("jobs.cancelled", SERIES_JOBS_CANCELLED),
+        ("queue.depth", SERIES_QUEUE_DEPTH),
+        ("queue.capacity", SERIES_QUEUE_CAPACITY),
+        ("queue.high_water", SERIES_QUEUE_HIGH_WATER),
+        ("queue.rejected", SERIES_JOBS_REJECTED),
+        ("counters.submitted", SERIES_JOBS_SUBMITTED),
+        ("counters.completed", SERIES_JOBS_DONE),
+        ("counters.failed", SERIES_JOBS_FAILED),
+        ("counters.cancelled", SERIES_JOBS_CANCELLED),
+        ("cache.entries", SERIES_CACHE_ENTRIES),
+        ("cache.hits", SERIES_CACHE_HITS),
+        ("cache.misses", SERIES_CACHE_MISSES),
+        ("cache.insertions", SERIES_CACHE_INSERTIONS),
+        ("uptime_seconds", SERIES_UPTIME),
+        ("workers", SERIES_WORKERS),
+        ("durability.poisoned_jobs", SERIES_JOBS_POISONED),
+        ("durability.shed", SERIES_JOBS_SHED),
+        ("durability.worker_restarts", SERIES_WORKER_RESTARTS),
+        ("durability.journal.reenqueued", SERIES_JOURNAL_REENQUEUED),
+        ("durability.journal.replayed_jobs", SERIES_JOURNAL_REPLAYED),
+        ("durability.cache_dir.corrupt", SERIES_CACHE_CORRUPT),
+        ("durability.cache_dir.loaded", SERIES_CACHE_LOADED),
+        ("durability.breaker.transitions", SERIES_BREAKER_TRANSITIONS),
+        ("resources.limit_bytes", SERIES_MEM_LIMIT),
+        ("resources.mem_shed", SERIES_JOBS_MEM_SHED),
+        ("resources.oversized", SERIES_JOBS_OVERSIZED),
+        ("resources.reserved_bytes", SERIES_MEM_RESERVED),
+        ("resources.reserved_peak_bytes", SERIES_MEM_RESERVED_PEAK),
+    ]
+};
+
+/// Sets `value` at the dotted `path` of `obj`, creating the objects on
+/// the way.
+fn set_path(obj: &mut BTreeMap<String, Json>, path: &str, value: Json) {
+    match path.split_once('.') {
+        Some((head, rest)) => {
+            let child = obj.entry(head.to_owned()).or_insert_with(|| Json::obj([]));
+            if let Json::Obj(child) = child {
+                set_path(child, rest, value);
+            }
+        }
+        None => {
+            obj.insert(path.to_owned(), value);
+        }
+    }
+}
+
 /// The bounded FIFO scheduler plus its worker pool.
 pub struct Scheduler {
     shared: Arc<Shared>,
@@ -843,17 +905,7 @@ impl Scheduler {
     /// Creates the scheduler and spawns its workers, with tracing and
     /// logging off (metrics still record into a private registry).
     pub fn new(runner: Arc<dyn StudyRunner>, cfg: SchedulerConfig) -> Self {
-        Self::with_telemetry(runner, cfg, Telemetry::disabled())
-    }
-
-    /// Creates the scheduler wired to a telemetry hub (shared with the
-    /// server that fronts it).
-    pub fn with_telemetry(
-        runner: Arc<dyn StudyRunner>,
-        cfg: SchedulerConfig,
-        telemetry: Arc<Telemetry>,
-    ) -> Self {
-        Self::with_durability(runner, cfg, telemetry, Durability::default())
+        Self::with_durability(runner, cfg, Telemetry::disabled(), Durability::default())
     }
 
     /// Creates the scheduler with the durability layer: replays the
@@ -878,7 +930,6 @@ impl Scheduler {
             changed: Condvar::new(),
             cache,
             journal,
-            breaker_configured: breaker.is_some(),
             runner,
             cfg,
             telemetry,
@@ -922,11 +973,6 @@ impl Scheduler {
     /// The result cache (stats and introspection endpoints).
     pub fn cache(&self) -> &ResultCache {
         &self.shared.cache
-    }
-
-    /// The telemetry hub this scheduler reports into.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.shared.telemetry
     }
 
     /// Submits a job: validates, consults the cache, then queues.
@@ -1221,334 +1267,114 @@ impl Scheduler {
         }
     }
 
-    /// The `/stats` document: job counts by state, queue occupancy,
-    /// cache counters, plus uptime. Everything except `uptime_seconds`
-    /// is a counter, not a wall-clock reading, so two probes of an idle
-    /// daemon agree on every other field. With durability configured a
-    /// `durability` section is appended (and only then — a plain daemon
-    /// emits the document byte-identically to earlier versions).
-    pub fn stats_json(&self) -> Json {
+    /// The scheduler and cache series behind `/metrics` and `/stats`, read
+    /// under one lock. Each pay-for-use family (durability, journal, cache
+    /// directory, breaker, memory limit) is present only when its feature
+    /// is configured, so an unconfigured daemon's bodies are unchanged.
+    fn series(&self) -> BTreeMap<String, Metric> {
+        use telemetry::*;
+        use Metric::{Counter, Gauge};
         let state = self.lock();
-        // `State` keeps these equal to the job table's per-state counts.
-        let by_state = [
-            (JobState::Queued, state.queued as u64),
-            (JobState::Running, state.running as u64),
-            (JobState::Done, state.counters.completed),
-            (JobState::Failed, state.counters.failed),
-            (JobState::Cancelled, state.counters.cancelled),
-        ];
-        let durability = self.durability_json(&state);
-        let cache = self.shared.cache.stats();
-        let mut fields = vec![
+        let (c, cfg, cache) = (&state.counters, &self.shared.cfg, self.shared.cache.stats());
+        let journal = self.shared.journal.is_some();
+        let cache_dir = self.shared.cache.dir().is_some();
+        let mut series = vec![
+            (SERIES_JOBS_DONE, Counter(c.completed)),
+            (SERIES_JOBS_FAILED, Counter(c.failed)),
+            (SERIES_JOBS_CANCELLED, Counter(c.cancelled)),
+            (SERIES_JOBS_SUBMITTED, Counter(c.submitted)),
+            (SERIES_JOBS_REJECTED, Counter(c.rejected)),
+            (SERIES_CACHE_HITS, Counter(cache.hits)),
+            (SERIES_CACHE_MISSES, Counter(cache.misses)),
+            (SERIES_CACHE_INSERTIONS, Counter(cache.insertions)),
+            (SERIES_CACHE_EVICTIONS, Counter(0)),
+            (SERIES_CACHE_ENTRIES, Gauge(cache.entries as f64)),
+            (SERIES_QUEUE_DEPTH, Gauge(state.queued as f64)),
             (
-                "schema".to_owned(),
-                Json::Str("foldic-serve-stats/1".to_owned()),
+                SERIES_QUEUE_HIGH_WATER,
+                Gauge(state.queue_high_water as f64),
             ),
+            (SERIES_QUEUE_CAPACITY, Gauge(cfg.queue_capacity as f64)),
+            (SERIES_WORKERS, Gauge(cfg.workers as f64)),
+            (SERIES_WORKERS_BUSY, Gauge(state.running as f64)),
             (
-                "jobs".to_owned(),
-                Json::obj(by_state.map(|(s, n)| (s.as_str().to_owned(), Json::Num(n as f64)))),
-            ),
-            (
-                "queue".to_owned(),
-                Json::obj([
-                    ("depth".to_owned(), Json::Num(state.queued as f64)),
-                    (
-                        "capacity".to_owned(),
-                        Json::Num(self.shared.cfg.queue_capacity as f64),
-                    ),
-                    (
-                        "high_water".to_owned(),
-                        Json::Num(state.queue_high_water as f64),
-                    ),
-                    (
-                        "rejected".to_owned(),
-                        Json::Num(state.counters.rejected as f64),
-                    ),
-                ]),
-            ),
-            (
-                "counters".to_owned(),
-                Json::obj([
-                    (
-                        "submitted".to_owned(),
-                        Json::Num(state.counters.submitted as f64),
-                    ),
-                    (
-                        "completed".to_owned(),
-                        Json::Num(state.counters.completed as f64),
-                    ),
-                    ("failed".to_owned(), Json::Num(state.counters.failed as f64)),
-                    (
-                        "cancelled".to_owned(),
-                        Json::Num(state.counters.cancelled as f64),
-                    ),
-                ]),
-            ),
-            (
-                "cache".to_owned(),
-                Json::obj([
-                    ("entries".to_owned(), Json::Num(cache.entries as f64)),
-                    ("hits".to_owned(), Json::Num(cache.hits as f64)),
-                    ("misses".to_owned(), Json::Num(cache.misses as f64)),
-                    ("insertions".to_owned(), Json::Num(cache.insertions as f64)),
-                ]),
-            ),
-            (
-                "uptime_seconds".to_owned(),
-                Json::Num(self.shared.telemetry.uptime_secs() as f64),
-            ),
-            (
-                "workers".to_owned(),
-                Json::Num(self.shared.cfg.workers as f64),
+                SERIES_UPTIME,
+                Gauge(self.shared.telemetry.uptime_secs() as f64),
             ),
         ];
-        if let Some(durability) = durability {
-            fields.push(("durability".to_owned(), durability));
+        if journal || cache_dir || state.breaker.is_some() {
+            series.extend([
+                (SERIES_JOBS_SHED, Counter(c.shed)),
+                (SERIES_JOBS_POISONED, Counter(c.poisoned)),
+                (SERIES_WORKER_RESTARTS, Counter(state.worker_restarts)),
+            ]);
         }
-        // Pay-for-use like `durability`: only a memory-limited daemon
-        // grows the `resources` section.
-        if let Some(limit) = self.shared.cfg.mem_limit {
-            fields.push((
-                "resources".to_owned(),
-                Json::obj([
-                    ("limit_bytes".to_owned(), Json::Num(limit as f64)),
-                    (
-                        "mem_shed".to_owned(),
-                        Json::Num(state.counters.mem_shed as f64),
-                    ),
-                    (
-                        "oversized".to_owned(),
-                        Json::Num(state.counters.oversized as f64),
-                    ),
-                    (
-                        "reserved_bytes".to_owned(),
-                        Json::Num(state.reserved as f64),
-                    ),
-                    (
-                        "reserved_peak_bytes".to_owned(),
-                        Json::Num(state.reserved_peak as f64),
-                    ),
-                ]),
-            ));
+        if journal {
+            series.extend([
+                (SERIES_JOURNAL_REPLAYED, Counter(state.replayed_jobs)),
+                (SERIES_JOURNAL_REENQUEUED, Counter(state.reenqueued)),
+            ]);
         }
-        drop(state);
-        Json::obj(fields)
-    }
-
-    /// The `durability` section of `/stats` — present only when the
-    /// journal, cache directory or breaker is configured (pay-for-use).
-    fn durability_json(&self, state: &State) -> Option<Json> {
-        let cache = self.shared.cache.stats();
-        let journal_on = self.shared.journal.is_some();
-        let dir_on = self.shared.cache.dir().is_some();
-        if !journal_on && !dir_on && !self.shared.breaker_configured {
-            return None;
-        }
-        let mut fields = vec![
-            (
-                "poisoned_jobs".to_owned(),
-                Json::Num(state.counters.poisoned as f64),
-            ),
-            ("shed".to_owned(), Json::Num(state.counters.shed as f64)),
-            (
-                "worker_restarts".to_owned(),
-                Json::Num(state.worker_restarts as f64),
-            ),
-        ];
-        if journal_on {
-            fields.push((
-                "journal".to_owned(),
-                Json::obj([
-                    ("reenqueued".to_owned(), Json::Num(state.reenqueued as f64)),
-                    (
-                        "replayed_jobs".to_owned(),
-                        Json::Num(state.replayed_jobs as f64),
-                    ),
-                ]),
-            ));
-        }
-        if dir_on {
-            fields.push((
-                "cache_dir".to_owned(),
-                Json::obj([
-                    ("corrupt".to_owned(), Json::Num(cache.corrupt as f64)),
-                    ("loaded".to_owned(), Json::Num(cache.loaded as f64)),
-                ]),
-            ));
+        if cache_dir {
+            series.extend([
+                (SERIES_CACHE_LOADED, Counter(cache.loaded)),
+                (SERIES_CACHE_CORRUPT, Counter(cache.corrupt)),
+            ]);
         }
         if let Some(breaker) = &state.breaker {
-            fields.push((
-                "breaker".to_owned(),
-                Json::obj([
-                    (
-                        "state".to_owned(),
-                        Json::Str(breaker.state().as_str().to_owned()),
-                    ),
-                    (
-                        "transitions".to_owned(),
-                        Json::Num(breaker.transitions() as f64),
-                    ),
-                ]),
-            ));
+            let gauge = BREAKER_GAUGE.iter().position(|&s| s == breaker.state());
+            series.extend([
+                (SERIES_BREAKER_STATE, Gauge(gauge.unwrap_or(0) as f64)),
+                (SERIES_BREAKER_TRANSITIONS, Counter(breaker.transitions())),
+            ]);
         }
-        Some(Json::obj(fields))
+        if let Some(limit) = cfg.mem_limit {
+            series.extend([
+                (SERIES_MEM_LIMIT, Gauge(limit as f64)),
+                (SERIES_MEM_RESERVED, Gauge(state.reserved as f64)),
+                (SERIES_MEM_RESERVED_PEAK, Gauge(state.reserved_peak as f64)),
+                (SERIES_JOBS_OVERSIZED, Counter(c.oversized)),
+                (SERIES_JOBS_MEM_SHED, Counter(c.mem_shed)),
+            ]);
+        }
+        series
+            .into_iter()
+            .map(|(name, metric)| (name.to_owned(), metric))
+            .collect()
+    }
+
+    /// The `/stats` document: the scheduler's series projected through
+    /// [`STATS_FIELDS`], plus the schema and the breaker's state name.
+    /// Everything except `uptime_seconds` is a counter, not a wall-clock
+    /// reading, so two probes of an idle daemon agree on every other
+    /// field; pay-for-use sections appear only with their series.
+    pub fn stats_json(&self) -> Json {
+        let series = self.series();
+        let schema = Json::Str("foldic-serve-stats/1".to_owned());
+        let mut doc = BTreeMap::from([("schema".to_owned(), schema)]);
+        for (path, name) in STATS_FIELDS {
+            match series.get(*name) {
+                Some(Metric::Counter(n)) => set_path(&mut doc, path, Json::Num(*n as f64)),
+                Some(Metric::Gauge(v)) => set_path(&mut doc, path, Json::Num(*v)),
+                _ => {}
+            }
+        }
+        if let Some(Metric::Gauge(gauge)) = series.get(telemetry::SERIES_BREAKER_STATE) {
+            if let Some(breaker) = BREAKER_GAUGE.get(*gauge as usize) {
+                let name = Json::Str(breaker.as_str().to_owned());
+                set_path(&mut doc, "durability.breaker.state", name);
+            }
+        }
+        Json::Obj(doc)
     }
 
     /// The `/metrics` exposition body: the live request/latency registry
-    /// plus series synthesized from the scheduler's own counters and
-    /// gauges, rendered per the `foldic-serve-metrics/1` contract
-    /// documented in [`crate::telemetry`]. Durability families appear
-    /// only when the corresponding feature is configured.
+    /// plus the scheduler's series, rendered per the
+    /// `foldic-serve-metrics/1` contract documented in [`crate::telemetry`].
     pub fn metrics_text(&self) -> String {
         self.shared.telemetry.ingest();
         let mut snap = self.shared.telemetry.registry().snapshot();
-        let cache = self.shared.cache.stats();
-        let (counters, queued, high_water, running, supervision, reserved, reserved_peak) = {
-            let state = self.lock();
-            (
-                state.counters,
-                state.queued,
-                state.queue_high_water,
-                state.running,
-                (
-                    state.worker_restarts,
-                    state.replayed_jobs,
-                    state.reenqueued,
-                    state.breaker.as_ref().map(|b| (b.state(), b.transitions())),
-                ),
-                state.reserved,
-                state.reserved_peak,
-            )
-        };
-        let m = &mut snap.metrics;
-        let counter = |v: u64| Metric::Counter(v);
-        let gauge = |v: f64| Metric::Gauge(v);
-        m.insert(
-            telemetry::jobs_state_series("done"),
-            counter(counters.completed),
-        );
-        m.insert(
-            telemetry::jobs_state_series("failed"),
-            counter(counters.failed),
-        );
-        m.insert(
-            telemetry::jobs_state_series("cancelled"),
-            counter(counters.cancelled),
-        );
-        m.insert(
-            telemetry::SERIES_JOBS_SUBMITTED.to_owned(),
-            counter(counters.submitted),
-        );
-        m.insert(
-            telemetry::SERIES_JOBS_REJECTED.to_owned(),
-            counter(counters.rejected),
-        );
-        m.insert(telemetry::SERIES_CACHE_HITS.to_owned(), counter(cache.hits));
-        m.insert(
-            telemetry::SERIES_CACHE_MISSES.to_owned(),
-            counter(cache.misses),
-        );
-        m.insert(
-            telemetry::SERIES_CACHE_INSERTIONS.to_owned(),
-            counter(cache.insertions),
-        );
-        m.insert(telemetry::SERIES_CACHE_EVICTIONS.to_owned(), counter(0));
-        m.insert(
-            "foldic_serve_cache_entries".to_owned(),
-            gauge(cache.entries as f64),
-        );
-        m.insert("foldic_serve_queue_depth".to_owned(), gauge(queued as f64));
-        m.insert(
-            "foldic_serve_queue_high_water".to_owned(),
-            gauge(high_water as f64),
-        );
-        m.insert(
-            "foldic_serve_queue_capacity".to_owned(),
-            gauge(self.shared.cfg.queue_capacity as f64),
-        );
-        m.insert(
-            "foldic_serve_workers".to_owned(),
-            gauge(self.shared.cfg.workers as f64),
-        );
-        m.insert(
-            "foldic_serve_workers_busy".to_owned(),
-            gauge(running as f64),
-        );
-        m.insert(
-            "foldic_serve_uptime_seconds".to_owned(),
-            gauge(self.shared.telemetry.uptime_secs() as f64),
-        );
-        let (worker_restarts, replayed_jobs, reenqueued, breaker) = supervision;
-        let durable = self.shared.journal.is_some()
-            || self.shared.cache.dir().is_some()
-            || self.shared.breaker_configured;
-        if durable {
-            m.insert(
-                telemetry::SERIES_JOBS_SHED.to_owned(),
-                counter(counters.shed),
-            );
-            m.insert(
-                telemetry::SERIES_JOBS_POISONED.to_owned(),
-                counter(counters.poisoned),
-            );
-            m.insert(
-                telemetry::SERIES_WORKER_RESTARTS.to_owned(),
-                counter(worker_restarts),
-            );
-        }
-        if self.shared.journal.is_some() {
-            m.insert(
-                telemetry::SERIES_JOURNAL_REPLAYED.to_owned(),
-                counter(replayed_jobs),
-            );
-            m.insert(
-                telemetry::SERIES_JOURNAL_REENQUEUED.to_owned(),
-                counter(reenqueued),
-            );
-        }
-        if self.shared.cache.dir().is_some() {
-            m.insert(
-                telemetry::SERIES_CACHE_LOADED.to_owned(),
-                counter(cache.loaded),
-            );
-            m.insert(
-                telemetry::SERIES_CACHE_CORRUPT.to_owned(),
-                counter(cache.corrupt),
-            );
-        }
-        if let Some((breaker_state, transitions)) = breaker {
-            m.insert(
-                telemetry::SERIES_BREAKER_STATE.to_owned(),
-                gauge(match breaker_state {
-                    BreakerState::Closed => 0.0,
-                    BreakerState::HalfOpen => 1.0,
-                    BreakerState::Open => 2.0,
-                }),
-            );
-            m.insert(
-                telemetry::SERIES_BREAKER_TRANSITIONS.to_owned(),
-                counter(transitions),
-            );
-        }
-        if let Some(limit) = self.shared.cfg.mem_limit {
-            m.insert(telemetry::SERIES_MEM_LIMIT.to_owned(), gauge(limit as f64));
-            m.insert(
-                telemetry::SERIES_MEM_RESERVED.to_owned(),
-                gauge(reserved as f64),
-            );
-            m.insert(
-                telemetry::SERIES_MEM_RESERVED_PEAK.to_owned(),
-                gauge(reserved_peak as f64),
-            );
-            m.insert(
-                telemetry::SERIES_JOBS_OVERSIZED.to_owned(),
-                counter(counters.oversized),
-            );
-            m.insert(
-                telemetry::SERIES_JOBS_MEM_SHED.to_owned(),
-                counter(counters.mem_shed),
-            );
-        }
+        snap.metrics.extend(self.series());
         foldic_obs::expo::to_prometheus(&snap)
     }
 

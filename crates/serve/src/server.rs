@@ -51,9 +51,8 @@ use std::time::{Duration, Instant};
 /// Daemon tuning.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The scheduler behind the daemon: queue capacity, workers, the
-    /// base `Retry-After` hint of 429/503 responses, and the cost-aware
-    /// admission memory limit (`--mem-limit`).
+    /// The scheduler behind the daemon: queue capacity, workers and the
+    /// cost-aware admission memory limit (`--mem-limit`).
     pub scheduler: SchedulerConfig,
     /// Socket read timeout — bounds how long a torn write can hold a
     /// connection thread (the request then fails with 408).

@@ -58,6 +58,10 @@
 //! wall-clock event; the reservation gauges because how many admissions
 //! overlap at scrape time is a scheduling accident.
 //!
+//! `GET /stats` is the scheduler's part of the same series, projected
+//! into JSON through one table (`queue::STATS_FIELDS`), so the two
+//! bodies cannot disagree and each family is gated in one place.
+//!
 //! **Volatile** series are the timing class: their values depend on
 //! wall-clock scheduling, so they are excluded — by
 //! [`is_volatile_series`], the analogue of the manifest's excluded
@@ -116,6 +120,12 @@ pub fn jobs_state_series(state: &str) -> String {
     format!("foldic_serve_jobs_total{{state=\"{state}\"}}")
 }
 
+/// Jobs that finished `done` ([`jobs_state_series`] of `done`).
+pub(crate) const SERIES_JOBS_DONE: &str = "foldic_serve_jobs_total{state=\"done\"}";
+/// Jobs that finished `failed`.
+pub(crate) const SERIES_JOBS_FAILED: &str = "foldic_serve_jobs_total{state=\"failed\"}";
+/// Jobs that finished `cancelled`.
+pub(crate) const SERIES_JOBS_CANCELLED: &str = "foldic_serve_jobs_total{state=\"cancelled\"}";
 /// Admitted submissions.
 pub const SERIES_JOBS_SUBMITTED: &str = "foldic_serve_jobs_submitted_total";
 /// Admission rejections.
@@ -128,6 +138,20 @@ pub const SERIES_CACHE_MISSES: &str = "foldic_serve_cache_misses_total";
 pub const SERIES_CACHE_INSERTIONS: &str = "foldic_serve_cache_insertions_total";
 /// Cache evictions (constant 0 — the cache never evicts).
 pub const SERIES_CACHE_EVICTIONS: &str = "foldic_serve_cache_evictions_total";
+/// Stored studies.
+pub(crate) const SERIES_CACHE_ENTRIES: &str = "foldic_serve_cache_entries";
+/// Jobs waiting in the queue.
+pub(crate) const SERIES_QUEUE_DEPTH: &str = "foldic_serve_queue_depth";
+/// Deepest the queue has ever been.
+pub(crate) const SERIES_QUEUE_HIGH_WATER: &str = "foldic_serve_queue_high_water";
+/// Configured queue bound.
+pub(crate) const SERIES_QUEUE_CAPACITY: &str = "foldic_serve_queue_capacity";
+/// Configured worker pool size.
+pub(crate) const SERIES_WORKERS: &str = "foldic_serve_workers";
+/// Running jobs.
+pub(crate) const SERIES_WORKERS_BUSY: &str = "foldic_serve_workers_busy";
+/// Whole seconds since the daemon started.
+pub(crate) const SERIES_UPTIME: &str = "foldic_serve_uptime_seconds";
 /// Submissions shed by the breaker or a failed journal write (503).
 pub const SERIES_JOBS_SHED: &str = "foldic_serve_jobs_shed_total";
 /// Jobs failed at dispatch by the poison ledger.
@@ -164,15 +188,15 @@ pub const VOLATILE_FAMILIES: &[&str] = &[
     "foldic_serve_request_latency_ms",
     "foldic_serve_job_wait_ms",
     "foldic_serve_job_run_ms",
-    "foldic_serve_queue_depth",
-    "foldic_serve_queue_high_water",
-    "foldic_serve_uptime_seconds",
-    "foldic_serve_workers",
-    "foldic_serve_workers_busy",
-    "foldic_serve_breaker_state",
-    "foldic_serve_breaker_transitions_total",
-    "foldic_serve_mem_reserved_bytes",
-    "foldic_serve_mem_reserved_peak_bytes",
+    SERIES_QUEUE_DEPTH,
+    SERIES_QUEUE_HIGH_WATER,
+    SERIES_UPTIME,
+    SERIES_WORKERS,
+    SERIES_WORKERS_BUSY,
+    SERIES_BREAKER_STATE,
+    SERIES_BREAKER_TRANSITIONS,
+    SERIES_MEM_RESERVED,
+    SERIES_MEM_RESERVED_PEAK,
 ];
 
 /// `true` for series excluded from byte-determinism comparisons: the
@@ -510,6 +534,9 @@ mod tests {
             "foldic_serve_requests_total{endpoint=\"submit\",method=\"POST\",status=\"202\"}"
         ));
         assert!(!is_volatile_series(&jobs_state_series("done")));
+        assert_eq!(jobs_state_series("done"), SERIES_JOBS_DONE);
+        assert_eq!(jobs_state_series("failed"), SERIES_JOBS_FAILED);
+        assert_eq!(jobs_state_series("cancelled"), SERIES_JOBS_CANCELLED);
         assert!(!is_volatile_series(SERIES_CACHE_HITS));
     }
 

@@ -5,9 +5,10 @@
 //!
 //! 1. **The loader never panics**: torn tails (a SIGKILL mid-append),
 //!    duplicated and interleaved records, and arbitrary byte mutations
-//!    all yield `Ok` or a *typed* [`JournalError`] — never an unwind.
+//!    all yield `Ok` or a *typed* `JsonlError` — never an unwind.
 //!    The journal is the recovery path; a panic here turns one crash
-//!    into a boot loop.
+//!    into a boot loop. A tail torn anywhere, even inside a multi-byte
+//!    character of a record, must load.
 //! 2. **Replay is idempotent**: whenever a corrupted file loads at all,
 //!    loading it again yields the *identical* [`Replay`] — the first
 //!    open trims the torn suffix, so the second sees a clean file. This
@@ -87,8 +88,10 @@ fn random_records(rng: &mut StdRng) -> Vec<Record> {
                     attempt,
                     state: state.to_owned(),
                     error: (state == "failed").then(|| "boom\nwith newline".to_owned()),
-                    body: (state == "done" && rng.gen_bool(0.5))
-                        .then(|| "body with \"quotes\" and \n newlines".to_owned()),
+                    body: (state == "done" && rng.gen_bool(0.5)).then(|| {
+                        let text = ["\"quotes\" and \n newlines", "non-ASCII — é 設計"];
+                        format!("body with {}", text[rng.gen_range(0..2usize)])
+                    }),
                 });
             }
         }
@@ -148,17 +151,21 @@ fn torn_tails_trim_to_a_replayable_prefix() {
         let (bytes, clean) = valid_journal(&path, &records);
         let cut = rng.gen_range(0..bytes.len());
         let replay = load_twice(&path, &bytes[..cut], "a torn tail");
-        // A truncation can corrupt the header (typed error) but never a
-        // mid-file record: when it loads, every surviving job must come
-        // from the clean replay with the same digest.
-        if let Some(replay) = replay {
-            for (id, job) in &replay.jobs {
-                let original = clean
-                    .jobs
-                    .get(id)
-                    .unwrap_or_else(|| panic!("torn load invented job {id}"));
-                assert_eq!(original.digest, job.digest, "torn load mutated job {id}");
-            }
+        // Every cut loads: one inside the header restarts the journal,
+        // one after its newline keeps the intact prefix. Every surviving
+        // job must come from the clean replay with the same digest.
+        let Some(replay) = replay else {
+            panic!(
+                "a tail torn at byte {cut} of {} failed to load",
+                bytes.len()
+            );
+        };
+        for (id, job) in &replay.jobs {
+            let original = clean
+                .jobs
+                .get(id)
+                .unwrap_or_else(|| panic!("torn load invented job {id}"));
+            assert_eq!(original.digest, job.digest, "torn load mutated job {id}");
         }
     }
     let _ = std::fs::remove_file(&path);

@@ -138,7 +138,6 @@ fn full_queue_rejects_with_retry_after_and_recovers() {
         SchedulerConfig {
             queue_capacity: 2,
             workers: 1,
-            retry_after_secs: 7,
             ..SchedulerConfig::default()
         },
     );
@@ -148,11 +147,11 @@ fn full_queue_rejects_with_retry_after_and_recovers() {
     let b = queued(sched.submit(spec("b")));
     let c = queued(sched.submit(spec("c")));
     // The queue is full: the next submission is rejected immediately,
-    // carrying a load-derived hint — the configured base (7) plus one
-    // second per worker-pool's worth of queued jobs (2 queued / 1
-    // worker) — and is NOT recorded as a job.
+    // carrying a load-derived hint — the 1 s base plus one second per
+    // worker-pool's worth of queued jobs (2 queued / 1 worker) — and is
+    // NOT recorded as a job.
     match sched.submit(spec("d")) {
-        Submission::Rejected { retry_after_secs } => assert_eq!(retry_after_secs, 9),
+        Submission::Rejected { retry_after_secs } => assert_eq!(retry_after_secs, 3),
         other => panic!("expected Rejected, got {other:?}"),
     }
     // Draining one slot re-admits.
@@ -175,7 +174,6 @@ fn cancel_before_start_never_reaches_the_runner() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 1,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
     );
@@ -208,7 +206,6 @@ fn deadline_jobs_run_beside_other_jobs() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 2,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
     );
@@ -247,7 +244,6 @@ fn oversized_jobs_wait_for_running_jobs_then_run_alone() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 2,
-            retry_after_secs: 1,
             mem_limit: Some(9 << 20),
         },
     );
@@ -287,7 +283,6 @@ fn shutdown_drains_in_flight_and_cancels_queued_without_deadlock() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 1,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
     ));
@@ -323,7 +318,6 @@ fn fifo_order_is_preserved_on_a_single_worker() {
         SchedulerConfig {
             queue_capacity: 16,
             workers: 1,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
     );
@@ -394,7 +388,6 @@ fn poisoned_spec_is_quarantined_and_other_specs_keep_running() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 1,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
         foldic_serve::Telemetry::disabled(),
@@ -435,7 +428,6 @@ fn breaker_opens_sheds_with_retry_after_and_recovers_via_probe() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 1,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
         foldic_serve::Telemetry::disabled(),
@@ -463,7 +455,6 @@ fn breaker_opens_sheds_with_retry_after_and_recovers_via_probe() {
         SchedulerConfig {
             queue_capacity: 8,
             workers: 1,
-            retry_after_secs: 1,
             ..SchedulerConfig::default()
         },
         foldic_serve::Telemetry::disabled(),
