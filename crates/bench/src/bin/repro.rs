@@ -996,7 +996,8 @@ fn run_serve(args: &[String]) -> i32 {
     ) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("serve: cannot bind {addr}: {e}");
+            // the error names the socket, cache dir or journal that failed
+            eprintln!("serve: {e}");
             return 2;
         }
     };

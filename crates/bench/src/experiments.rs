@@ -197,15 +197,13 @@ pub fn table3(ctx: &mut Ctx) -> String {
 /// Table 4: folding the L2 data bank (`scdata`).
 pub fn table4(ctx: &mut Ctx) -> String {
     let b2 = ctx.block_2d("l2d0");
-    let mut d3 = ctx.design.clone();
-    let id = d3.find_block("l2d0").expect("l2d0 exists");
     let cfg = FoldConfig {
         strategy: FoldStrategy::MacroRows,
         aspect: FoldAspect::KeepWidth,
         bonding: BondingStyle::FaceToBack,
         ..FoldConfig::default()
     };
-    let f = fold_block(d3.block_mut(id), &ctx.tech, &cfg).expect("fold");
+    let f = fold_block(&mut ctx.block("l2d0"), &ctx.tech, &cfg).expect("fold");
     let m = &f.metrics;
     let mut out = String::new();
     let _ = writeln!(out, "== Table 4: 2D vs folded L2D (scdata), F2B ==");
@@ -378,15 +376,13 @@ pub fn fig2(ctx: &mut Ctx) -> String {
         "== Fig. 2: folding CCX (PCX/CPX natural split, F2B) =="
     );
     let run = |strategy: FoldStrategy, bonding| {
-        let mut d3 = ctx.design.clone();
-        let id = d3.find_block("ccx").expect("ccx exists");
         let cfg = FoldConfig {
             strategy,
             aspect: FoldAspect::Square,
             bonding,
             ..FoldConfig::default()
         };
-        fold_block(d3.block_mut(id), &ctx.tech, &cfg).expect("fold")
+        fold_block(&mut ctx.block("ccx"), &ctx.tech, &cfg).expect("fold")
     };
     let nat = run(
         FoldStrategy::NaturalGroups(vec!["pcx".into()]),
@@ -442,9 +438,12 @@ pub fn fig2(ctx: &mut Ctx) -> String {
         "{:>8} {:>9} {:>12} {:>12}",
         "quality", "TSVs", "power vs 2D", "fp vs 2D"
     );
-    // independent fold configurations: one engine job per sweep point
+    // every sweep point degrades one shared min-cut: one engine job per
+    // sweep point
+    let min_cut = ctx.min_cut("ccx");
     let sweep = foldic_exec::par_map(ctx.threads, vec![1.0, 0.6, 0.3, 0.0], |_, q| {
-        (q, run(FoldStrategy::Quality(q), BondingStyle::FaceToBack))
+        let strategy = ctx.quality_fold("ccx", &min_cut, q);
+        (q, run(strategy, BondingStyle::FaceToBack))
     });
     for (q, f) in sweep {
         let _ = writeln!(
@@ -462,16 +461,15 @@ pub fn fig2(ctx: &mut Ctx) -> String {
 pub fn fig3(ctx: &mut Ctx) -> String {
     let b2 = ctx.block_2d("spc0");
     let run = |second: bool| {
-        let mut d3 = ctx.design.clone();
-        let id = d3.find_block("spc0").expect("spc0 exists");
+        let mut b3 = ctx.block("spc0");
         let cfg = FoldConfig {
             bonding: BondingStyle::FaceToFace,
             ..FoldConfig::default()
         };
         if second {
-            fold_spc_second_level(d3.block_mut(id), &ctx.tech, &cfg).expect("fold spc")
+            fold_spc_second_level(&mut b3, &ctx.tech, &cfg).expect("fold spc")
         } else {
-            fold_block(d3.block_mut(id), &ctx.tech, &cfg).expect("fold")
+            fold_block(&mut b3, &ctx.tech, &cfg).expect("fold")
         }
     };
     let block3d = run(false);
@@ -520,14 +518,12 @@ pub fn fig3(ctx: &mut Ctx) -> String {
 
 /// Fig. 4–5: the F2F via placement flow on a folded block.
 pub fn fig5(ctx: &mut Ctx) -> String {
-    let mut d3 = ctx.design.clone();
-    let id = d3.find_block("l2t0").expect("l2t0 exists");
+    let mut block = ctx.block("l2t0");
     let cfg = FoldConfig {
         bonding: BondingStyle::FaceToFace,
         ..FoldConfig::default()
     };
-    let f = fold_block(d3.block_mut(id), &ctx.tech, &cfg).expect("fold");
-    let block = d3.block(id);
+    let f = fold_block(&mut block, &ctx.tech, &cfg).expect("fold");
     let macros: Vec<foldic_geom::Rect> = block
         .netlist
         .insts()
@@ -568,16 +564,15 @@ pub fn fig6(ctx: &mut Ctx) -> String {
         "== Fig. 6: bonding-style impact on folded footprint =="
     );
     let run = |name: &str, strategy: FoldStrategy, aspect: FoldAspect, bonding| {
-        let mut d3 = ctx.design.clone();
-        let id = d3.find_block(name).expect("block exists");
+        let mut b3 = ctx.block(name);
         let cfg = FoldConfig {
             strategy,
             aspect,
             bonding,
             ..FoldConfig::default()
         };
-        let f = fold_block(d3.block_mut(id), &ctx.tech, &cfg).expect("fold");
-        (d3.block(id).outline, f)
+        let f = fold_block(&mut b3, &ctx.tech, &cfg).expect("fold");
+        (b3.outline, f)
     };
     let blocks = [
         (
@@ -587,8 +582,9 @@ pub fn fig6(ctx: &mut Ctx) -> String {
             paper::fig6::L2D_F2F_VS_F2B_FOOTPRINT,
         ),
         (
+            // both bonding styles fold the same min-cut, computed once
             "l2t0",
-            FoldStrategy::MinCut,
+            FoldStrategy::Given(ctx.min_cut("l2t0")),
             FoldAspect::Keep,
             paper::fig6::L2T_F2F_VS_F2B_FOOTPRINT,
         ),
@@ -672,15 +668,15 @@ pub fn fig7(ctx: &mut Ctx) -> String {
             [BondingStyle::FaceToBack, BondingStyle::FaceToFace].map(|bonding| (q, bonding))
         })
         .collect();
+    // every job degrades one shared min-cut
+    let min_cut = ctx.min_cut("l2t0");
     let folds = foldic_exec::par_map(ctx.threads, jobs, |_, (q, bonding)| {
-        let mut d3 = ctx.design.clone();
-        let id = d3.find_block("l2t0").expect("l2t0 exists");
         let cfg = FoldConfig {
-            strategy: FoldStrategy::Quality(q),
+            strategy: ctx.quality_fold("l2t0", &min_cut, q),
             bonding,
             ..FoldConfig::default()
         };
-        let f = fold_block(d3.block_mut(id), &ctx.tech, &cfg).expect("fold");
+        let f = fold_block(&mut ctx.block("l2t0"), &ctx.tech, &cfg).expect("fold");
         (
             f.metrics.power.total_uw() / b2.power.total_uw(),
             f.metrics.num_3d_connections,
@@ -815,7 +811,7 @@ pub fn thermal(ctx: &mut Ctx) -> String {
 /// style that stresses every mechanism).
 pub fn ablations(ctx: &mut Ctx) -> String {
     use foldic::folding::{fold_with_partition, recluster_clock_leaves};
-    use foldic_partition::{apply_partition, bipartition, PartitionConfig};
+    use foldic_partition::apply_partition;
     use foldic_place::{place_folded, PlacerConfig};
     use foldic_route::{place_vias, BlockWiring};
 
@@ -825,15 +821,16 @@ pub fn ablations(ctx: &mut Ctx) -> String {
         "== Ablations: what each design choice is worth (folded L2T, F2B) =="
     );
 
-    // Baseline fold.
+    // Baseline fold, from the one min-cut of l2t0 every section shares.
+    let min_cut = ctx.min_cut("l2t0");
+    let mut base_block = ctx.block("l2t0");
     let base = {
-        let mut d = ctx.design.clone();
-        let id = d.find_block("l2t0").expect("l2t0");
         let cfg = FoldConfig {
+            strategy: FoldStrategy::Given(min_cut.clone()),
             bonding: BondingStyle::FaceToBack,
             ..FoldConfig::default()
         };
-        fold_block(d.block_mut(id), &ctx.tech, &cfg).expect("fold")
+        fold_block(&mut base_block, &ctx.tech, &cfg).expect("fold")
     };
     let _ = writeln!(
         out,
@@ -846,18 +843,15 @@ pub fn ablations(ctx: &mut Ctx) -> String {
     // sections (a)-(f) are independent studies: one engine job each,
     // results appended in the fixed section order
     let shared: &Ctx = ctx;
-    let base = &base;
+    let (base, base_block, min_cut) = (&base, &base_block, &min_cut);
     type Section<'a> = Box<dyn FnOnce() -> String + Send + 'a>;
 
     // (a) no clock-leaf re-clustering: leaf buffers keep their pre-fold
     // flop assignments (α = 1 clock nets sprawl across both dies).
     let section_a: Section = Box::new(move || {
         let ctx = shared;
-        let mut d = ctx.design.clone();
-        let id = d.find_block("l2t0").expect("l2t0");
-        let block = d.block_mut(id);
-        let part = bipartition(&block.netlist, &ctx.tech, &PartitionConfig::default());
-        apply_partition(&mut block.netlist, &part);
+        let block = &mut ctx.block("l2t0");
+        apply_partition(&mut block.netlist, min_cut);
         block.folded = true;
         // replicate the fold flow minus the CTS re-clustering, on the
         // baseline's outline
@@ -907,10 +901,7 @@ pub fn ablations(ctx: &mut Ctx) -> String {
     // silicon like F2F vias): isolates the Fig. 6 cost.
     let section_b: Section = Box::new(move || {
         let ctx = shared;
-        let mut d = ctx.design.clone();
-        let id = d.find_block("l2t0").expect("l2t0");
-        let block = d.block_mut(id);
-        let part = bipartition(&block.netlist, &ctx.tech, &PartitionConfig::default());
+        let block = &mut ctx.block("l2t0");
         let folded = fold_with_partition(
             block,
             &ctx.tech,
@@ -919,7 +910,7 @@ pub fn ablations(ctx: &mut Ctx) -> String {
                 bonding: BondingStyle::FaceToFace, // free vias
                 ..FoldConfig::default()
             },
-            part,
+            min_cut.clone(),
         )
         .expect("fold");
         format!(
@@ -930,43 +921,32 @@ pub fn ablations(ctx: &mut Ctx) -> String {
     });
 
     // (c) partition quality: min-cut vs random balanced (what FM is worth).
+    // Quality 1.0 is the min-cut itself, so its fold is the baseline's.
     let section_c: Section = Box::new(move || {
         let ctx = shared;
-        let cut_of = |q: f64| {
-            let mut d = ctx.design.clone();
-            let id = d.find_block("l2t0").expect("l2t0");
-            let cfg = FoldConfig {
-                strategy: FoldStrategy::Quality(q),
-                bonding: BondingStyle::FaceToBack,
-                ..FoldConfig::default()
-            };
-            let f = fold_block(d.block_mut(id), &ctx.tech, &cfg).expect("fold");
-            (f.metrics.num_3d_connections, f.metrics.power.total_uw())
+        let cfg = FoldConfig {
+            strategy: ctx.quality_fold("l2t0", min_cut, 0.0),
+            bonding: BondingStyle::FaceToBack,
+            ..FoldConfig::default()
         };
-        let (v1, p1) = cut_of(1.0);
-        let (v0, p0) = cut_of(0.0);
+        let random = fold_block(&mut ctx.block("l2t0"), &ctx.tech, &cfg).expect("fold");
+        let (fm, random) = (&base.metrics, &random.metrics);
         format!(
             "FM vs random part. : {} vs {} vias; power {:+.1}% if partitioning is random\n",
-            v1,
-            v0,
-            (p0 / p1 - 1.0) * 100.0
+            fm.num_3d_connections,
+            random.num_3d_connections,
+            (random.power.total_uw() / fm.power.total_uw() - 1.0) * 100.0
         )
     });
 
     // (d) TSV-to-wire coupling parasitic (§7 future work): re-price the
-    // folded F2B block's net power with the coupling capacitance on.
+    // baseline's folded F2B block's net power with the coupling
+    // capacitance on.
     let section_d: Section = Box::new(move || {
         let ctx = shared;
-        let mut d = ctx.design.clone();
-        let id = d.find_block("l2t0").expect("l2t0");
-        let block = d.block_mut(id);
-        let fold_cfg = FoldConfig {
-            bonding: BondingStyle::FaceToBack,
-            ..FoldConfig::default()
-        };
-        let folded = fold_block(block, &ctx.tech, &fold_cfg).expect("fold");
-        let wiring = BlockWiring::analyze(&block.netlist, &ctx.tech, 1.1, Some(&folded.vias))
-            .expect("route");
+        let block = base_block;
+        let wiring =
+            BlockWiring::analyze(&block.netlist, &ctx.tech, 1.1, Some(&base.vias)).expect("route");
         let mut pcfg = foldic_power::PowerConfig::for_block(block);
         pcfg.via_kind = Some(foldic_tech::Via3dKind::Tsv);
         let without =
@@ -987,10 +967,9 @@ pub fn ablations(ctx: &mut Ctx) -> String {
         use foldic_place::{place_block, MacroMode};
         let ctx = shared;
         let run = |mode| {
-            let mut d = ctx.design.clone();
-            let id = d.find_block("l2d0").expect("l2d0");
-            let outline = d.block(id).outline;
-            let nl = &mut d.block_mut(id).netlist;
+            let mut block = ctx.block("l2d0");
+            let outline = block.outline;
+            let nl = &mut block.netlist;
             let mut pcfg = PlacerConfig::quality();
             pcfg.macro_mode = mode;
             place_block(nl, &ctx.tech, outline, &pcfg).expect("place");
@@ -1013,15 +992,13 @@ pub fn ablations(ctx: &mut Ctx) -> String {
     let section_f: Section = Box::new(move || {
         let ctx = shared;
         let run = |strategy| {
-            let mut d = ctx.design.clone();
-            let id = d.find_block("ccx").expect("ccx");
             let cfg = FoldConfig {
                 strategy,
                 aspect: FoldAspect::Square,
                 bonding: BondingStyle::FaceToBack,
                 ..FoldConfig::default()
             };
-            fold_block(d.block_mut(id), &ctx.tech, &cfg).expect("fold")
+            fold_block(&mut ctx.block("ccx"), &ctx.tech, &cfg).expect("fold")
         };
         let nat = run(FoldStrategy::NaturalGroups(vec!["pcx".into()]));
         let fm = run(FoldStrategy::MinCut);
@@ -1074,10 +1051,9 @@ pub fn layouts(ctx: &mut Ctx, dir: &std::path::Path) -> String {
     }
     // folded CCX block shot (Fig. 2b)
     {
-        let mut d = ctx.design.clone();
-        let id = d.find_block("ccx").expect("ccx");
+        let mut block = ctx.block("ccx");
         let folded = fold_block(
-            d.block_mut(id),
+            &mut block,
             &ctx.tech,
             &FoldConfig {
                 strategy: FoldStrategy::NaturalGroups(vec!["pcx".into()]),
@@ -1087,30 +1063,12 @@ pub fn layouts(ctx: &mut Ctx, dir: &std::path::Path) -> String {
             },
         )
         .expect("fold");
-        let svg = render_block_svg(d.block(id), &ctx.tech, Some(&folded.vias), 0.6);
+        let svg = render_block_svg(&block, &ctx.tech, Some(&folded.vias), 0.6);
         let path = dir.join("fig2b_ccx_folded.svg");
         std::fs::write(&path, svg).expect("write svg");
         let _ = writeln!(out, "wrote {}", path.display());
     }
     out
-}
-
-/// Runs the 2D block flow and a fold for one block (shared by examples
-/// and ablation benches): returns `(2D metrics, folded result)`.
-pub fn fold_pair(ctx: &Ctx, name: &str, cfg: &FoldConfig) -> (DesignMetrics, FoldedBlock) {
-    let b2 = {
-        let mut d = ctx.design.clone();
-        let id = d.find_block(name).expect("known block");
-        let b = d.block_mut(id);
-        let budgets = TimingBudgets::relaxed(&b.netlist, &ctx.tech);
-        foldic::flow::run_block_flow(b, &ctx.tech, &budgets, &FlowConfig::default())
-            .expect("2D flow")
-            .metrics
-    };
-    let mut d = ctx.design.clone();
-    let id = d.find_block(name).expect("known block");
-    let folded = fold_block(d.block_mut(id), &ctx.tech, cfg).expect("fold");
-    (b2, folded)
 }
 
 #[cfg(test)]

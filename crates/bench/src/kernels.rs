@@ -3,7 +3,8 @@
 //! Times the hot kernels of the flow — sequence-pair packing (the SA
 //! inner loop), one SA temperature step, one quadratic-system solve, one
 //! FM bipartition, one SPC's folded-FUB partition, one wiring analysis
-//! and one opt call's STA rounds —
+//! and one opt call's STA rounds — and the two halves of a served study
+//! miss (one tiny T2 generation; one tiny `fig2` from a fresh context),
 //! with the same built-in harness the `cargo bench` targets use
 //! (fixed sample count, median/min/max; Criterion is a registry
 //! dependency and this workspace is offline-first). `--json` emits a
@@ -15,6 +16,7 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
+use crate::{experiments, Ctx};
 use foldic_floorplan::seqpair::{anneal_floorplan, FpBlock, Packer, SaConfig, SeqPair};
 use foldic_netlist::{InstId, InstMaster};
 use foldic_obs::json::Json;
@@ -303,6 +305,17 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
             }
         }));
     }
+
+    // A served study miss on the tiny T2, in its two halves: generating
+    // the design, and a fresh context (generation included) running
+    // `fig2`, as `repro serve` runs a `fig2` job.
+    push(time_kernel(filter, "t2gen_tiny", 1, || {
+        black_box(T2Config::tiny().generate().0.total_insts());
+    }));
+    push(time_kernel(filter, "study_fig2_tiny", 1, || {
+        let mut ctx = Ctx::with_threads(T2Config::tiny(), 1);
+        black_box(experiments::fig2(&mut ctx).len());
+    }));
 
     results
 }

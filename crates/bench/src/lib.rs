@@ -19,7 +19,8 @@ pub mod scale;
 pub mod serve;
 
 use foldic::prelude::*;
-use foldic::{CheckpointStore, FaultRecord, RetryPolicy};
+use foldic::{CheckpointStore, FaultRecord, FlowStage, RetryPolicy};
+use foldic_partition::{bipartition, degrade_partition, Partition};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -136,14 +137,46 @@ impl Ctx {
             .expect("full-chip run cached via warm()/fullchip()")
     }
 
+    /// One pristine block by name.
+    fn pristine(&self, name: &str) -> &Block {
+        let id = self
+            .design
+            .find_block(name)
+            .unwrap_or_else(|| panic!("unknown block {name}"));
+        self.design.block(id)
+    }
+
+    /// A clone of one pristine block, for the studies that fold, place or
+    /// flow a single block (full-chip runs clone the whole design).
+    pub fn block(&self, name: &str) -> Block {
+        self.pristine(name).clone()
+    }
+
+    /// The min-cut a default [`FoldConfig`] computes for one pristine
+    /// block, under a `partition` span so `--profile` shows it. A sweep
+    /// computes it once and folds every point from it through
+    /// [`quality_fold`](Ctx::quality_fold).
+    pub fn min_cut(&self, name: &str) -> Partition {
+        let _span = foldic_obs::trace::SpanGuard::enter(FlowStage::Partition.as_str());
+        let cfg = FoldConfig::default().partition;
+        bipartition(&self.pristine(name).netlist, &self.tech, &cfg)
+    }
+
+    /// The strategy that folds `name` exactly as a default [`FoldConfig`]
+    /// with [`FoldStrategy::Quality`]`(quality)` does, from the block's
+    /// [`min_cut`](Ctx::min_cut) instead of a fresh one.
+    pub fn quality_fold(&self, name: &str, min_cut: &Partition, quality: f64) -> FoldStrategy {
+        let cfg = FoldConfig::default().partition;
+        let netlist = &self.pristine(name).netlist;
+        FoldStrategy::Given(degrade_partition(netlist, &cfg, min_cut.clone(), quality))
+    }
+
     /// Runs the plain 2D block flow on a clone of one block and returns
     /// its metrics.
     pub fn block_2d(&self, name: &str) -> DesignMetrics {
-        let mut d = self.design.clone();
-        let id = d.find_block(name).expect("known block");
-        let b = d.block_mut(id);
+        let mut b = self.block(name);
         let budgets = foldic_timing::TimingBudgets::relaxed(&b.netlist, &self.tech);
-        foldic::flow::run_block_flow(b, &self.tech, &budgets, &FlowConfig::default())
+        foldic::flow::run_block_flow(&mut b, &self.tech, &budgets, &FlowConfig::default())
             .unwrap_or_else(|e| panic!("2D flow for {name} failed: {e}"))
             .metrics
     }

@@ -48,6 +48,8 @@ fn bench_json_is_well_formed_and_complete() {
         "fm_fubs_spc0",
         "wiring_analyze_l2t",
         "sta_rounds_l2t",
+        "t2gen_tiny",
+        "study_fig2_tiny",
     ] {
         let k = kernels
             .get(name)

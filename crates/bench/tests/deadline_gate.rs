@@ -5,17 +5,14 @@
 //! layout, and usage-error rejection of malformed deadline flags.
 
 use foldic_obs::manifest::RunManifest;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
+
+mod common;
+use common::Scratch;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("foldic-deadline-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 /// Runs repro, asserting success, and returns stdout.
@@ -43,8 +40,9 @@ fn stripped(path: &Path) -> String {
 /// untouched. The whole report must not depend on `--threads`.
 #[test]
 fn stage_timeout_degrades_stalled_block_and_stays_thread_invariant() {
-    let m1 = tmp("timed-t1.json");
-    let m4 = tmp("timed-t4.json");
+    let scratch = Scratch::new("deadline-gate-stage-timeout");
+    let m1 = scratch.path("timed-t1.json");
+    let m4 = scratch.path("timed-t4.json");
     let base = [
         "table2",
         "--size",
@@ -134,7 +132,8 @@ fn stage_timeout_degrades_stalled_block_and_stays_thread_invariant() {
 /// this gate checks outcome shape, not byte identity.)
 #[test]
 fn overall_deadline_degrades_gracefully_instead_of_hanging() {
-    let m = tmp("overall.json");
+    let scratch = Scratch::new("deadline-gate-overall");
+    let m = scratch.path("overall.json");
     let out = run_ok(&[
         "table3",
         "--size",
@@ -170,7 +169,8 @@ fn overall_deadline_degrades_gracefully_instead_of_hanging() {
 /// manifests from before the deadline layer existed.
 #[test]
 fn deadline_free_manifest_has_no_timeout_keys() {
-    let m = tmp("noflags.json");
+    let scratch = Scratch::new("deadline-gate-noflags");
+    let m = scratch.path("noflags.json");
     run_ok(&[
         "table3",
         "--size",

@@ -6,17 +6,14 @@
 
 use foldic_obs::manifest::RunManifest;
 use foldic_obs::metrics::Metric;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
+
+mod common;
+use common::Scratch;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("foldic-fault-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 /// Runs repro, asserting success, and returns stdout.
@@ -43,8 +40,9 @@ fn stripped(path: &Path) -> String {
 /// byte-identical between `--threads 1` and `--threads 4`.
 #[test]
 fn injected_route_panic_degrades_one_block_and_stays_thread_invariant() {
-    let m1 = tmp("faulted-t1.json");
-    let m4 = tmp("faulted-t4.json");
+    let scratch = Scratch::new("fault-gate-route-panic");
+    let m1 = scratch.path("faulted-t1.json");
+    let m4 = scratch.path("faulted-t4.json");
     let base = ["table2", "--size", "tiny", "--faults", "route:ccx:panic"];
     let out1 = run_ok(
         &[
@@ -118,8 +116,9 @@ fn injected_route_panic_degrades_one_block_and_stays_thread_invariant() {
 /// thread and on 4.
 #[test]
 fn budget_events_do_not_depend_on_manifest_or_threads() {
+    let scratch = Scratch::new("fault-gate-budget-events");
     let events = |threads: &str, manifest: Option<&str>| -> Vec<String> {
-        let path = manifest.map(|name| tmp(name).to_str().unwrap().to_owned());
+        let path = manifest.map(|name| scratch.path(name).to_str().unwrap().to_owned());
         let mut args = vec!["table2", "--size", "tiny", "--mem-budget", "246k"];
         args.extend(["--threads", threads]);
         if let Some(path) = &path {
@@ -163,7 +162,8 @@ fn budget_events_do_not_depend_on_manifest_or_threads() {
 /// one attempt.
 #[test]
 fn retries_zero_degrades_without_a_second_attempt() {
-    let m = tmp("retries0.json");
+    let scratch = Scratch::new("fault-gate-retries0");
+    let m = scratch.path("retries0.json");
     run_ok(&[
         "table3",
         "--size",
@@ -188,9 +188,10 @@ fn retries_zero_degrades_without_a_second_attempt() {
 /// replays the intact blocks and produces a byte-identical manifest.
 #[test]
 fn resumed_run_after_torn_checkpoint_is_byte_identical() {
-    let ckpt = tmp("resume.jsonl");
-    let ma = tmp("resume-a.json");
-    let mb = tmp("resume-b.json");
+    let scratch = Scratch::new("fault-gate-resume");
+    let ckpt = scratch.path("resume.jsonl");
+    let ma = scratch.path("resume-a.json");
+    let mb = scratch.path("resume-b.json");
     run_ok(&[
         "table3",
         "--size",

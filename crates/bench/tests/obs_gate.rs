@@ -6,17 +6,14 @@ use foldic_obs::json::Json;
 use foldic_obs::manifest::RunManifest;
 use foldic_obs::metrics::Metric;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
+
+mod common;
+use common::Scratch;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("foldic-obs-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 fn run_ok(args: &[&str]) {
@@ -66,9 +63,10 @@ fn stage_counts(path: &Path) -> BTreeMap<String, StageCounts> {
 /// happen exactly once.
 #[test]
 fn manifests_are_thread_count_invariant_and_trace_is_valid() {
-    let m1 = tmp("table2-t1.json");
-    let m4 = tmp("table2-t4.json");
-    let trace = tmp("table2-t1-trace.json");
+    let scratch = Scratch::new("obs-gate-manifests");
+    let m1 = scratch.path("table2-t1.json");
+    let m4 = scratch.path("table2-t4.json");
+    let trace = scratch.path("table2-t1-trace.json");
     run_ok(&[
         "table2",
         "table3",
@@ -136,7 +134,7 @@ fn manifests_are_thread_count_invariant_and_trace_is_valid() {
         })
         .expect("manifest has a gauge to perturb");
     bad.metrics.metrics.insert(name, Metric::Gauge(old * 1.1));
-    let bad_path = tmp("table2-perturbed.json");
+    let bad_path = scratch.path("table2-perturbed.json");
     std::fs::write(&bad_path, bad.to_json_text()).unwrap();
     let status = repro()
         .args(["compare", m1.to_str().unwrap(), bad_path.to_str().unwrap()])
@@ -244,7 +242,8 @@ fn compare_usage_errors_exit_2() {
     let out = repro().args(["compare", "only-one.json"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 
-    let missing = tmp("does-not-exist.json");
+    let scratch = Scratch::new("obs-gate-compare-usage");
+    let missing = scratch.path("does-not-exist.json");
     let out = repro()
         .args([
             "compare",

@@ -14,19 +14,15 @@ use foldic_serve::client;
 use foldic_serve::scenario::{self, Config, Daemon, MixWeights, Scenario, Target};
 use foldic_serve::{JobSpec, SchedulerConfig, Server, ServerConfig};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::Scratch;
+
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("foldic-serve-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 fn boot() -> Server {
@@ -76,7 +72,8 @@ fn served_manifest_matches_the_one_shot_cli_run() {
     let served = RunManifest::parse(&served_text).expect("served body is a manifest");
 
     // One-shot CLI run of the same study.
-    let manifest_path = tmp("oneshot-table1.json");
+    let scratch = Scratch::new("serve-gate-oneshot");
+    let manifest_path = scratch.path("oneshot-table1.json");
     let out = repro()
         .args([
             "table1",
@@ -100,7 +97,7 @@ fn served_manifest_matches_the_one_shot_cli_run() {
 
     // And `repro compare` agrees: the one-shot run (extra metrics are
     // mere changes) compares clean against the served baseline.
-    let served_path = tmp("served-table1.json");
+    let served_path = scratch.path("served-table1.json");
     std::fs::write(&served_path, &served_text).unwrap();
     let out = repro()
         .args([
@@ -310,6 +307,58 @@ fn loadgen_report_gates_against_a_live_daemon() {
     server.shutdown();
 }
 
+/// Runs `repro serve` with `args` on an ephemeral port, expecting it to
+/// refuse to boot; a daemon that boots anyway is killed after a bound.
+fn serve_refusal(args: &[&std::ffi::OsStr]) -> (Option<i32>, String) {
+    let mut child = repro()
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    let start = std::time::Instant::now();
+    while child.try_wait().expect("poll repro").is_none() {
+        if start.elapsed() > TIMEOUT {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect repro");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn serve_names_the_journal_or_cache_dir_it_cannot_open() {
+    // a journal of another schema: the error names the journal, not the
+    // socket
+    let scratch = Scratch::new("serve-gate-refusal");
+    let journal = scratch.path("foreign-journal.jsonl");
+    std::fs::write(&journal, "{\"schema\":\"other/9\"}\n").unwrap();
+    let (code, stderr) = serve_refusal(&["--journal".as_ref(), journal.as_os_str()]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("journal {}", journal.display())),
+        "{stderr}"
+    );
+    assert!(stderr.contains("schema"), "{stderr}");
+    assert!(!stderr.contains("cannot bind"), "{stderr}");
+
+    // a cache dir under a regular file cannot be created
+    let cache_dir = journal.join("cache");
+    let (code, stderr) = serve_refusal(&["--cache-dir".as_ref(), cache_dir.as_os_str()]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cache dir {}", cache_dir.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("cannot bind"), "{stderr}");
+}
+
 #[test]
 fn loadgen_refuses_conflicting_unread_and_missing_flags() {
     // Each of these is a usage or harness error (exit 2) before any
@@ -471,8 +520,9 @@ fn daemon_serves_traces_metrics_logs_and_health() {
     // of the process-global trace buffer (in-process servers in this
     // test binary would absorb each other's events on ingest and drop
     // them as strays).
-    let port_file = tmp("telemetry.port");
-    let log_file = tmp("telemetry.log.jsonl");
+    let scratch = Scratch::new("serve-gate-telemetry");
+    let port_file = scratch.path("telemetry.port");
+    let log_file = scratch.path("telemetry.log.jsonl");
     let _ = std::fs::remove_file(&log_file);
     let serve_cmd = [env!("CARGO_BIN_EXE_repro").to_owned(), "serve".to_owned()];
     let flags = [

@@ -6,7 +6,8 @@
 //!
 //! 1. choose a die partition — generic min-cut, the natural PCX/CPX group
 //!    split for the crossbar, macro-row splitting for memory-dominated
-//!    blocks, or a deliberately degraded partition for the Fig. 7 sweep;
+//!    blocks, a deliberately degraded partition for the Fig. 7 sweep, or
+//!    one the caller computed;
 //! 2. shrink the outline to hold the bigger die half (plus TSV keep-out
 //!    area under face-to-back bonding);
 //! 3. re-pack the macros of each die and run the mixed-size 3D placer
@@ -48,6 +49,11 @@ pub enum FoldStrategy {
     /// Split the macro array between the dies (alternating rows), lock
     /// the macros, then min-cut the logic (§4.4's `scdata` fold).
     MacroRows,
+    /// A partition the caller computed for this block, e.g. one point of
+    /// a sweep that shares one min-cut
+    /// ([`foldic_partition::degrade_partition`]). The partitioner settings
+    /// are not consulted, so a retry folds the same partition.
+    Given(Partition),
 }
 
 /// How the folded outline is shaped.
@@ -190,7 +196,19 @@ pub fn fold_block_with_budgets(
     let part = {
         let _scope = stage_scope(FlowStage::Partition, &name, cfg.retry_attempt)?;
         fault_point(FlowStage::Partition, &name, cfg.retry_attempt)?;
-        make_partition(&block.netlist, tech, cfg)
+        let part = make_partition(&block.netlist, tech, cfg);
+        if part.tier_of.len() != block.netlist.num_insts() {
+            return Err(FlowError::invalid(
+                FlowStage::Partition,
+                format!(
+                    "partition assigns {} instances, the block has {}",
+                    part.tier_of.len(),
+                    block.netlist.num_insts()
+                ),
+            )
+            .with_block(&name));
+        }
+        part
     };
     fold_with_partition(block, tech, budgets, cfg, part)
 }
@@ -199,6 +217,7 @@ fn make_partition(netlist: &Netlist, tech: &Technology, cfg: &FoldConfig) -> Par
     match &cfg.strategy {
         FoldStrategy::MinCut => bipartition(netlist, tech, &cfg.partition),
         FoldStrategy::Quality(q) => partition_with_quality(netlist, tech, &cfg.partition, *q),
+        FoldStrategy::Given(part) => part.clone(),
         FoldStrategy::NaturalGroups(names) => {
             let ids: Vec<GroupId> = (0..netlist.num_groups())
                 .map(|i| GroupId(i as u32))

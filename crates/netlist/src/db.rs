@@ -943,18 +943,28 @@ mod tests {
         d
     }
 
-    /// Saves through a file of its own (tests run in parallel, and each
-    /// deletes its file after reading it back).
+    /// A directory removed when the guard drops, also when an assertion
+    /// fails.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Saves through a directory of its own (tests run in parallel), and
+    /// removes it after reading the file back.
     fn save_to_vec(d: &Design) -> Vec<u8> {
         static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!("foldic-db-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let path = dir.join(format!("t{call}.fdb"));
+        let dir = ScratchDir(
+            std::env::temp_dir().join(format!("foldic-db-test-{}-{call}", std::process::id())),
+        );
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("t.fdb");
         save_design(d, &[("generator", "test"), ("seed", "7")], &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        bytes
+        std::fs::read(&path).unwrap()
     }
 
     #[test]

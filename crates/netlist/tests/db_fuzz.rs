@@ -17,6 +17,8 @@ use foldic_netlist::{
 use foldic_tech::{CellKind, CellLibrary, Drive, MacroKind, VthClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SOUP_ITERS: usize = 10_000;
 
@@ -31,13 +33,24 @@ fn fuzz_seed() -> u64 {
 /// (the reader's bytes entry point skips no validation, so fuzzing the
 /// in-memory path covers the file path too).
 fn save_to_vec(d: &Design, salt: &str) -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("foldic-db-fuzz-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{salt}.fdb"));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = ScratchDir(
+        std::env::temp_dir().join(format!("foldic-db-fuzz-{}-{call}", std::process::id())),
+    );
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let path = dir.0.join(format!("{salt}.fdb"));
     save_design(d, &[("generator", "db_fuzz"), ("salt", salt)], &path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    bytes
+    std::fs::read(&path).unwrap()
+}
+
+/// A directory removed when the guard drops, also when an assertion fails.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// A structurally valid design with randomized shape: 1–3 blocks, a

@@ -17,7 +17,8 @@
 //!   instance groups to dies (PCX vs CPX needs only four 3D wires).
 //! * [`partition_with_quality`] — degrades a min-cut solution toward a
 //!   random balanced one, generating the increasing-cut partition cases
-//!   #1–#5 of Fig. 7.
+//!   #1–#5 of Fig. 7; [`degrade_partition`] is the degrade step alone, for
+//!   sweeps that share one min-cut.
 //!
 //! # Examples
 //!
@@ -60,7 +61,8 @@ pub fn partition_by_groups(netlist: &Netlist, top_groups: &[GroupId]) -> Partiti
     p
 }
 
-/// Produces a partition of controlled quality for the Fig. 7 sweep.
+/// Produces a partition of controlled quality for the Fig. 7 sweep: the
+/// [`bipartition`] min-cut, degraded by [`degrade_partition`].
 ///
 /// `quality = 1.0` returns the plain min-cut result; lower values randomly
 /// swap a growing fraction of balanced instance pairs across the dies,
@@ -72,7 +74,22 @@ pub fn partition_with_quality(
     cfg: &PartitionConfig,
     quality: f64,
 ) -> Partition {
-    let mut part = bipartition(netlist, tech, cfg);
+    degrade_partition(netlist, cfg, bipartition(netlist, tech, cfg), quality)
+}
+
+/// Degrades a min-cut partition of `netlist` toward a random balanced one
+/// (see [`partition_with_quality`]).
+///
+/// A pure function of `min_cut`, `quality` and `cfg.seed`: a sweep can
+/// compute the min-cut once and degrade a copy per point, and each point
+/// equals its own `partition_with_quality` call bit for bit.
+pub fn degrade_partition(
+    netlist: &Netlist,
+    cfg: &PartitionConfig,
+    min_cut: Partition,
+    quality: f64,
+) -> Partition {
+    let mut part = min_cut;
     let degrade = (1.0 - quality.clamp(0.0, 1.0)) * 0.5;
     if degrade <= 0.0 {
         return part;

@@ -134,23 +134,34 @@ impl Server {
     ///
     /// Propagates socket bind failures, an unopenable/corrupt-header
     /// journal and an uncreatable cache directory — a daemon that cannot
-    /// honor its durability configuration must not boot.
+    /// honor its durability configuration must not boot. The error's
+    /// message names what failed: `cannot bind <addr>`, `cache dir
+    /// <path>` or `journal <path>`.
     pub fn bind_with_telemetry(
         addr: &str,
         runner: Arc<dyn StudyRunner>,
         cfg: ServerConfig,
         telemetry: Arc<Telemetry>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let naming = |what: String| {
+            move |e: std::io::Error| std::io::Error::new(e.kind(), format!("{what}: {e}"))
+        };
+        let listener = TcpListener::bind(addr).map_err(naming(format!("cannot bind {addr}")))?;
+        let local = listener
+            .local_addr()
+            .map_err(naming(format!("cannot bind {addr}")))?;
         let cache = match &cfg.cache_dir {
-            Some(dir) => ResultCache::with_dir(dir)?,
+            Some(dir) => ResultCache::with_dir(dir)
+                .map_err(naming(format!("cache dir {}", dir.display())))?,
             None => ResultCache::new(),
         };
-        let journal = match &cfg.journal {
-            Some(path) => Some(Journal::open(path).map_err(std::io::Error::other)?),
-            None => None,
-        };
+        let journal =
+            match &cfg.journal {
+                Some(path) => Some(Journal::open(path).map_err(|e| {
+                    std::io::Error::other(format!("journal {}: {e}", path.display()))
+                })?),
+                None => None,
+            };
         let durability = Durability {
             journal,
             cache,

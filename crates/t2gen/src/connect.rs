@@ -24,6 +24,22 @@ struct Bus {
     domain: ClockDomain,
 }
 
+/// Names of the eight copies of each per-core or per-bank block, and of
+/// the four memory controllers (two banks each).
+const SPC: [&str; 8] = [
+    "spc0", "spc1", "spc2", "spc3", "spc4", "spc5", "spc6", "spc7",
+];
+const L2T: [&str; 8] = [
+    "l2t0", "l2t1", "l2t2", "l2t3", "l2t4", "l2t5", "l2t6", "l2t7",
+];
+const L2D: [&str; 8] = [
+    "l2d0", "l2d1", "l2d2", "l2d3", "l2d4", "l2d5", "l2d6", "l2d7",
+];
+const L2B: [&str; 8] = [
+    "l2b0", "l2b1", "l2b2", "l2b3", "l2b4", "l2b5", "l2b6", "l2b7",
+];
+const MCU: [&str; 4] = ["mcu0", "mcu1", "mcu2", "mcu3"];
+
 fn bus_table() -> Vec<Bus> {
     let mut buses = Vec::new();
     let b = |from: &'static str, to: &'static str, bits, domain| Bus {
@@ -32,18 +48,9 @@ fn bus_table() -> Vec<Bus> {
         bits,
         domain,
     };
-    // Names for the 8-way blocks are built dynamically below; we lean on
-    // leaked strings to keep the Bus struct simple and 'static.
-    fn s(x: String) -> &'static str {
-        Box::leak(x.into_boxed_str())
-    }
     use ClockDomain::{Cpu, Io};
     for i in 0..8 {
-        let spc = s(format!("spc{i}"));
-        let l2t = s(format!("l2t{i}"));
-        let l2d = s(format!("l2d{i}"));
-        let l2b = s(format!("l2b{i}"));
-        let mcu = s(format!("mcu{}", i / 2));
+        let (spc, l2t, l2d, l2b, mcu) = (SPC[i], L2T[i], L2D[i], L2B[i], MCU[i / 2]);
         buses.push(b(spc, "ccx", 130, Cpu));
         buses.push(b("ccx", spc, 150, Cpu));
         buses.push(b("ccx", l2t, 130, Cpu));
@@ -91,41 +98,63 @@ fn bus_table() -> Vec<Bus> {
     buses
 }
 
+/// A connectable logic cell: its instance, seed position and the signal
+/// net it drives.
+struct Cell {
+    inst: InstId,
+    pos: Point,
+    net: NetId,
+}
+
 /// Per-block lookup data built once before mutation starts.
 struct BlockIndex {
-    /// `(inst, seed position, group)` of every connectable logic cell.
-    cells: Vec<(InstId, Point, Option<GroupId>)>,
-    /// Net driven by each cell.
-    driver_net: HashMap<InstId, NetId>,
+    /// Every connectable logic cell, in instance order.
+    cells: Vec<Cell>,
+    /// Per group (indexed by `GroupId`), the indices into `cells` of its
+    /// members, in `cells` order.
+    pools: Vec<Vec<u32>>,
     /// Group name → id.
     groups: HashMap<String, GroupId>,
     /// Outline dims.
     w: f64,
     h: f64,
     /// Per-peer running pin offset along the perimeter.
-    pin_cursor: HashMap<String, f64>,
+    pin_cursor: HashMap<&'static str, f64>,
 }
 
 impl BlockIndex {
     fn build(design: &Design, id: BlockId) -> Self {
         let block = design.block(id);
         let nl = &block.netlist;
-        let mut driver_net = HashMap::new();
+        // the first signal net each instance drives
+        let mut driver_net: Vec<Option<NetId>> = vec![None; nl.num_insts()];
         for (nid, net) in nl.nets() {
             if net.is_clock {
                 continue;
             }
             if let Some(PinRef::InstOut(i)) = net.driver {
-                driver_net.entry(i).or_insert(nid);
+                driver_net[i.index()].get_or_insert(nid);
             }
         }
         let mut cells = Vec::new();
+        let mut pools = vec![Vec::new(); nl.num_groups()];
         for (iid, inst) in nl.insts() {
             // only signal-driving logic cells are connectable (clock-tree
             // buffers drive clock nets exclusively and stay internal)
-            if !inst.master.is_macro() && !inst.fixed && driver_net.contains_key(&iid) {
-                cells.push((iid, inst.pos, inst.group));
+            let Some(net) = driver_net[iid.index()] else {
+                continue;
+            };
+            if inst.master.is_macro() || inst.fixed {
+                continue;
             }
+            if let Some(g) = inst.group {
+                pools[g.index()].push(cells.len() as u32);
+            }
+            cells.push(Cell {
+                inst: iid,
+                pos: inst.pos,
+                net,
+            });
         }
         let groups = (0..nl.num_groups())
             .map(|g| {
@@ -137,7 +166,7 @@ impl BlockIndex {
             .collect();
         Self {
             cells,
-            driver_net,
+            pools,
             groups,
             w: block.outline.width(),
             h: block.outline.height(),
@@ -145,45 +174,40 @@ impl BlockIndex {
         }
     }
 
-    /// Picks a connectable cell near `p`, optionally restricted to `group`,
-    /// by sampling candidates and keeping the closest.
-    fn pick_near(&self, p: Point, group: Option<GroupId>, rng: &mut StdRng) -> InstId {
-        let candidates: Vec<&(InstId, Point, Option<GroupId>)> = match group {
-            Some(g) => self
-                .cells
-                .iter()
-                .filter(|(_, _, cg)| *cg == Some(g))
-                .collect(),
-            None => self.cells.iter().collect(),
-        };
-        let pool = if candidates.is_empty() {
-            self.cells.iter().collect::<Vec<_>>()
+    /// Picks a connectable cell near `p`, optionally restricted to `group`
+    /// (all cells when the group has none), by sampling candidates and
+    /// keeping the closest.
+    fn pick_near(&self, p: Point, group: Option<GroupId>, rng: &mut StdRng) -> &Cell {
+        let pool = group.map_or(&[][..], |g| self.pools[g.index()].as_slice());
+        let n = if pool.is_empty() {
+            self.cells.len()
         } else {
-            candidates
+            pool.len()
         };
-        assert!(!pool.is_empty(), "block has no connectable cells");
-        let mut best = pool[rng.gen_range(0..pool.len())];
-        let mut best_d = best.1.manhattan(p);
+        assert!(n > 0, "block has no connectable cells");
+        let at = |k: usize| &self.cells[if pool.is_empty() { k } else { pool[k] as usize }];
+        let mut best = at(rng.gen_range(0..n));
+        let mut best_d = best.pos.manhattan(p);
         for _ in 0..48 {
-            let c = pool[rng.gen_range(0..pool.len())];
-            let d = c.1.manhattan(p);
+            let c = at(rng.gen_range(0..n));
+            let d = c.pos.manhattan(p);
             if d < best_d {
                 best = c;
                 best_d = d;
             }
         }
-        best.0
+        best
     }
 
     /// Next pin location on the perimeter for a bus to/from `peer`.
-    fn next_pin_pos(&mut self, peer: &str) -> Point {
+    fn next_pin_pos(&mut self, peer: &'static str) -> Point {
         let perim = 2.0 * (self.w + self.h);
         // base offset from a stable hash of the peer name
         let hash = peer
             .bytes()
             .fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b as u64));
         let base = (hash % 1000) as f64 / 1000.0 * perim;
-        let cursor = self.pin_cursor.entry(peer.to_owned()).or_insert(0.0);
+        let cursor = self.pin_cursor.entry(peer).or_insert(0.0);
         let t = (base + *cursor) % perim;
         *cursor += 1.5; // pin pitch along the boundary in µm
                         // walk the perimeter: bottom, right, top, left
@@ -221,10 +245,10 @@ fn ccx_group(idx: &BlockIndex, peer: &str, incoming: bool) -> Option<GroupId> {
 pub fn wire_chip(design: &mut Design, cfg: &T2Config, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let bus_scale = cfg.size.powf(0.6);
-    // Build indices for every block up front.
-    let mut index: HashMap<BlockId, BlockIndex> = design
+    // Build indices for every block up front, indexed by `BlockId`.
+    let mut index: Vec<BlockIndex> = design
         .block_ids()
-        .map(|id| (id, BlockIndex::build(design, id)))
+        .map(|id| BlockIndex::build(design, id))
         .collect();
 
     for bus in bus_table() {
@@ -238,15 +262,14 @@ pub fn wire_chip(design: &mut Design, cfg: &T2Config, seed: u64) {
         for bit in 0..bits {
             // --- source side: output port driven by internal logic -------
             let (out_port, out_pos) = {
-                let idx = index.get_mut(&from_id).expect("indexed");
+                let idx = &mut index[from_id.index()];
                 let pos = idx.next_pin_pos(bus.to);
                 let group = if bus.from == "ccx" {
                     ccx_group(idx, bus.to, false)
                 } else {
                     None
                 };
-                let driver_cell = idx.pick_near(pos, group, &mut rng);
-                let net = idx.driver_net[&driver_cell];
+                let net = idx.pick_near(pos, group, &mut rng).net;
                 let block = design.block_mut(from_id);
                 let port = block.netlist.add_port(
                     format!("{}_{}_o{bit}", bus.from, bus.to),
@@ -260,16 +283,16 @@ pub fn wire_chip(design: &mut Design, cfg: &T2Config, seed: u64) {
             let _ = out_pos;
             // --- sink side: input port driving internal sinks -------------
             let in_port = {
-                let idx = index.get_mut(&to_id).expect("indexed");
+                let idx = &mut index[to_id.index()];
                 let pos = idx.next_pin_pos(bus.from);
                 let group = if bus.to == "ccx" {
                     ccx_group(idx, bus.from, true)
                 } else {
                     None
                 };
-                let sink_a = idx.pick_near(pos, group, &mut rng);
+                let sink_a = idx.pick_near(pos, group, &mut rng).inst;
                 let sink_b = if rng.gen::<f64>() < 0.3 {
-                    Some(idx.pick_near(pos, group, &mut rng))
+                    Some(idx.pick_near(pos, group, &mut rng).inst)
                 } else {
                     None
                 };

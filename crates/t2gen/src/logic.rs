@@ -142,29 +142,37 @@ impl Buckets {
     }
 
     /// Picks a random instance whose seed position is near `p`, widening
-    /// the search ring until something is found.
+    /// the search ring until something is found: one uniform draw over the
+    /// ring's members, found by walking its bins in row-major order.
     fn pick_near(&self, p: Point, rng: &mut StdRng) -> Option<usize> {
         let (bx, by) = Self::bin(self.w, self.h, self.grid_w, self.grid_h, p);
         for ring in 0..self.grid_w.max(self.grid_h) {
-            let mut candidates: Vec<usize> = Vec::new();
-            let x0 = bx.saturating_sub(ring);
-            let x1 = (bx + ring).min(self.grid_w - 1);
-            let y0 = by.saturating_sub(ring);
-            let y1 = (by + ring).min(self.grid_h - 1);
-            for y in y0..=y1 {
-                for x in x0..=x1 {
-                    // only the ring boundary (interior was covered before)
-                    if ring > 0 && x != x0 && x != x1 && y != y0 && y != y1 {
-                        continue;
-                    }
-                    candidates.extend(&self.cells[y * self.grid_w + x]);
-                }
+            let count: usize = self.ring_bins(bx, by, ring).map(<[usize]>::len).sum();
+            if count == 0 {
+                continue;
             }
-            if !candidates.is_empty() {
-                return Some(candidates[rng.gen_range(0..candidates.len())]);
+            let mut k = rng.gen_range(0..count);
+            for bin in self.ring_bins(bx, by, ring) {
+                if k < bin.len() {
+                    return Some(bin[k]);
+                }
+                k -= bin.len();
             }
         }
         None
+    }
+
+    /// The bins of search ring `ring` around bin `(bx, by)`, row by row:
+    /// only the ring boundary, since the interior was covered before.
+    fn ring_bins(&self, bx: usize, by: usize, ring: usize) -> impl Iterator<Item = &[usize]> {
+        let x0 = bx.saturating_sub(ring);
+        let x1 = (bx + ring).min(self.grid_w - 1);
+        let y0 = by.saturating_sub(ring);
+        let y1 = (by + ring).min(self.grid_h - 1);
+        (y0..=y1)
+            .flat_map(move |y| (x0..=x1).map(move |x| (x, y)))
+            .filter(move |&(x, y)| ring == 0 || x == x0 || x == x1 || y == y0 || y == y1)
+            .map(|(x, y)| self.cells[y * self.grid_w + x].as_slice())
     }
 }
 
@@ -334,12 +342,14 @@ pub fn synthesize_block(
 
     // ---- groups ------------------------------------------------------------
     let regions = group_regions(spec.groups);
-    let mut group_ids: std::collections::HashMap<String, GroupId> = Default::default();
-    for (gname, _, _) in &regions {
-        if !group_ids.contains_key(gname) {
-            let id = nl.add_group(gname);
-            group_ids.insert(gname.clone(), id);
-        }
+    // the group of each region; regions sharing a name share a group
+    let mut region_group: Vec<GroupId> = Vec::with_capacity(regions.len());
+    for (r, (gname, _, _)) in regions.iter().enumerate() {
+        let id = match regions[..r].iter().position(|(n, _, _)| n == gname) {
+            Some(first) => region_group[first],
+            None => nl.add_group(gname),
+        };
+        region_group.push(id);
     }
 
     // ---- instantiate macros (fixed) -----------------------------------------
@@ -361,8 +371,8 @@ pub fn synthesize_block(
         let v = Point::new(pos.x / bw, pos.y / bh);
         inst.group = regions
             .iter()
-            .find(|(_, _, r)| r.contains(v))
-            .and_then(|(g, _, _)| group_ids.get(g).copied());
+            .position(|(_, _, r)| r.contains(v))
+            .map(|r| region_group[r]);
         macro_insts.push(id);
     }
 
@@ -375,22 +385,22 @@ pub fn synthesize_block(
     let mut cell_groups: Vec<GroupId> = Vec::with_capacity(n_cells);
     for (i, plan) in plans.iter().enumerate() {
         let mut r = rng.gen::<f64>() * total_w;
-        let mut region = &regions[0];
-        for reg in &regions {
+        let mut region = 0;
+        for (k, reg) in regions.iter().enumerate() {
             if r < reg.1 {
-                region = reg;
+                region = k;
                 break;
             }
             r -= reg.1;
         }
-        let (gname, _, rect) = region;
+        let rect = regions[region].2;
         let p = Point::new(
             (rect.llx + rng.gen::<f64>() * rect.width()) * bw,
             (rect.lly + rng.gen::<f64>() * rect.height()) * bh,
         );
         let master = tech.cells.id_of(plan.kind, plan.drive, VthClass::Rvt);
         let id = nl.add_inst(t_cell.at(i), InstMaster::Cell(master));
-        let gid = group_ids[gname];
+        let gid = region_group[region];
         let mut inst = nl.inst_mut(id);
         inst.pos = p;
         inst.group = Some(gid);
@@ -400,10 +410,11 @@ pub fn synthesize_block(
     }
 
     let buckets = Buckets::new(bw, bh, &positions);
-    // per-group member lists for cross-group / crossbar sink sampling
-    let mut by_group: std::collections::HashMap<GroupId, Vec<usize>> = Default::default();
+    // per-group member lists (indexed by `GroupId`, members in cell order)
+    // for cross-group / crossbar sink sampling
+    let mut by_group: Vec<Vec<usize>> = vec![Vec::new(); nl.num_groups()];
     for (i, g) in cell_groups.iter().enumerate() {
-        by_group.entry(*g).or_default().push(i);
+        by_group[g.index()].push(i);
     }
 
     let domain = spec.kind.clock();
@@ -416,11 +427,12 @@ pub fn synthesize_block(
     };
 
     // ---- signal nets ---------------------------------------------------------
-    let group_list: Vec<GroupId> = {
-        let mut g: Vec<_> = by_group.keys().copied().collect();
-        g.sort();
-        g
-    };
+    // the groups that have cells, in id order
+    let group_list: Vec<usize> = (0..by_group.len())
+        .filter(|&g| !by_group[g].is_empty())
+        .collect();
+    // the sinks a net already reaches (its driver first), reused per net
+    let mut connected: Vec<usize> = Vec::new();
     for (i, &driver) in cell_ids.iter().enumerate() {
         let fanout = sample_fanout(&mut rng);
         let net = nl.add_net(t_net.at(i));
@@ -428,17 +440,17 @@ pub fn synthesize_block(
         nl.connect_driver(net, PinRef::output(driver));
         let dpos = positions[i];
         let dgroup = cell_groups[i];
-        let mut connected = std::collections::HashSet::new();
-        connected.insert(i);
+        connected.clear();
+        connected.push(i);
         for _ in 0..fanout {
             let sink_idx = if cross_frac > 0.0 && rng.gen::<f64>() < cross_frac {
                 // inter-group net: sink uniform in another group
                 let og = group_list[rng.gen_range(0..group_list.len())];
-                let members = &by_group[&og];
+                let members = &by_group[og];
                 members[rng.gen_range(0..members.len())]
             } else if is_ccx && rng.gen::<f64>() < 0.5 {
                 // crossbar all-to-all: uniform within the same group
-                let members = &by_group[&dgroup];
+                let members = &by_group[dgroup.index()];
                 members[rng.gen_range(0..members.len())]
             } else {
                 // distance-biased local sink
@@ -455,7 +467,7 @@ pub fn synthesize_block(
                     // PCX and CPX share no signal wiring: keep even local
                     // sinks strictly inside the driver's group by sampling
                     // group members and keeping the closest to the target.
-                    let members = &by_group[&dgroup];
+                    let members = &by_group[dgroup.index()];
                     let mut best = members[rng.gen_range(0..members.len())];
                     let mut best_d = positions[best].manhattan(target);
                     for _ in 0..40 {
@@ -474,14 +486,12 @@ pub fn synthesize_block(
                     }
                 }
             };
-            if !connected.insert(sink_idx) {
+            if connected.contains(&sink_idx) {
                 continue;
             }
+            connected.push(sink_idx);
             let sink = cell_ids[sink_idx];
-            let kind = match nl.inst(sink).master {
-                InstMaster::Cell(mid) => tech.cells.master(mid).kind,
-                InstMaster::Macro(_) => unreachable!("cell list holds cells only"),
-            };
+            let kind = plans[sink_idx].kind;
             // flop data pin is 0 (pin 1 is the clock)
             let pin = if kind == CellKind::Dff {
                 0
