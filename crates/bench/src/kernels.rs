@@ -3,8 +3,9 @@
 //! Times the hot kernels of the flow — sequence-pair packing (the SA
 //! inner loop), one SA temperature step, one quadratic-system solve, one
 //! FM bipartition, one SPC's folded-FUB partition, one wiring analysis
-//! and one opt call's STA rounds — and the two halves of a served study
-//! miss (one tiny T2 generation; one tiny `fig2` from a fresh context),
+//! and one opt call's STA rounds — one load of the tiny T2's snapshot,
+//! and the two halves of a served study miss (one tiny T2 generation;
+//! one tiny `fig2` from a fresh context),
 //! with the same built-in harness the `cargo bench` targets use
 //! (fixed sample count, median/min/max; Criterion is a registry
 //! dependency and this workspace is offline-first). `--json` emits a
@@ -18,7 +19,7 @@ use std::time::Instant;
 
 use crate::{experiments, Ctx};
 use foldic_floorplan::seqpair::{anneal_floorplan, FpBlock, Packer, SaConfig, SeqPair};
-use foldic_netlist::{InstId, InstMaster};
+use foldic_netlist::{db, InstId, InstMaster};
 use foldic_obs::json::Json;
 use foldic_opt::{insert_buffers, OptConfig};
 use foldic_partition::{bipartition, bipartition_subsets, PartitionConfig};
@@ -161,6 +162,29 @@ pub fn run_kernels(filter: &Option<String>) -> Vec<KernelResult> {
     }
 
     let (design, tech) = T2Config::tiny().generate();
+
+    // One load of the tiny T2's `foldic-db/1` snapshot, as a
+    // snapshot-backed run starts: the file read, the one digest pass and
+    // the column copies. The snapshot is written once to a directory of
+    // its own, which is removed after.
+    if selected(filter, "db_load_tiny") {
+        let dir = std::env::temp_dir().join(format!("foldic-bench-db-{}", std::process::id()));
+        let path = dir.join("t2-tiny.fdb");
+        let written = std::fs::create_dir_all(&dir)
+            .map_err(db::DbError::from)
+            .and_then(|()| db::save_design(&design, &[("generator", "t2")], &path))
+            .and_then(|()| db::load_design(&path));
+        if let Err(e) = written {
+            let _ = std::fs::remove_dir_all(&dir);
+            eprintln!("snapshotting the tiny T2 failed: {e}");
+            std::process::exit(2);
+        }
+        push(time_kernel(filter, "db_load_tiny", 1, || {
+            black_box(db::load_design(&path).map(|(d, _)| d.total_insts()).ok());
+        }));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     let l2t = design
         .find_block("l2t0")
         .map(|id| design.block(id))

@@ -50,6 +50,7 @@ fn bench_json_is_well_formed_and_complete() {
         "sta_rounds_l2t",
         "t2gen_tiny",
         "study_fig2_tiny",
+        "db_load_tiny",
     ] {
         let k = kernels
             .get(name)

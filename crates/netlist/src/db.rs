@@ -4,10 +4,14 @@
 //! a fixed header (magic, version, section count, table offset), one
 //! section per block plus a design-meta and a chip-net section, and a
 //! trailing section table where every record carries an FNV-1a digest of
-//! its section bytes. Loading is a single `read` of the file followed by
-//! structural validation and direct `Vec` adoption — one bounds-checked
-//! `memcpy` per column, **no per-entity parsing**. A million-cell design
-//! loads in the time it takes to copy ~60 MB.
+//! its section bytes. Loading is a single `read` of the file, one digest
+//! pass over it, then structural validation and direct `Vec` adoption —
+//! one bounds-checked `memcpy` per column, **no per-entity parsing**. The
+//! digest pass checks every section digest and computes the whole-file
+//! digest in the same walk, at about 1.35 ns per byte: FNV-1a is one
+//! serial multiply chain per digest, so that is the floor while the
+//! format's digests are FNV-1a, and it is most of a load (the 5.8 MB
+//! small T2: read ~1 ms, digest pass ~8 ms, decode ~4 ms).
 //!
 //! Deliberately *not* zero-copy (each is a small O(n) pass or O(1)):
 //!
@@ -137,12 +141,19 @@ fn corrupt(why: impl Into<String>) -> DbError {
     DbError::Corrupt(why.into())
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 /// FNV-1a over `bytes` (same function the report digests use).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues the FNV-1a chain `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -778,6 +789,47 @@ fn decode_chip_nets(bytes: &[u8], blocks: &[Block]) -> Result<Vec<ChipNet>, DbEr
     Ok(nets)
 }
 
+/// One section-table record whose bytes lie in the file's section area.
+struct Record {
+    tag: u32,
+    index: u32,
+    off: usize,
+    len: usize,
+    digest: u64,
+}
+
+/// Hashes `bytes` once and returns the whole-file FNV-1a digest and each
+/// record's section digest, in table order. Every byte advances the file
+/// chain and, inside a section, that section's chain in the same loop
+/// iteration: two independent multiply chains the core runs side by
+/// side, so checking both digests costs one pass, not two. Records that
+/// overlap (`DbWriter` writes sections back to back) are `Corrupt`.
+fn digest_walk(bytes: &[u8], records: &[Record]) -> Result<(u64, Vec<u64>), DbError> {
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    order.sort_unstable_by_key(|&i| (records[i].off, records[i].len));
+    let mut digests = vec![0; records.len()];
+    let mut file = FNV_OFFSET;
+    let mut pos = 0;
+    for i in order {
+        let r = &records[i];
+        if r.off < pos {
+            return Err(corrupt(format!(
+                "section tag={} index={} overlaps another section",
+                r.tag, r.index
+            )));
+        }
+        file = fnv1a_extend(file, &bytes[pos..r.off]);
+        let mut h = FNV_OFFSET;
+        for &b in &bytes[r.off..r.off + r.len] {
+            file = (file ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        digests[i] = h;
+        pos = r.off + r.len;
+    }
+    Ok((fnv1a_extend(file, &bytes[pos..]), digests))
+}
+
 /// Loads a snapshot, fully validating it.
 ///
 /// # Errors
@@ -811,26 +863,44 @@ pub fn load_design_bytes(bytes: &[u8]) -> Result<(Design, DbInfo), DbError> {
     let n_sections = c.u32().expect("header length checked");
     let table_off = c.u64().expect("header length checked");
     let table_len = u64::from(n_sections) * RECORD_LEN as u64;
-    if table_off < HEADER_LEN as u64 || table_off + table_len > bytes.len() as u64 {
-        return Err(DbError::Truncated);
+    let table_end = table_off
+        .checked_add(table_len)
+        .filter(|&end| table_off >= HEADER_LEN as u64 && end <= bytes.len() as u64)
+        .ok_or(DbError::Truncated)?;
+    // The records before the first one that leaves [HEADER_LEN,
+    // table_off): a file fails on the first record, in table order, that
+    // is out of bounds, fails its digest or has an unexpected tag.
+    let mut records = Vec::with_capacity(n_sections as usize);
+    let mut truncated = false;
+    for rec in bytes[table_off as usize..table_end as usize].chunks_exact(RECORD_LEN) {
+        let mut t = Cur::new(rec);
+        let tag = t.u32().expect("record length");
+        let index = t.u32().expect("record length");
+        let off = t.u64().expect("record length");
+        let len = t.u64().expect("record length");
+        let digest = t.u64().expect("record length");
+        if off < HEADER_LEN as u64 || off.checked_add(len).is_none_or(|end| end > table_off) {
+            truncated = true;
+            break;
+        }
+        records.push(Record {
+            tag,
+            index,
+            off: off as usize,
+            len: len as usize,
+            digest,
+        });
     }
-    let mut t = Cur::new(&bytes[table_off as usize..(table_off + table_len) as usize]);
+    let (whole, digests) = digest_walk(bytes, &records)?;
     let mut meta_bytes: Option<&[u8]> = None;
     let mut chip_bytes: Option<&[u8]> = None;
     let mut block_bytes: Vec<(u32, &[u8])> = Vec::new();
-    for _ in 0..n_sections {
-        let tag = t.u32().expect("table length checked");
-        let index = t.u32().expect("table length checked");
-        let off = t.u64().expect("table length checked");
-        let len = t.u64().expect("table length checked");
-        let digest = t.u64().expect("table length checked");
-        if off < HEADER_LEN as u64 || off + len > table_off {
-            return Err(DbError::Truncated);
-        }
-        let sec = &bytes[off as usize..(off + len) as usize];
-        if fnv1a(sec) != digest {
+    for (r, &got) in records.iter().zip(&digests) {
+        let (tag, index) = (r.tag, r.index);
+        if got != r.digest {
             return Err(DbError::SectionDigest { tag, index });
         }
+        let sec = &bytes[r.off..r.off + r.len];
         match tag {
             TAG_META if meta_bytes.is_none() && index == 0 => meta_bytes = Some(sec),
             TAG_CHIP_NETS if chip_bytes.is_none() && index == 0 => chip_bytes = Some(sec),
@@ -841,6 +911,9 @@ pub fn load_design_bytes(bytes: &[u8]) -> Result<(Design, DbInfo), DbError> {
                 )))
             }
         }
+    }
+    if truncated {
+        return Err(DbError::Truncated);
     }
     let meta_bytes = meta_bytes.ok_or_else(|| corrupt("missing design-meta section"))?;
     let chip_bytes = chip_bytes.ok_or_else(|| corrupt("missing chip-net section"))?;
@@ -883,7 +956,7 @@ pub fn load_design_bytes(bytes: &[u8]) -> Result<(Design, DbInfo), DbError> {
     }
     let info = DbInfo {
         meta,
-        digest: format!("fnv64:{:016x}", fnv1a(bytes)),
+        digest: format!("fnv64:{whole:016x}"),
         cells,
         nets,
     };
@@ -1022,6 +1095,26 @@ mod tests {
             load_design_bytes(&bad),
             Err(DbError::BadVersion(99))
         ));
+    }
+
+    #[test]
+    fn wrapping_table_end_is_truncated() {
+        let mut bytes = save_to_vec(&Design::new("empty"));
+        let n_sections = u64::from(u32::from_le_bytes(bytes[12..16].try_into().unwrap()));
+        // table_off + table_len wraps to 0
+        let table_off = 0u64.wrapping_sub(n_sections * RECORD_LEN as u64);
+        bytes[16..24].copy_from_slice(&table_off.to_le_bytes());
+        assert!(matches!(load_design_bytes(&bytes), Err(DbError::Truncated)));
+    }
+
+    #[test]
+    fn wrapping_section_end_is_truncated() {
+        let mut bytes = save_to_vec(&Design::new("empty"));
+        let rec = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        // the first record's off + len wraps to 8
+        bytes[rec + 8..rec + 16].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        bytes[rec + 16..rec + 24].copy_from_slice(&16u64.to_le_bytes());
+        assert!(matches!(load_design_bytes(&bytes), Err(DbError::Truncated)));
     }
 
     #[test]

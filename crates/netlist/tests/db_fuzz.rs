@@ -2,7 +2,10 @@
 //! `load_design_bytes` consumes whatever bytes land on disk, so arbitrary
 //! input must yield a loaded design or a typed [`DbError`], **never** a
 //! panic — and every form of file damage (truncation, bit flips, header
-//! corruption) must surface as the matching error variant. A final
+//! corruption) must surface as the matching error variant. Crafted section
+//! tables (shuffled records, edge and wrapping offsets, overlapping
+//! records) pin the reader's table scan; a plain byte-at-a-time FNV-1a
+//! is the oracle for the digests its one-pass walk computes. A final
 //! round-trip property checks that randomly-shaped valid designs survive
 //! save → load → save byte-identically.
 //!
@@ -16,6 +19,7 @@ use foldic_netlist::{
 };
 use foldic_tech::{CellKind, CellLibrary, Drive, MacroKind, VthClass};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,6 +46,35 @@ fn save_to_vec(d: &Design, salt: &str) -> Vec<u8> {
     let path = dir.0.join(format!("{salt}.fdb"));
     save_design(d, &[("generator", "db_fuzz"), ("salt", salt)], &path).unwrap();
     std::fs::read(&path).unwrap()
+}
+
+/// Header: magic[0..8] version[8..12] count[12..16] table_off[16..24].
+/// Each 32-byte table record: tag[0..4] index[4..8] off[8..16]
+/// len[16..24] digest[24..32].
+const RECORD_LEN: usize = 32;
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Where the section table starts, and its record count.
+fn table_of(bytes: &[u8]) -> (usize, usize) {
+    (u64_at(bytes, 16) as usize, u32_at(bytes, 12) as usize)
+}
+
+/// The reference digest: FNV-1a one byte at a time, in the `fnv64:`
+/// notation of `DbInfo::digest`.
+fn plain_fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// A directory removed when the guard drops, also when an assertion fails.
@@ -205,19 +238,135 @@ fn every_single_byte_flip_is_rejected_without_panic() {
 #[test]
 fn section_body_damage_fails_the_section_digest() {
     let mut rng = StdRng::seed_from_u64(fuzz_seed() ^ 0x6469_6765);
-    let bytes = save_to_vec(&random_design(&mut rng), "digest");
-    // Header: magic[0..8] version[8..12] count[12..16] table_off[16..24].
-    // Everything in [24, table_off) is section bodies, each digested.
-    let table_off = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    assert!(table_off > 24 && table_off <= bytes.len());
-    for _ in 0..200 {
-        let pos = rng.gen_range(24..table_off);
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0x40;
-        assert!(
-            matches!(load_design_bytes(&bad), Err(DbError::SectionDigest { .. })),
-            "body flip at {pos} (table at {table_off}) missed the digest check"
+    for _ in 0..20 {
+        let bytes = save_to_vec(&random_design(&mut rng), "digest");
+        // Everything in [24, table_off) is section bodies, each digested.
+        let (table, n) = table_of(&bytes);
+        assert!(table > 24 && table <= bytes.len());
+        for _ in 0..20 {
+            let pos = rng.gen_range(24..table);
+            let mut bad = bytes.clone();
+            bad[pos] ^= 1 << rng.gen_range(0..8u32);
+            let rec = (0..n)
+                .map(|r| table + r * RECORD_LEN)
+                .find(|&at| {
+                    let off = u64_at(&bytes, at + 8) as usize;
+                    (off..off + u64_at(&bytes, at + 16) as usize).contains(&pos)
+                })
+                .expect("every body byte lies in a section");
+            let (tag, index) = (u32_at(&bytes, rec), u32_at(&bytes, rec + 4));
+            match load_design_bytes(&bad) {
+                Err(DbError::SectionDigest { tag: t, index: i }) if (t, i) == (tag, index) => {}
+                other => {
+                    panic!("body flip at {pos} (section tag={tag} index={index}) gave {other:?}")
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn load_digests_match_a_plain_fnv1a() {
+    let mut rng = StdRng::seed_from_u64(fuzz_seed() ^ 0x6f72_6163);
+    for i in 0..100 {
+        let bytes = save_to_vec(&random_design(&mut rng), "oracle");
+        let (_, info) = load_design_bytes(&bytes).expect("valid design loads");
+        assert_eq!(
+            info.digest,
+            format!("fnv64:{:016x}", plain_fnv1a(&bytes)),
+            "iteration {i} (seed {})",
+            fuzz_seed()
         );
+        let (table, n) = table_of(&bytes);
+        for at in (0..n).map(|r| table + r * RECORD_LEN) {
+            let off = u64_at(&bytes, at + 8) as usize;
+            let len = u64_at(&bytes, at + 16) as usize;
+            assert_eq!(
+                u64_at(&bytes, at + 24),
+                plain_fnv1a(&bytes[off..off + len]),
+                "iteration {i}: record at {at}"
+            );
+        }
+    }
+}
+
+#[test]
+fn shuffled_table_records_load_the_same_design() {
+    let mut rng = StdRng::seed_from_u64(fuzz_seed() ^ 0x7368_7566);
+    for i in 0..50 {
+        let bytes = save_to_vec(&random_design(&mut rng), "shuffle");
+        let (_, want) = load_design_bytes(&bytes).expect("valid design loads");
+        let (table, _) = table_of(&bytes);
+        let mut records: Vec<&[u8]> = bytes[table..].chunks_exact(RECORD_LEN).collect();
+        records.shuffle(&mut rng);
+        let mut shuffled = bytes[..table].to_vec();
+        for r in records {
+            shuffled.extend_from_slice(r);
+        }
+        let (d, info) = match load_design_bytes(&shuffled) {
+            Ok(ok) => ok,
+            Err(e) => panic!(
+                "iteration {i} (seed {}): shuffled table rejected: {e}",
+                fuzz_seed()
+            ),
+        };
+        assert_eq!(info.meta, want.meta, "iteration {i}");
+        assert_eq!(
+            (info.cells, info.nets),
+            (want.cells, want.nets),
+            "iteration {i}"
+        );
+        assert_eq!(
+            info.digest,
+            format!("fnv64:{:016x}", plain_fnv1a(&shuffled)),
+            "iteration {i}"
+        );
+        assert_eq!(
+            save_to_vec(&d, "shuffle"),
+            bytes,
+            "iteration {i}: another design"
+        );
+    }
+}
+
+#[test]
+fn edge_section_offsets_and_lengths_are_typed_errors() {
+    let mut rng = StdRng::seed_from_u64(fuzz_seed() ^ 0x6564_6765);
+    let bytes = save_to_vec(&random_design(&mut rng), "edges");
+    let (table, n) = table_of(&bytes);
+    let t = table as u64;
+    let mut edges = vec![0, 23, 24, t - 1, t, t + 1];
+    edges.extend([0, 1, 7, 8, 23, 24, t - 1, t, t + 1].map(|k| u64::MAX - k));
+    for r in 0..n {
+        let at = table + r * RECORD_LEN;
+        for field in [8, 16] {
+            for &v in &edges {
+                if u64_at(&bytes, at + field) == v {
+                    continue;
+                }
+                let mut bad = bytes.clone();
+                bad[at + field..at + field + 8].copy_from_slice(&v.to_le_bytes());
+                let (off, len) = (u64_at(&bad, at + 8), u64_at(&bad, at + 16));
+                let outside = off < 24 || off.checked_add(len).is_none_or(|end| end > t);
+                let what = format!("record {r} with off={off} len={len} (table at {t})");
+                match std::panic::catch_unwind(|| load_design_bytes(&bad)) {
+                    Err(_) => panic!("{what} panicked (seed {})", fuzz_seed()),
+                    Ok(Err(DbError::Truncated)) if outside => {}
+                    Ok(Err(DbError::Corrupt(_) | DbError::SectionDigest { .. })) if !outside => {}
+                    Ok(other) => panic!("{what} gave {:?}", other.map(|_| ())),
+                }
+            }
+        }
+        // another record's bytes, digest and all: the two overlap
+        for other in (0..n).filter(|&o| o != r) {
+            let from = table + other * RECORD_LEN;
+            let mut bad = bytes.clone();
+            bad.copy_within(from + 8..from + RECORD_LEN, at + 8);
+            assert!(
+                matches!(load_design_bytes(&bad), Err(DbError::Corrupt(_))),
+                "record {r} naming record {other}'s bytes was not rejected as corrupt"
+            );
+        }
     }
 }
 
